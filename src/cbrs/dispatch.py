@@ -2,7 +2,13 @@
 
 Donors are matched to a request by exact blood group and an eligibility
 window since their last donation, ranked by great-circle distance to the
-request's gazetteer anchor. Notifications go out in stages bounded by an
+request's gazetteer anchor. Ranking reads per-blood-group numpy columns
+(coordinates in radians, last-donation day, a precomputed recency order):
+one vector compare finds the eligible donors, a vectorized distance term
+and `np.partition` pick the top-k candidates, and only those are re-sorted
+with the exact scalar key, so the order equals a full sort of every match.
+A group's columns are rebuilt on the first ranking after a registry change
+(registration, update, restore). Notifications go out in stages bounded by an
 urgency-derived depth; a per-request ledger guarantees nobody is notified
 twice, alerts stop at the first affirmative, and a managed/resolved edit
 fans out exactly one resolution notice per previously notified donor.
@@ -24,6 +30,8 @@ from datetime import date, timedelta
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
+
+import numpy as np
 
 from . import schema
 from .schema import ParsedRequest, ParseOutcome
@@ -125,6 +133,20 @@ class LedgerEntry:
     notified_at: int
     response: str = "none"  # none | affirmative | negative
     resolution_notified: bool = False
+
+
+_NEVER_DONATED = np.iinfo(np.int64).min  # last-donation day of a donor who never gave
+
+# Rows whose vectorized haversine term lies within this margin of the k-th
+# smallest stay candidates for the exact re-sort. numpy and `math` may
+# disagree in the last ulps of each sin/cos and of the radian conversion
+# (longitudes are differenced in radians here, in degrees by
+# `haversine_km`): about 1e-15 relative to the term and 1e-15 * sqrt(term)
+# absolute. The margin exceeds both by three orders of magnitude; its
+# floor covers rows a few ulps from the anchor, where the term is ~0.
+_REL_MARGIN = 1e-9
+_SQRT_MARGIN = 1e-12
+_ABS_MARGIN = 1e-24
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -242,6 +264,60 @@ def detect_managed_marker(text: str) -> bool:
     return any(marker in lowered for marker in MANAGED_MARKERS)
 
 
+class _GroupIndex:
+    """Column view of one blood group's donors, in a fixed row order."""
+
+    def __init__(self, members: list[DonorRecord]):
+        self.members = members
+        self.lat = np.radians([d.latitude for d in members])
+        self.lon = np.radians([d.longitude for d in members])
+        self.last = np.array(
+            [
+                d.last_donation_date.toordinal() if d.last_donation_date else _NEVER_DONATED
+                for d in members
+            ],
+            dtype=np.int64,
+        )
+        # Newest registration first, then donor id (lexsort's last key is primary).
+        self.recency = np.lexsort(
+            (
+                np.array([d.donor_id for d in members], dtype=str),
+                -np.array([d.registered_at for d in members], dtype=np.int64),
+            )
+        )
+
+    def nearest(
+        self, eligible: np.ndarray, anchor: tuple[float, float], k: int
+    ) -> list[DonorRecord]:
+        """The k eligible rows nearest `anchor`, ordered by the exact scalar
+        key (distance, registration, donor id)."""
+        rows = np.flatnonzero(eligible)
+        lat, lon = anchor
+        p, q = math.radians(lat), math.radians(lon)
+        term = (
+            np.sin((self.lat[rows] - p) / 2) ** 2
+            + math.cos(p) * np.cos(self.lat[rows]) * np.sin((self.lon[rows] - q) / 2) ** 2
+        )
+        if 0 < k < len(rows):
+            kth = np.partition(term, k - 1)[k - 1]
+            margin = _REL_MARGIN * kth + _SQRT_MARGIN * math.sqrt(kth) + _ABS_MARGIN
+            rows = rows[term <= kth + margin]
+        candidates = [self.members[i] for i in rows]
+        candidates.sort(
+            key=lambda d: (
+                haversine_km(d.latitude, d.longitude, lat, lon),
+                d.registered_at,
+                d.donor_id,
+            )
+        )
+        return candidates[:k]
+
+    def newest(self, eligible: np.ndarray, k: int) -> list[DonorRecord]:
+        """The first k eligible rows in recency order."""
+        order = self.recency[eligible[self.recency]][:k]
+        return [self.members[i] for i in order]
+
+
 class DispatchEngine:
     """Owns the donor registry, open cases, and the notification ledger.
 
@@ -265,6 +341,10 @@ class DispatchEngine:
         self.cases: dict[str, RequestCase] = {}
         self.case_by_message: dict[str, str] = {}
         self.ledger: dict[tuple[str, str], LedgerEntry] = {}
+        # request_id -> donor_id -> the entry also held in `ledger`
+        self._entries: dict[str, dict[str, LedgerEntry]] = {}
+        # blood group -> columns; dropped on a registry change, rebuilt on use
+        self._groups: dict[str, _GroupIndex] = {}
         self.outbound: list[dict] = []
         self._donor_seq = 0
         self._case_seq = 0
@@ -309,7 +389,9 @@ class DispatchEngine:
                 longitude=longitude,
                 last_donation_date=last_donation_date,
             )
+            self._groups.pop(existing.blood_group, None)
         self.donors[platform_id] = record
+        self._groups.pop(blood_group, None)
         return record
 
     def update_donor(self, platform_id: str, patch: dict) -> DonorRecord:
@@ -327,6 +409,8 @@ class DispatchEngine:
         if merged.blood_group not in schema.BLOOD_GROUPS:
             raise DispatchError(f"blood_group {merged.blood_group!r} invalid")
         self.donors[platform_id] = merged
+        self._groups.pop(existing.blood_group, None)
+        self._groups.pop(merged.blood_group, None)
         return merged
 
     def donor_by_platform(self, platform_id: str) -> DonorRecord | None:
@@ -334,38 +418,35 @@ class DispatchEngine:
 
     # -- matching ---------------------------------------------------------
 
-    def _is_eligible(self, donor: DonorRecord) -> bool:
-        if donor.last_donation_date is None:
-            return True
-        gap = self.clock.today() - donor.last_donation_date
-        return gap >= timedelta(days=self.eligibility_days)
+    def _group_index(self, group: str) -> _GroupIndex:
+        index = self._groups.get(group)
+        if index is None:
+            members = [d for d in self.donors.values() if d.blood_group == group]
+            index = self._groups[group] = _GroupIndex(members)
+        return index
 
     def eligible_donors(self, case: RequestCase) -> list[DonorRecord]:
-        """Matching donors ranked by distance to the request anchor.
+        """The ranked prefix the case's next stage draws from.
 
-        Without a resolvable anchor the ranking falls back to registration
-        recency (newest first). Ties always break toward the earlier
-        registration, then the donor id, so the order is total.
+        Donors of the exact blood group outside the eligibility window,
+        ranked by distance to the request anchor. Without a resolvable
+        anchor the ranking falls back to registration recency (newest
+        first). Ties always break toward the earlier registration, then
+        the donor id, so the order is total. Only the top k are returned,
+        k = stage_size + the donors already notified for the case: enough
+        for a full stage after the notified ones are skipped.
         """
         group = case.request.blood_group
         if not group:
             log.warning("case %s has no blood group; nobody can be matched", case.request_id)
             return []
-        matches = [
-            d for d in self.donors.values() if d.blood_group == group and self._is_eligible(d)
-        ]
-        if case.anchor is not None:
-            lat, lon = case.anchor
-            matches.sort(
-                key=lambda d: (
-                    haversine_km(d.latitude, d.longitude, lat, lon),
-                    d.registered_at,
-                    d.donor_id,
-                )
-            )
-        else:
-            matches.sort(key=lambda d: (-d.registered_at, d.donor_id))
-        return matches
+        index = self._group_index(group)
+        cutoff = self.clock.today().toordinal() - self.eligibility_days
+        eligible = index.last <= cutoff
+        k = self.stage_size + len(self._entries.get(case.request_id, ()))
+        if case.anchor is None:
+            return index.newest(eligible, k)
+        return index.nearest(eligible, case.anchor, k)
 
     # -- case lifecycle ----------------------------------------------------
 
@@ -406,7 +487,7 @@ class DispatchEngine:
         if case.stages_fired >= depth:
             case.next_stage_due = None
             return []
-        already = {d for (rid, d) in self.ledger if rid == case.request_id}
+        already = self._entries.setdefault(case.request_id, {})
         fresh = [d for d in self.eligible_donors(case) if d.donor_id not in already]
         batch = fresh[: self.stage_size]
         if not batch:
@@ -431,6 +512,7 @@ class DispatchEngine:
                 notified_at=self.clock.now,
             )
             self.ledger[(case.request_id, donor.donor_id)] = entry
+            already[donor.donor_id] = entry
             entries.append(entry)
             self.outbound.append(
                 {
@@ -445,10 +527,13 @@ class DispatchEngine:
         case.next_stage_due = self.clock.now + self.stage_timeout if stage < depth else None
         return entries
 
+    def case_entries(self, request_id: str) -> list[LedgerEntry]:
+        """Ledger entries of one request, ordered by donor id."""
+        entries = self._entries.get(request_id, {})
+        return [entries[donor_id] for donor_id in sorted(entries)]
+
     def _stage_entries(self, request_id: str, stage: int) -> list[LedgerEntry]:
-        return [
-            e for (rid, _), e in self.ledger.items() if rid == request_id and e.stage == stage
-        ]
+        return [e for e in self._entries.get(request_id, {}).values() if e.stage == stage]
 
     def handle_response(self, request_id: str, donor_id: str, affirmative: bool) -> str:
         """Record a donor response; the first affirmative closes the case."""
@@ -514,27 +599,20 @@ class DispatchEngine:
         if case.status not in _TERMINAL:
             return 0
         sent = 0
-        for (rid, donor_id), entry in sorted(self.ledger.items()):
-            if rid != case.request_id or entry.resolution_notified:
+        for entry in self.case_entries(case.request_id):
+            if entry.resolution_notified:
                 continue
             entry.resolution_notified = True
             sent += 1
             self.outbound.append(
                 {
                     "kind": "resolution_notice",
-                    "request_id": rid,
-                    "donor_id": donor_id,
+                    "request_id": entry.request_id,
+                    "donor_id": entry.donor_id,
                     "tick": self.clock.now,
                 }
             )
         return sent
-
-    def due_cases(self) -> list[RequestCase]:
-        return [
-            c
-            for c in sorted(self.cases.values(), key=lambda c: c.request_id)
-            if c.status == OPEN and c.next_stage_due is not None and c.next_stage_due <= self.clock.now
-        ]
 
     def advance_to(self, tick: int) -> None:
         """Move the clock forward, firing due stages and expiring past-deadline
@@ -725,6 +803,10 @@ class DispatchEngine:
         self.donors = donors
         self.cases = cases
         self.ledger = ledger
+        self._entries = {}
+        for entry in ledger.values():
+            self._entries.setdefault(entry.request_id, {})[entry.donor_id] = entry
+        self._groups = {}
         self.case_by_message = {c.message_id: c.request_id for c in cases.values()}
         self._donor_seq = meta["donor_seq"]
         self._case_seq = meta["case_seq"]

@@ -67,8 +67,7 @@ def _case_payload(gateway: Gateway, case: RequestCase) -> dict:
             "response": e.response,
             "resolution_notified": e.resolution_notified,
         }
-        for (rid, _), e in sorted(gateway.engine.ledger.items())
-        if rid == case.request_id
+        for e in gateway.engine.case_entries(case.request_id)
     ]
     trace = gateway.traces.get(case.message_id)
     return {

@@ -1,0 +1,342 @@
+"""The indexed donor ranking against a scalar full-scan oracle, and the
+ledger laws under random sequences of engine operations.
+
+The oracle is the ranking the engine's columns replace: scan every donor,
+keep the exact group outside the eligibility window, sort all matches by
+(`haversine_km`, registration, donor id), or by recency without an anchor.
+A stage is the first `stage_size` of those not yet notified for the case.
+"""
+
+import math
+from datetime import timedelta
+
+import numpy as np
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from cbrs import dispatch as dp
+from cbrs.dispatch import Clock, DispatchEngine, haversine_km
+from cbrs.schema import ParsedRequest, ParseOutcome
+
+# -- the oracle --------------------------------------------------------------------
+
+
+def oracle_is_eligible(engine, donor):
+    if donor.last_donation_date is None:
+        return True
+    gap = engine.clock.today() - donor.last_donation_date
+    return gap >= timedelta(days=engine.eligibility_days)
+
+
+def oracle_ranking(engine, case):
+    group = case.request.blood_group
+    if not group:
+        return []
+    matches = [d for d in engine.donors.values() if d.blood_group == group]
+    matches = [d for d in matches if oracle_is_eligible(engine, d)]
+    if case.anchor is not None:
+        lat, lon = case.anchor
+        matches.sort(
+            key=lambda d: (
+                haversine_km(d.latitude, d.longitude, lat, lon),
+                d.registered_at,
+                d.donor_id,
+            )
+        )
+    else:
+        matches.sort(key=lambda d: (-d.registered_at, d.donor_id))
+    return matches
+
+
+def oracle_batch(engine, case):
+    already = {d for (rid, d) in engine.ledger if rid == case.request_id}
+    fresh = [d for d in oracle_ranking(engine, case) if d.donor_id not in already]
+    return [d.donor_id for d in fresh[: engine.stage_size]]
+
+
+class CheckedEngine(DispatchEngine):
+    """Compares every ranking and every stage it fires with the oracle."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stages_checked = 0
+
+    def notify_stage(self, case):
+        expected = None
+        depth = dp.urgency_depth(case, self.clock.epoch_date)
+        if case.status == dp.OPEN and case.stages_fired < depth:
+            notified = sum(1 for (rid, _) in self.ledger if rid == case.request_id)
+            prefix = [d.donor_id for d in oracle_ranking(self, case)][: self.stage_size + notified]
+            assert [d.donor_id for d in self.eligible_donors(case)] == prefix
+            expected = oracle_batch(self, case)
+        entries = super().notify_stage(case)
+        if expected is not None:
+            assert [e.donor_id for e in entries] == expected
+            self.stages_checked += 1
+        return entries
+
+
+# -- randomized registries ---------------------------------------------------------
+
+ANCHORS = [(23.8103, 90.4125), (22.3569, 91.7832), (24.3745, 88.6042), (-33.8688, 151.2093)]
+
+
+def _ulps(x, n):
+    """x moved n representable doubles up (n > 0) or down."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
+    return x
+
+
+def _coordinate(rng, anchor):
+    """Exact ties on the anchor and a few shared points, near-ties a few
+    ulps apart, and scattered points."""
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return anchor
+    if kind == 1:
+        return ANCHORS[int(rng.integers(0, len(ANCHORS)))]
+    if kind == 2:
+        lat, lon = anchor
+        return _ulps(lat, int(rng.integers(-3, 4))), _ulps(lon, int(rng.integers(-3, 4)))
+    lat, lon = anchor
+    return float(np.clip(lat + rng.normal(0, 0.05), -90, 90)), float(lon + rng.normal(0, 0.05))
+
+
+def _last_donation(rng, engine):
+    """None, or a day near the eligibility boundary so that advancing the
+    clock by a day or two flips it."""
+    if rng.random() < 0.3:
+        return None
+    return engine.clock.today() - timedelta(days=int(rng.integers(85, 95)))
+
+
+def _request(group, day, markers):
+    return ParsedRequest(blood_group=group, location_markers=tuple(markers), probable_day=day)
+
+
+def _run_random_registry(seed):
+    rng = np.random.default_rng(seed)
+    eng = CheckedEngine(clock=Clock(), stage_size=int(rng.integers(1, 5)), stage_timeout=600)
+    groups = ("O+", "A-")
+    anchor = ANCHORS[int(rng.integers(0, len(ANCHORS)))]
+    platforms = [f"u{i}" for i in range(int(rng.integers(5, 40)))]
+    for platform in platforms:
+        lat, lon = _coordinate(rng, anchor)
+        eng.register_donor(platform, str(rng.choice(groups)), lat, lon, _last_donation(rng, eng))
+        if rng.random() < 0.2:
+            eng.clock.advance(int(rng.integers(1, 5)))  # registration recency differs
+    cases = []
+    for step in range(25):
+        op = rng.integers(0, 6)
+        if op == 0:
+            markers = ("Dhaka",) if rng.random() < 0.6 else ("Nowhere-ville",)
+            day = str(rng.choice(["today", "tomorrow", ""]))
+            case = eng.open_case(f"m{step}", _request(str(rng.choice(groups)), day, markers))
+            if rng.random() < 0.5:
+                case.anchor = _coordinate(rng, anchor) if rng.random() < 0.7 else None
+            cases.append(case)
+        elif op == 1:
+            eng.advance_to(eng.clock.now + int(rng.choice([300, 600, 86400, 2 * 86400])))
+        elif op == 2:
+            platform = str(rng.choice(platforms))
+            lat, lon = _coordinate(rng, anchor)
+            patch = {"latitude": lat, "longitude": lon}
+            if rng.random() < 0.5:
+                patch["blood_group"] = str(rng.choice(groups))
+            eng.update_donor(platform, patch)
+        elif op == 3:
+            platform = str(rng.choice(platforms + ["newcomer"]))
+            lat, lon = _coordinate(rng, anchor)
+            last = _last_donation(rng, eng)
+            eng.register_donor(platform, str(rng.choice(groups)), lat, lon, last)
+        elif op == 4 and cases:
+            case = cases[int(rng.integers(0, len(cases)))]
+            for entry in eng._stage_entries(case.request_id, case.stages_fired):
+                eng.handle_response(case.request_id, entry.donor_id, affirmative=False)
+        elif op == 5 and cases:
+            case = cases[int(rng.integers(0, len(cases)))]
+            notified = sum(1 for (rid, _) in eng.ledger if rid == case.request_id)
+            for anchor_ in (case.anchor, None):
+                probe = dp.replace(case, anchor=anchor_)
+                want = [d.donor_id for d in oracle_ranking(eng, probe)][: eng.stage_size + notified]
+                assert [d.donor_id for d in eng.eligible_donors(probe)] == want
+    return eng.stages_checked
+
+
+def test_ranking_and_stages_match_scalar_oracle():
+    checked = sum(_run_random_registry(seed) for seed in range(60))
+    assert checked > 300  # the registries really fired stages
+
+
+def test_ulp_near_ties_keep_exact_order():
+    # Donors a few ulps apart around the anchor, and many exact ties on it:
+    # the top k must be exactly the scalar sort's top k.
+    eng = CheckedEngine(clock=Clock(), stage_size=3)
+    lat, lon = ANCHORS[0]
+    for i in range(40):
+        eng.register_donor(f"u{i}", "O+", _ulps(lat, (i % 7) - 3), _ulps(lon, (i % 5) - 2))
+    case = eng.open_case("m1", _request("O+", "today", ("Dhaka",)))
+    case.anchor = (lat, lon)
+    eng.advance_to(600)
+    eng.advance_to(1200)
+    assert eng.stages_checked == 3
+
+
+def test_eligibility_boundary_crossed_by_advance():
+    eng = CheckedEngine(clock=Clock(), stage_size=2, stage_timeout=86400)
+    today = eng.clock.today()
+    eng.register_donor("ready", "O+", 23.8, 90.4, today - timedelta(days=90))
+    eng.register_donor("tomorrow", "O+", 23.8, 90.4, today - timedelta(days=89))
+    eng.register_donor("later", "O+", 23.8, 90.4, today - timedelta(days=80))
+    case = eng.open_case("m1", _request("O+", "tomorrow", ("Dhaka",)))
+    assert [e.donor_id for e in eng._stage_entries(case.request_id, 1)] == ["d00001"]
+    eng.advance_to(86400)  # a day later the next donor is outside the window
+    assert [e.donor_id for e in eng._stage_entries(case.request_id, 2)] == ["d00002"]
+
+
+def test_group_change_between_stages_moves_donor():
+    eng = CheckedEngine(clock=Clock(), stage_size=1, stage_timeout=600)
+    for i in range(4):
+        eng.register_donor(f"u{i}", "O+", 23.8 + i * 0.01, 90.4)
+    eng.register_donor("switch", "A-", 23.8103, 90.4125)  # on the anchor
+    case = eng.open_case("m1", _request("O+", "today", ("Dhaka",)))
+    eng.update_donor("switch", {"blood_group": "O+"})
+    eng.advance_to(600)
+    assert [e.donor_id for e in eng._stage_entries(case.request_id, 2)] == ["d00005"]
+    eng.register_donor("u2", "A-", 23.82, 90.4)  # the next nearest leaves the group
+    eng.advance_to(1200)
+    assert [e.donor_id for e in eng._stage_entries(case.request_id, 3)] == ["d00001"]
+    assert eng.stages_checked == 3
+
+
+def test_restore_rebuilds_ledger_index(tmp_path):
+    eng = CheckedEngine(clock=Clock(), stage_size=2, stage_timeout=600)
+    for i in range(6):
+        eng.register_donor(f"u{i}", "O+", 23.8 + i * 0.01, 90.4)
+    case = eng.open_case("m1", _request("O+", "today", ("Dhaka",)))
+    eng.persist(tmp_path / "state.snap")
+    fresh = CheckedEngine(clock=Clock(), stage_size=2, stage_timeout=600)
+    fresh.restore(tmp_path / "state.snap")
+    fresh.advance_to(600)  # stage 2 must skip the donors of stage 1
+    assert fresh.stages_checked == 1
+    fresh.handle_edit("m1", "managed", lambda text: ParseOutcome.negative())
+    noticed = [e["donor_id"] for e in fresh.outbound if e["kind"] == "resolution_notice"]
+    assert noticed == sorted(d for (rid, d) in fresh.ledger if rid == case.request_id)
+    assert len(noticed) == 4
+
+
+# -- ledger laws under random operations ------------------------------------------------
+
+PLATFORMS = [f"p{i}" for i in range(8)]
+GROUPS = ("O+", "B-")
+POINTS = (ANCHORS[0], ANCHORS[1], (23.8, 90.4), (23.8103, 90.4126))
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.engine = CheckedEngine(clock=Clock(), stage_size=1, stage_timeout=600)
+        self.first_answer: dict[tuple[str, str], str] = {}
+        self.managed: set[str] = set()
+        self.outbound: list[dict] = []
+        self.messages: list[str] = []
+
+    @rule(platform=st.sampled_from(PLATFORMS), group=st.sampled_from(GROUPS),
+          point=st.sampled_from(POINTS), days=st.none() | st.integers(80, 100))
+    def register(self, platform, group, point, days):
+        last = None if days is None else self.engine.clock.today() - timedelta(days=days)
+        self.engine.register_donor(platform, group, *point, last)
+
+    @precondition(lambda self: self.engine.donors)
+    @rule(data=st.data(), group=st.none() | st.sampled_from(GROUPS),
+          point=st.none() | st.sampled_from(POINTS))
+    def update(self, data, group, point):
+        platform = data.draw(st.sampled_from(sorted(self.engine.donors)))
+        patch = {}
+        if group is not None:
+            patch["blood_group"] = group
+        if point is not None:
+            patch["latitude"], patch["longitude"] = point
+        self.engine.update_donor(platform, patch)
+
+    @rule(group=st.sampled_from(GROUPS), day=st.sampled_from(["today", "tomorrow", ""]),
+          markers=st.sampled_from([("Dhaka",), ("Nowhere-ville",), ()]))
+    def open_case(self, group, day, markers):
+        message_id = f"m{len(self.messages)}"
+        self.messages.append(message_id)
+        self.engine.open_case(message_id, _request(group, day, markers))
+
+    @precondition(lambda self: self.engine.ledger)
+    @rule(data=st.data(), affirmative=st.booleans())
+    def respond(self, data, affirmative):
+        self.respond_as(*data.draw(st.sampled_from(sorted(self.engine.ledger))), affirmative)
+
+    def respond_as(self, request_id, donor_id, affirmative):
+        answer = "affirmative" if affirmative else "negative"
+        self.first_answer.setdefault((request_id, donor_id), answer)
+        self.engine.handle_response(request_id, donor_id, affirmative)
+
+    @precondition(lambda self: self.engine.cases)
+    @rule(data=st.data())
+    def decline_stage(self, data):
+        """Every donor of the case's latest stage says no: the next fires now."""
+        case = self.engine.cases[data.draw(st.sampled_from(sorted(self.engine.cases)))]
+        for entry in self.engine._stage_entries(case.request_id, case.stages_fired):
+            self.respond_as(entry.request_id, entry.donor_id, False)
+
+    @precondition(lambda self: self.messages)
+    @rule(data=st.data())
+    def edit_managed(self, data):
+        message_id = data.draw(st.sampled_from(self.messages))
+        self.engine.handle_edit(message_id, "Update: managed, thanks all",
+                                lambda text: ParseOutcome.negative())
+        request_id = self.engine.case_by_message[message_id]
+        if self.engine.cases[request_id].status in dp._TERMINAL:
+            self.managed.add(request_id)
+
+    @rule(seconds=st.sampled_from([0, 300, 600, 86400]))
+    def advance(self, seconds):
+        self.engine.advance_to(self.engine.clock.now + seconds)
+
+    def _drained(self):
+        self.outbound.extend(self.engine.drain_outbound())
+        return self.outbound
+
+    @invariant()
+    def no_donor_notified_twice(self):
+        alerts = [
+            (e["request_id"], e["donor_id"]) for e in self._drained() if e["kind"] == "donor_alert"
+        ]
+        assert len(alerts) == len(set(alerts))
+        assert set(alerts) == set(self.engine.ledger)
+
+    @invariant()
+    def stages_within_urgency_depth(self):
+        for case in self.engine.cases.values():
+            assert case.stages_fired <= dp.urgency_depth(case, self.engine.clock.epoch_date)
+
+    @invariant()
+    def first_answer_is_final(self):
+        for key, answer in self.first_answer.items():
+            assert self.engine.ledger[key].response == answer
+
+    @invariant()
+    def one_resolution_notice_per_notified_donor(self):
+        notices = [(e["request_id"], e["donor_id"]) for e in self._drained()
+                   if e["kind"] == "resolution_notice"]
+        assert len(notices) == len(set(notices))
+        notified = {key for key in self.engine.ledger if key[0] in self.managed}
+        assert set(notices) == notified
+
+
+LedgerMachine.TestCase.settings = settings(
+    max_examples=60,
+    stateful_step_count=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+test_ledger_laws = LedgerMachine.TestCase

@@ -7,7 +7,8 @@ import pytest
 from cbrs.dispatch import Clock, DispatchEngine
 from cbrs.gateway import Gateway
 from cbrs.layer2 import RulesBackend
-from cbrs.service import ServiceConfig, serve
+from cbrs.schema import ParsedRequest
+from cbrs.service import ServiceConfig, _case_payload, serve
 
 REQUEST_TEXT = "Urgent! 2 bags O+ blood needed at Square Hospital, Dhaka. Call 01712345678 today."
 
@@ -132,6 +133,40 @@ def test_response_endpoint_fulfills(service):
     _, case = _call(running.port, "GET", f"/requests/{rid}")
     assert case["status"] == "fulfilled"
     assert case["ledger"][0]["response"] == "affirmative"
+
+
+def test_case_payload_matches_full_ledger_scan(scenario_model):
+    # Several cases whose donors are alerted out of donor-id order (nearest
+    # first), with responses: the payload lists each case's entries by donor
+    # id, exactly as a sorted scan of the whole ledger does.
+    clock = Clock()
+    engine = DispatchEngine(clock=clock, stage_size=3, stage_timeout=600)
+    for i in range(9):
+        engine.register_donor(f"u{i}", "O+" if i % 3 else "B-", 23.9 - i * 0.01, 90.41)
+    gateway = Gateway(model=scenario_model, backend=RulesBackend(), engine=engine, clock=clock)
+    for n, group in enumerate(("O+", "B-", "O+")):
+        request = ParsedRequest(group, location_markers=("Dhaka",), probable_day="today")
+        engine.open_case(f"m{n}", request)
+    engine.handle_response("r00001", "d00009", affirmative=False)
+    engine.advance_to(600)
+    reordered = False
+    for case in engine.cases.values():
+        scanned = [
+            {
+                "donor_id": e.donor_id,
+                "stage": e.stage,
+                "notified_at": e.notified_at,
+                "response": e.response,
+                "resolution_notified": e.resolution_notified,
+            }
+            for (rid, _), e in sorted(engine.ledger.items())
+            if rid == case.request_id
+        ]
+        assert scanned
+        assert json.dumps(_case_payload(gateway, case)["ledger"]) == json.dumps(scanned)
+        alerted = [e.donor_id for e in engine.ledger.values() if e.request_id == case.request_id]
+        reordered |= alerted != sorted(alerted)
+    assert reordered
 
 
 def test_unknown_request_404(service):
