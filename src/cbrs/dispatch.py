@@ -15,6 +15,21 @@ fans out exactly one resolution notice per previously notified donor.
 
 All time comes from an injected clock (logical in simulation, wall clock
 in service mode), so scenario runs are deterministic.
+
+State is saved to a snapshot file of JSON lines. A batch is a `meta` line
+(format version, id counters, clock), one line per donor, case or ledger
+entry, and an `end` line counting the batch's lines. A full snapshot is
+one batch of every record, written to a temporary file and renamed over
+the old one. The engine notes the keys each mutation touches;
+`persist` then appends one batch of just those records to the file it
+last wrote or restored, in one write. Restore reads the batches in order,
+each record replacing the one with its key. A batch with no `end` line is
+a write cut short by a crash: it was never acknowledged, and restore
+drops it. Once the appended batches would outgrow the full snapshot at
+the head of the file, `persist` rewrites the file in full (compaction).
+A change counts as acknowledged once the `persist` after it returns; the
+file is not fsynced, so it survives a crash of the process, not of the
+machine.
 """
 
 from __future__ import annotations
@@ -25,7 +40,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from importlib import resources
 from pathlib import Path
@@ -41,6 +56,11 @@ log = logging.getLogger(__name__)
 EARTH_RADIUS_KM = 6371.0
 
 SNAPSHOT_VERSION = 1
+
+# `persist` rewrites the snapshot in full instead of appending a batch that
+# would make the appended tail longer than this many times the full
+# snapshot at the head of the file.
+_TAIL_LIMIT = 1
 
 OPEN = "open"
 FULFILLED = "fulfilled"
@@ -323,7 +343,8 @@ class DispatchEngine:
 
     Mutations for one request are serialized by construction (single
     thread per engine instance); outbound notification events accumulate
-    on a queue consumed by the gateway.
+    on a queue consumed by the gateway. Change records only through these
+    methods: they mark what `persist` must write.
     """
 
     def __init__(
@@ -348,6 +369,11 @@ class DispatchEngine:
         self.outbound: list[dict] = []
         self._donor_seq = 0
         self._case_seq = 0
+        # Keys of the records changed since the last persist or restore.
+        self._dirty_donors: set[str] = set()
+        self._dirty_cases: set[str] = set()
+        self._dirty_ledger: set[tuple[str, str]] = set()
+        self._journal: _Journal | None = None
 
     # -- registry ---------------------------------------------------------
 
@@ -391,6 +417,7 @@ class DispatchEngine:
             )
             self._groups.pop(existing.blood_group, None)
         self.donors[platform_id] = record
+        self._dirty_donors.add(platform_id)
         self._groups.pop(blood_group, None)
         return record
 
@@ -409,6 +436,7 @@ class DispatchEngine:
         if merged.blood_group not in schema.BLOOD_GROUPS:
             raise DispatchError(f"blood_group {merged.blood_group!r} invalid")
         self.donors[platform_id] = merged
+        self._dirty_donors.add(platform_id)
         self._groups.pop(existing.blood_group, None)
         self._groups.pop(merged.blood_group, None)
         return merged
@@ -483,6 +511,7 @@ class DispatchEngine:
         """
         if case.status != OPEN:
             return []
+        self._dirty_cases.add(case.request_id)
         depth = urgency_depth(case, self.clock.epoch_date)
         if case.stages_fired >= depth:
             case.next_stage_due = None
@@ -512,6 +541,7 @@ class DispatchEngine:
                 notified_at=self.clock.now,
             )
             self.ledger[(case.request_id, donor.donor_id)] = entry
+            self._dirty_ledger.add((case.request_id, donor.donor_id))
             already[donor.donor_id] = entry
             entries.append(entry)
             self.outbound.append(
@@ -544,10 +574,12 @@ class DispatchEngine:
         if entry.response != "none":
             return case.status  # the first answer is final
         entry.response = "affirmative" if affirmative else "negative"
+        self._dirty_ledger.add((request_id, donor_id))
         if case.status != OPEN:
             return case.status
         if affirmative:
             case.status = FULFILLED
+            self._dirty_cases.add(request_id)
             case.next_stage_due = None
             self.outbound.append(
                 {
@@ -585,12 +617,14 @@ class DispatchEngine:
             if case.status == OPEN:
                 case.status = RESOLVED_EXTERNALLY
                 case.next_stage_due = None
+                self._dirty_cases.add(request_id)
             self._fan_out_resolution(case)
             return case.status
         outcome = classify(new_text)
         if not outcome.is_negative:
             case.request = schema.canonicalize(outcome.request)
             case.anchor = geocode_markers(case.request.location_markers)
+            self._dirty_cases.add(request_id)
             return "updated"
         return "unchanged"
 
@@ -603,6 +637,7 @@ class DispatchEngine:
             if entry.resolution_notified:
                 continue
             entry.resolution_notified = True
+            self._dirty_ledger.add((entry.request_id, entry.donor_id))
             sent += 1
             self.outbound.append(
                 {
@@ -635,6 +670,7 @@ class DispatchEngine:
             if kind == "expire":
                 case.status = EXPIRED
                 case.next_stage_due = None
+                self._dirty_cases.add(request_id)
                 self.outbound.append(
                     {"kind": "case_expired", "request_id": request_id, "tick": self.clock.now}
                 )
@@ -648,9 +684,13 @@ class DispatchEngine:
 
     # -- persistence --------------------------------------------------------
 
-    def persist(self, path: str | Path) -> None:
-        """Atomic snapshot: donors, cases, ledger as sectioned JSON lines."""
-        path = Path(path)
+    def _meta(self) -> tuple[int, int, int]:
+        return (self._donor_seq, self._case_seq, self.clock.now)
+
+    def _batch(
+        self, donors: Iterable[str], cases: Iterable[str], ledger: Iterable[tuple[str, str]]
+    ) -> bytes:
+        """A `meta` line, the named records in key order, and an `end` line."""
         lines = [
             json.dumps(
                 {
@@ -662,144 +702,110 @@ class DispatchEngine:
                 }
             )
         ]
-        for platform_id in sorted(self.donors):
-            d = self.donors[platform_id]
-            lines.append(
-                json.dumps(
-                    {
-                        "section": "donor",
-                        "donor_id": d.donor_id,
-                        "platform_id": d.platform_id,
-                        "blood_group": d.blood_group,
-                        "latitude": d.latitude,
-                        "longitude": d.longitude,
-                        "last_donation_date": d.last_donation_date.isoformat()
-                        if d.last_donation_date
-                        else None,
-                        "registered_at": d.registered_at,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-        for request_id in sorted(self.cases):
-            c = self.cases[request_id]
-            lines.append(
-                json.dumps(
-                    {
-                        "section": "case",
-                        "request_id": c.request_id,
-                        "message_id": c.message_id,
-                        "request": schema.to_dict(ParseOutcome.positive(c.request)),
-                        "status": c.status,
-                        "created_at": c.created_at,
-                        "deadline": c.deadline,
-                        "anchor": list(c.anchor) if c.anchor else None,
-                        "stages_fired": c.stages_fired,
-                        "next_stage_due": c.next_stage_due,
-                        "needs_attention": c.needs_attention,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-        for key in sorted(self.ledger):
-            e = self.ledger[key]
-            lines.append(
-                json.dumps(
-                    {
-                        "section": "ledger",
-                        "request_id": e.request_id,
-                        "donor_id": e.donor_id,
-                        "stage": e.stage,
-                        "notified_at": e.notified_at,
-                        "response": e.response,
-                        "resolution_notified": e.resolution_notified,
-                    }
-                )
-            )
+        lines += [_encode("donor", self.donors[k]) for k in sorted(donors)]
+        lines += [_encode("case", self.cases[k]) for k in sorted(cases)]
+        lines += [_encode("ledger", self.ledger[k]) for k in sorted(ledger)]
         lines.append(json.dumps({"section": "end", "records": len(lines)}))
-        payload = "\n".join(lines) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def _wrote(self, st: os.stat_result, base: int) -> None:
+        self._journal = _Journal(_identity(st), base, self._meta())
+        self._dirty_donors.clear()
+        self._dirty_cases.clear()
+        self._dirty_ledger.clear()
+
+    def persist(self, path: str | Path) -> None:
+        """Save the engine's state to `path` before a change is acknowledged.
+
+        If `path` is still the file this engine last wrote or restored
+        (same inode, size and mtime), only the donors, cases and ledger
+        entries changed since then are appended, as one batch in one
+        write; with nothing changed nothing is written. Otherwise, after a
+        failed write, or when the appended batches would outgrow the full
+        snapshot they follow, the whole state is rewritten atomically.
+        """
+        path = Path(path)
+        journal, self._journal = self._journal, None  # a failed write leaves None
+        if journal is not None and _identity_at(path) == journal.stat:
+            changed = self._dirty_donors or self._dirty_cases or self._dirty_ledger
+            if not changed and journal.meta == self._meta():
+                self._journal = journal
+                return
+            batch = self._batch(self._dirty_donors, self._dirty_cases, self._dirty_ledger)
+            if journal.stat[2] + len(batch) - journal.base <= _TAIL_LIMIT * journal.base:
+                self._wrote(_append(path, batch), journal.base)
+                return
+        st = _replace(path, self._batch(self.donors, self.cases, self.ledger))
+        self._wrote(st, st.st_size)
 
     def restore(self, path: str | Path) -> None:
-        """Load a snapshot fully or not at all."""
+        """Load a snapshot and its complete appended batches, or nothing.
+
+        Batches apply in file order, each record replacing the one with
+        its key. A trailing batch without its `end` line (a write cut
+        short, never acknowledged) is dropped; a malformed line before the
+        last `end`, or a file with no complete batch, raises SnapshotError.
+        """
         path = Path(path)
-        if not path.exists():
-            raise SnapshotError(f"snapshot not found: {path}")
+        try:
+            fh = path.open("rb")
+        except FileNotFoundError:
+            raise SnapshotError(f"snapshot not found: {path}") from None
         donors: dict[str, DonorRecord] = {}
         cases: dict[str, RequestCase] = {}
         ledger: dict[tuple[str, str], LedgerEntry] = {}
         meta: dict | None = None
-        saw_end = False
-        try:
-            with path.open(encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    obj = json.loads(line)
-                    section = obj.get("section")
-                    if section == "meta":
-                        if obj.get("version") != SNAPSHOT_VERSION:
-                            raise SnapshotError(
-                                f"unsupported snapshot version {obj.get('version')}"
-                            )
-                        meta = obj
-                    elif section == "donor":
-                        record = DonorRecord(
-                            donor_id=obj["donor_id"],
-                            platform_id=obj["platform_id"],
-                            blood_group=obj["blood_group"],
-                            latitude=obj["latitude"],
-                            longitude=obj["longitude"],
-                            last_donation_date=date.fromisoformat(obj["last_donation_date"])
-                            if obj["last_donation_date"]
-                            else None,
-                            registered_at=obj["registered_at"],
-                        )
-                        donors[record.platform_id] = record
-                    elif section == "case":
-                        outcome = schema.validate(
-                            json.dumps(obj["request"], ensure_ascii=False)
-                        )
-                        if not isinstance(outcome, ParseOutcome) or outcome.is_negative:
-                            raise SnapshotError(f"line {lineno}: bad case payload")
-                        cases[obj["request_id"]] = RequestCase(
-                            request_id=obj["request_id"],
-                            message_id=obj["message_id"],
-                            request=outcome.request,
-                            status=obj["status"],
-                            created_at=obj["created_at"],
-                            deadline=obj["deadline"],
-                            anchor=tuple(obj["anchor"]) if obj["anchor"] else None,
-                            stages_fired=obj["stages_fired"],
-                            next_stage_due=obj["next_stage_due"],
-                            needs_attention=obj["needs_attention"],
-                        )
-                    elif section == "ledger":
-                        entry = LedgerEntry(
-                            request_id=obj["request_id"],
-                            donor_id=obj["donor_id"],
-                            stage=obj["stage"],
-                            notified_at=obj["notified_at"],
-                            response=obj["response"],
-                            resolution_notified=obj["resolution_notified"],
-                        )
-                        ledger[(entry.request_id, entry.donor_id)] = entry
-                    elif section == "end":
-                        saw_end = True
+        batch_meta: dict | None = None
+        batch: list | None = None  # records of the batch being read
+        problem = ""  # the first malformed line; fatal if a batch completes after it
+        offset = base = complete = 0  # bytes read; of the first batch; up to the last `end`
+        with fh:
+            st = os.fstat(fh.fileno())
+            for lineno, raw in enumerate(fh, start=1):
+                offset += len(raw)
+                if problem:
+                    if _is_end(raw):
+                        raise SnapshotError(f"corrupt snapshot {path}: {problem}")
+                    continue
+                try:
+                    obj = json.loads(raw.decode("utf-8"))
+                    section = obj.pop("section")
+                    if section in _RECORDS:
+                        if batch is None:
+                            raise ValueError(f"{section!r} line outside a batch")
+                        batch.append(_decode(_RECORDS[section], obj))
+                    elif section == "meta":
+                        if batch is not None:
+                            raise ValueError("meta line inside a batch")
+                        if obj.keys() != _META_FIELDS or obj["version"] != SNAPSHOT_VERSION:
+                            raise ValueError(f"unsupported snapshot meta {obj}")
+                        batch_meta, batch = obj, []
+                    elif section != "end":
+                        raise ValueError(f"unknown section {section!r}")
+                    elif batch is None or obj.keys() != {"records"}:
+                        raise ValueError(f"end line {obj} outside a batch or malformed")
                     else:
-                        raise SnapshotError(f"line {lineno}: unknown section {section!r}")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(f"corrupt snapshot {path}: {exc}") from exc
-        if meta is None or not saw_end:
-            raise SnapshotError(f"snapshot {path} is truncated")
+                        if obj["records"] != len(batch) + 1:
+                            raise SnapshotError(
+                                f"corrupt snapshot {path}: line {lineno}: batch of "
+                                f"{len(batch) + 1} lines ends claiming {obj['records']}"
+                            )
+                        for record in batch:
+                            if isinstance(record, DonorRecord):
+                                donors[record.platform_id] = record
+                            elif isinstance(record, RequestCase):
+                                cases[record.request_id] = record
+                            else:
+                                ledger[(record.request_id, record.donor_id)] = record
+                        meta, batch = batch_meta, None
+                        complete = offset if raw.endswith(b"\n") else -1
+                        base = base or offset
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    if raw.strip():
+                        problem = f"line {lineno}: {exc!r}"
+        if meta is None:
+            why = problem or "no end line"
+            raise SnapshotError(f"snapshot {path} is truncated or corrupt: {why}")
         self.donors = donors
         self.cases = cases
         self.ledger = ledger
@@ -811,3 +817,95 @@ class DispatchEngine:
         self._donor_seq = meta["donor_seq"]
         self._case_seq = meta["case_seq"]
         self.clock.now = meta["clock"]
+        self._wrote(st, base)
+        if complete != offset or offset != st.st_size:
+            self._journal = None  # a dropped tail: the next persist rewrites the file
+
+
+@dataclass(frozen=True)
+class _Journal:
+    """The snapshot file as this engine last wrote or restored it."""
+
+    stat: tuple[int, int, int, int]  # device, inode, size, mtime in ns
+    base: int  # bytes of the full snapshot the appended batches follow
+    meta: tuple[int, int, int]  # donor_seq, case_seq and clock the file holds
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _identity_at(path: Path) -> tuple[int, int, int, int] | None:
+    try:
+        return _identity(os.stat(path))
+    except OSError:
+        return None
+
+
+def _append(path: Path, data: bytes) -> os.stat_result:
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        return os.fstat(fd)
+    finally:
+        os.close(fd)
+
+
+def _replace(path: Path, data: bytes) -> os.stat_result:
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return os.stat(path)
+
+
+def _is_end(raw: bytes) -> bool:
+    try:
+        obj = json.loads(raw)
+    except ValueError:
+        return False
+    return isinstance(obj, dict) and obj.get("section") == "end"
+
+
+
+# Snapshot section -> the record type its lines hold.
+_RECORDS = {"donor": DonorRecord, "case": RequestCase, "ledger": LedgerEntry}
+_FIELD_COUNT = {cls: len(fields(cls)) for cls in _RECORDS.values()}
+_META_FIELDS = {"version", "donor_seq", "case_seq", "clock"}
+
+
+def _encode(section: str, record: DonorRecord | RequestCase | LedgerEntry) -> str:
+    """One snapshot line: the section, then every field of the record."""
+    obj = {"section": section, **vars(record)}
+    if section == "donor":
+        last = record.last_donation_date
+        obj["last_donation_date"] = last.isoformat() if last else None
+    elif section == "case":
+        obj["request"] = schema.to_dict(ParseOutcome.positive(record.request))
+        obj["anchor"] = list(record.anchor) if record.anchor else None
+    return json.dumps(obj, ensure_ascii=False)
+
+
+def _decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry:
+    """The record a snapshot line holds, its section removed: the inverse of
+    `_encode`. ValueError or TypeError unless its fields are exactly the
+    record's."""
+    if len(obj) != _FIELD_COUNT[cls]:  # the constructor rejects unknown names
+        raise ValueError(f"{cls.__name__} fields {sorted(obj)}")
+    if cls is DonorRecord:
+        last = obj["last_donation_date"]
+        obj["last_donation_date"] = date.fromisoformat(last) if last else None
+    elif cls is RequestCase:
+        outcome = schema.validate(json.dumps(obj["request"], ensure_ascii=False))
+        if not isinstance(outcome, ParseOutcome) or outcome.is_negative:
+            raise ValueError("bad case payload")
+        obj["request"] = outcome.request
+        obj["anchor"] = tuple(obj["anchor"]) if obj["anchor"] else None
+    return cls(**obj)

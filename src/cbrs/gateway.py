@@ -205,8 +205,6 @@ class Gateway:
         case = self.engine.open_case(ev.message_id, record.outcome.request)
         trace.request_id = case.request_id
         trace.t_parsed_stored = self.clock.now
-        if self.snapshot_path is not None:
-            self.engine.persist(self.snapshot_path)
         if case.stages_fired > 0:
             trace.t_first_notification = self.clock.now
         return trace
@@ -261,18 +259,25 @@ class Gateway:
         return status
 
     def handle_event(self, ev: InboundEvent) -> dict:
-        """Uniform entry point; returns a JSON-friendly action record."""
+        """Uniform entry point; returns a JSON-friendly action record.
+
+        What the event changed is persisted before the record is returned.
+        """
         if ev.kind == "command" or (ev.kind == "message" and ev.text.startswith("/")):
-            reply = self.handle_command(ev.text, ev.sender)
-            return {"action": "command_reply", "reply": reply}
-        if ev.kind == "message":
-            trace = self.ingest_message(ev)
-            return {"action": "ingested", "trace": trace.to_dict()}
-        if ev.kind == "edit":
-            status = self.handle_edit_event(ev)
-            return {"action": "edit", "status": status}
-        status = self.handle_donor_response(ev)
-        return {"action": "donor_response", "status": status}
+            action = {"action": "command_reply", "reply": self.handle_command(ev.text, ev.sender)}
+        elif ev.kind == "message":
+            action = {"action": "ingested", "trace": self.ingest_message(ev).to_dict()}
+        elif ev.kind == "edit":
+            action = {"action": "edit", "status": self.handle_edit_event(ev)}
+        else:
+            action = {"action": "donor_response", "status": self.handle_donor_response(ev)}
+        self.persist()
+        return action
+
+    def persist(self) -> None:
+        """Save the engine's unsaved changes to `snapshot_path`, if one is set."""
+        if self.snapshot_path is not None:
+            self.engine.persist(self.snapshot_path)
 
     def _check_group_order(self, ev: InboundEvent) -> None:
         last = self._last_tick_per_group.get(ev.group_id)

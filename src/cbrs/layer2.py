@@ -9,6 +9,7 @@ rule-based extractor so the full pipeline runs offline.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -131,19 +132,29 @@ Instructions:
 {_SCHEMA_TEXT}"""
 
 
-def default_exemplars() -> tuple[list[Exemplar], list[Exemplar]]:
-    """The bundled exemplar fixture: (positives, negatives)."""
+@functools.cache
+def _bundled_exemplars() -> tuple[tuple[Exemplar, ...], tuple[Exemplar, ...]]:
     raw = resources.files("cbrs.data").joinpath("exemplars.json").read_text("utf-8")
     data = json.loads(raw)
-    def load(items: list[dict]) -> list[Exemplar]:
-        return [
+    def load(items: list[dict]) -> tuple[Exemplar, ...]:
+        return tuple(
             Exemplar(
                 text=item["text"],
                 parsed_json=json.dumps(item["parsed"], ensure_ascii=False, separators=(",", ":")),
             )
             for item in items
-        ]
+        )
     return load(data["positive"]), load(data["negative"])
+
+
+def default_exemplars() -> tuple[list[Exemplar], list[Exemplar]]:
+    """The bundled exemplar fixture: (positives, negatives).
+
+    The file is read once; each call returns new lists of the frozen
+    exemplars, so no caller can change what the next one gets.
+    """
+    positives, negatives = _bundled_exemplars()
+    return list(positives), list(negatives)
 
 
 def build_prompt(
@@ -167,15 +178,22 @@ def build_prompt(
                 f"got {len(positives)} and {len(negatives)}"
             )
         exemplars = (*positives[:3], *negatives[:2])
-    bundle = PromptBundle(
-        system_text=_SYSTEM_TEXT, exemplars=exemplars, query_text=text, token_estimate=0
-    )
     return PromptBundle(
-        system_text=bundle.system_text,
-        exemplars=bundle.exemplars,
-        query_text=bundle.query_text,
-        token_estimate=estimate_tokens(bundle.render()),
+        system_text=_SYSTEM_TEXT,
+        exemplars=exemplars,
+        query_text=text,
+        token_estimate=_frame_tokens(exemplars) + estimate_tokens(text),
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _frame_tokens(exemplars: tuple[Exemplar, ...]) -> int:
+    """Tokens of a rendered prompt other than its query text's.
+
+    Whitespace separates the query from the text around it and no token
+    spans whitespace, so a prompt's count is this plus the query's.
+    """
+    return estimate_tokens(PromptBundle(_SYSTEM_TEXT, exemplars, "", 0).render())
 
 
 def strip_code_fences(reply: str) -> str:

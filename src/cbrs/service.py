@@ -3,7 +3,8 @@
 Endpoints: POST /messages, POST /donors, POST /responses,
 GET /requests/{id}, GET /health. Bodies are JSON both ways; malformed input
 gets a 400 with field diagnostics, unknown ids a 404. Handlers share one
-lock so case/ledger mutations stay serialized.
+lock so case/ledger mutations stay serialized. With a snapshot path set,
+every POST persists what it changed, under the lock, before it replies.
 """
 
 from __future__ import annotations
@@ -183,6 +184,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if "last_donation_date" in patch and patch["last_donation_date"]:
                     patch["last_donation_date"] = date.fromisoformat(patch["last_donation_date"])
                 record = self.gateway.engine.update_donor(body["platform_id"], patch)
+            self.gateway.persist()
         self._send(
             200,
             {
@@ -210,8 +212,8 @@ class _Handler(BaseHTTPRequestHandler):
             tick=int(body.get("tick", 0)),
         )
         with self.lock:
-            status = self.gateway.handle_donor_response(ev)
-        self._send(200, {"status": status})
+            action = self.gateway.handle_event(ev)
+        self._send(200, {"status": action["status"]})
 
 
 @dataclass

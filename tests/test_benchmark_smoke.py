@@ -2,8 +2,10 @@
 
 `benchmarks/run.py` replays `dispatch_100k` at the self-test's sizes, once
 untraced and once with the tracer's wrappers installed, and verifies the
-outbound digest recorded in `benchmarks/expected.json`. Its scratch files
-go to the ignored `.bench_build/` directory of the checkout.
+outbound digest recorded in `benchmarks/expected.json`. `durable_http`
+runs traced: the service process, its snapshot file, and a restore of that
+file that must hold every acknowledged change. Scratch files go to the
+ignored `.bench_build/` directory of the checkout.
 """
 
 import json
@@ -16,13 +18,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_dispatch_benchmark_tiny_is_correct(trace):
+def run_benchmark(*args: str) -> dict:
     out = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "dispatch_100k", "--size", "tiny",
-         "--seed", "1", "--seconds", "0.5", "--trace", trace],
+        [sys.executable, "benchmarks/run.py", "--size", "tiny", "--seed", "1", *args],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, out.stdout[-2000:]
+    return result
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_dispatch_benchmark_tiny_is_correct(trace):
+    run_benchmark("--workload", "dispatch_100k", "--seconds", "0.5", "--trace", trace)
+
+
+def test_durable_http_tiny_loses_no_mutation():
+    result = run_benchmark("--workload", "durable_http", "--seconds", "0.5", "--trace", "1")
+    assert result["metrics"]["service.lost_mutations"]["value"] == 0

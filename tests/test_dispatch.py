@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import shutil
+from dataclasses import asdict, replace
 from datetime import date
 
 import numpy as np
@@ -473,3 +477,184 @@ def test_crash_between_writes_keeps_last_complete(tmp_path):
 def test_restore_missing_file(tmp_path):
     with pytest.raises(SnapshotError):
         DispatchEngine(clock=Clock()).restore(tmp_path / "absent.snap")
+
+
+# -- the appended journal --------------------------------------------------------------
+
+
+def _state(eng):
+    """Every field of every record, the id counters and the clock."""
+    return (
+        {k: asdict(v) for k, v in eng.donors.items()},
+        {k: asdict(v) for k, v in eng.cases.items()},
+        {k: asdict(v) for k, v in eng.ledger.items()},
+        (eng._donor_seq, eng._case_seq, eng.clock.now),
+    )
+
+
+def _restored(path):
+    fresh = _engine()
+    fresh.restore(path)
+    return fresh
+
+
+def _sections(path):
+    return [json.loads(line)["section"] for line in path.read_text("utf-8").splitlines()]
+
+
+def _journaled(tmp_path):
+    """A snapshot of twenty donors, then a batch opening a case (Bengali text,
+    so a cut can split a character), then a batch with one "no"."""
+    eng = _engine(stage_size=2)
+    _populate(eng, 20)
+    path = tmp_path / "state.snap"
+    eng.persist(path)
+    case = eng.open_case("m1", replace(_request(day="today"), hospital_name="ঢাকা মেডিকেল"))
+    eng.persist(path)
+    donor = eng.case_entries(case.request_id)[0].donor_id
+    eng.handle_response(case.request_id, donor, affirmative=False)
+    eng.persist(path)
+    return eng, path
+
+
+def test_persist_appends_only_what_changed(tmp_path):
+    eng, path = _journaled(tmp_path)
+    sections = _sections(path)
+    assert sections.count("meta") == 3
+    assert sections[-3:] == ["meta", "ledger", "end"]  # the answered entry alone
+    assert json.loads(path.read_text("utf-8").splitlines()[-1]) == {"section": "end", "records": 2}
+    assert _state(_restored(path)) == _state(eng)
+    before = path.stat()
+    eng.persist(path)  # nothing changed: nothing written
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    eng.advance_to(5)  # the clock alone: a batch of just the meta line
+    eng.persist(path)
+    assert _sections(path)[-2:] == ["meta", "end"]
+    assert _restored(path).clock.now == 5
+    other = tmp_path / "other.snap"
+    eng.persist(other)  # not the file this engine wrote: a full snapshot
+    assert _sections(other).count("meta") == 1
+    assert _state(_restored(other)) == _state(eng)
+
+
+def test_torn_final_batch_is_dropped(tmp_path):
+    eng, path = _journaled(tmp_path)
+    data = path.read_bytes()
+    last = data.rindex(b'{"section": "meta"')
+    path.write_bytes(data[:last])
+    before_reply = _state(_restored(path))
+    assert before_reply != _state(eng)
+    torn = tmp_path / "torn.snap"
+    for cut in range(last, len(data) - 1):  # up to the end line's closing brace
+        torn.write_bytes(data[:cut])
+        assert _state(_restored(torn)) == before_reply, cut
+    torn.write_bytes(data[:-1])  # only the final newline missing: the batch is whole
+    assert _state(_restored(torn)) == _state(eng)
+
+    # After a dropped tail the next persist rewrites the file rather than
+    # appending behind the torn bytes.
+    torn.write_bytes(data[: last + 40])
+    fresh = _restored(torn)
+    fresh.register_donor("late", "A-", 22.0, 91.0)
+    fresh.persist(torn)
+    assert _sections(torn).count("meta") == 1
+    assert _state(_restored(torn)) == _state(fresh)
+
+
+def _field_variants(line):
+    """The line with its last field dropped, and with a field added."""
+    obj = json.loads(line)
+    dropped = dict(list(obj.items())[:-1])
+    return [json.dumps(dropped, ensure_ascii=False) + "\n", json.dumps({**obj, "extra": 1}) + "\n"]
+
+
+def test_malformed_line_before_last_end_raises(tmp_path):
+    eng, path = _journaled(tmp_path)
+    lines = path.read_text("utf-8").splitlines(keepends=True)
+    broken = tmp_path / "broken.snap"
+    for i in range(len(lines) - 1):  # every line but the final end
+        truncated = lines[i][: len(lines[i]) // 2] + "\n"
+        for bad in (truncated, "not json\n", '{"section": "donor"}\n', "", *_field_variants(lines[i])):
+            broken.write_text("".join(lines[:i] + [bad] + lines[i + 1 :]), "utf-8")
+            with pytest.raises(SnapshotError):
+                _restored(broken)
+
+
+@pytest.mark.parametrize("written", [0, 25])
+def test_failed_append_forces_full_rewrite(tmp_path, monkeypatch, written):
+    eng, path = _journaled(tmp_path)
+    eng.register_donor("late", "A-", 22.0, 91.0)
+    real_write = os.write
+
+    def torn_write(fd, data):
+        real_write(fd, bytes(data)[:written])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", torn_write)
+    with pytest.raises(OSError):
+        eng.persist(path)
+    monkeypatch.undo()
+    assert "late" not in _restored(path).donors  # never acknowledged
+    inode = path.stat().st_ino
+    eng.persist(path)
+    assert path.stat().st_ino != inode  # a new file renamed into place
+    assert _sections(path).count("meta") == 1
+    assert _state(_restored(path)) == _state(eng)
+
+
+def test_compaction_when_tail_outgrows_base(tmp_path):
+    eng = _engine()
+    _populate(eng, 10)
+    path = tmp_path / "state.snap"
+    eng.persist(path)
+    base = path.stat().st_size
+    for i in range(1, 40):
+        eng.update_donor(f"u{i % 10}", {"latitude": 20.0 + i / 100})
+        batches = _sections(path).count("meta")
+        eng.persist(path)
+        if _sections(path).count("meta") == 1:
+            break
+        assert path.stat().st_size <= 2 * base  # the tail never outgrows the base
+    else:
+        pytest.fail("the journal was never compacted")
+    assert batches > 2
+    assert path.stat().st_size < base + 100  # one full snapshot of ten donors again
+    assert _state(_restored(path)) == _state(eng)
+    eng.update_donor("u0", {"blood_group": "B-"})
+    eng.persist(path)  # appends behind the compacted snapshot
+    assert _sections(path).count("meta") == 2
+    assert _state(_restored(path)) == _state(eng)
+
+
+def test_expiry_alone_reaches_the_journal(tmp_path):
+    eng = _engine(stage_size=1, stage_timeout=600)
+    _populate(eng, 20)
+    case = eng.open_case("m1", _request(day="today"))  # three stages, deadline 23:59
+    eng.advance_to(1200)
+    path = tmp_path / "state.snap"
+    eng.persist(path)
+    eng.advance_to(86400)
+    eng.persist(path)
+    assert _sections(path)[-3:] == ["meta", "case", "end"]
+    assert _restored(path).cases[case.request_id].status == dp.EXPIRED
+    assert _state(_restored(path)) == _state(eng)
+
+
+@pytest.mark.parametrize("how", ["copy", "rename", "touch"])
+def test_replaced_file_gets_full_rewrite(tmp_path, how):
+    eng, path = _journaled(tmp_path)
+    other = _engine()
+    other.register_donor("stranger", "AB+", 10.0, 10.0)
+    other.persist(tmp_path / "other.snap")
+    if how == "copy":  # same inode, new content
+        shutil.copyfile(tmp_path / "other.snap", path)
+    elif how == "rename":  # a new inode
+        os.replace(tmp_path / "other.snap", path)
+    else:  # same inode and size, a later mtime
+        st = path.stat()
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    eng.register_donor("late", "A-", 22.0, 91.0)
+    eng.persist(path)
+    assert _sections(path).count("meta") == 1
+    assert _state(_restored(path)) == _state(eng)

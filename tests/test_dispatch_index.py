@@ -1,5 +1,6 @@
 """The indexed donor ranking against a scalar full-scan oracle, and the
-ledger laws under random sequences of engine operations.
+ledger laws under random sequences of engine operations and restarts from
+the snapshot file.
 
 The oracle is the ranking the engine's columns replace: scan every donor,
 keep the exact group outside the eligibility window, sort all matches by
@@ -8,7 +9,10 @@ A stage is the first `stage_size` of those not yet notified for the case.
 """
 
 import math
+import shutil
+import tempfile
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -242,6 +246,10 @@ class LedgerMachine(RuleBasedStateMachine):
         self.managed: set[str] = set()
         self.outbound: list[dict] = []
         self.messages: list[str] = []
+        self.dir = Path(tempfile.mkdtemp(prefix="ledger-machine-"))
+
+    def teardown(self):
+        shutil.rmtree(self.dir, ignore_errors=True)
 
     @rule(platform=st.sampled_from(PLATFORMS), group=st.sampled_from(GROUPS),
           point=st.sampled_from(POINTS), days=st.none() | st.integers(80, 100))
@@ -299,6 +307,23 @@ class LedgerMachine(RuleBasedStateMachine):
     @rule(seconds=st.sampled_from([0, 300, 600, 86400]))
     def advance(self, seconds):
         self.engine.advance_to(self.engine.clock.now + seconds)
+
+    @rule()
+    def checkpoint(self):
+        self.engine.persist(self.dir / "state.snap")
+
+    @rule()
+    def restart(self):
+        """Persist, restore into a fresh engine and carry on with that one.
+        Queued outbound events are delivered first; they are not state."""
+        self._drained()
+        self.engine.persist(self.dir / "state.snap")
+        fresh = CheckedEngine(clock=Clock(), stage_size=1, stage_timeout=600)
+        fresh.restore(self.dir / "state.snap")
+        for table in ("donors", "cases", "ledger", "case_by_message"):
+            assert getattr(fresh, table) == getattr(self.engine, table)
+        assert fresh.clock.now == self.engine.clock.now
+        self.engine = fresh
 
     def _drained(self):
         self.outbound.extend(self.engine.drain_outbound())

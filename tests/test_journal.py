@@ -1,0 +1,101 @@
+"""Crash after every event: the snapshot file always holds the live engine.
+
+Each bundled scenario is replayed the way `simulate` replays it, but with a
+`snapshot_path`. Inbound events go through `Gateway.handle_event`, which
+persists before it returns; `donor` and `advance` lines persist through
+`Gateway.persist`, as the service does after `POST /donors`. After every
+line a fresh engine restores the file and must equal the live one in every
+field. With `restart`, the restored engine then replaces the live one, so
+the run continues from the file alone and its transcript must still be the
+recorded one: nothing is sent twice, resolution notices included.
+
+The bundled registries are small, so the appended tail soon outgrows the
+snapshot and `persist` often compacts, which writes every record. The
+`appending` runs lift the compaction limit, so that every change after the
+first write reaches the file through the records its mutation marked.
+"""
+
+import json
+from dataclasses import asdict
+from datetime import date
+from pathlib import Path
+
+import pytest
+
+from cbrs import dispatch
+from cbrs.dispatch import Clock, DispatchEngine
+from cbrs.gateway import Gateway, InboundEvent, bundled_scenarios, load_scenario
+from cbrs.layer2 import RulesBackend
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def engine_state(engine: DispatchEngine) -> dict:
+    return {
+        "donors": {k: asdict(v) for k, v in engine.donors.items()},
+        "cases": {k: asdict(v) for k, v in engine.cases.items()},
+        "ledger": {k: asdict(v) for k, v in engine.ledger.items()},
+        "case_by_message": engine.case_by_message,
+        "entries": {r: {d: asdict(e) for d, e in es.items()} for r, es in engine._entries.items() if es},
+        "counters": (engine._donor_seq, engine._case_seq, engine.clock.now),
+    }
+
+
+def replay(path: Path, model, snapshot: Path, restart: bool) -> str:
+    events = load_scenario(path)
+    knobs = events.pop(0) if events and events[0]["kind"] == "config" else {}
+    params = {k: knobs[k] for k in ("stage_size", "stage_timeout", "eligibility_days") if k in knobs}
+
+    clock = Clock()
+    engine = DispatchEngine(clock=clock, **params)
+    gateway = Gateway(model, RulesBackend(), engine=engine, clock=clock, snapshot_path=snapshot)
+    transcript = []
+
+    def flush(tick):
+        for event in gateway.engine.drain_outbound():
+            transcript.append({"tick": tick, "event": {"kind": "outbound"}, "action": event})
+
+    for obj in events:
+        tick, kind = obj["tick"], obj["kind"]
+        gateway.engine.advance_to(tick)
+        flush(tick)
+        if kind in ("advance", "donor"):
+            action = {"action": "advance"}
+            if kind == "donor":
+                last = obj.get("last_donation_date")
+                record = gateway.engine.register_donor(
+                    obj["sender"], obj["blood_group"], obj["latitude"], obj["longitude"],
+                    date.fromisoformat(last) if last else None,
+                )
+                action = {"action": "donor_registered", "donor_id": record.donor_id}
+            gateway.persist()
+        else:
+            ev = InboundEvent(
+                kind=kind, platform=obj.get("platform", "sim"), group_id=obj.get("group_id", "g1"),
+                sender=obj.get("sender", ""), message_id=obj.get("message_id", ""),
+                text=obj.get("text", ""), tick=tick,
+            )
+            action = gateway.handle_event(ev)
+        transcript.append({"tick": tick, "event": obj, "action": action})
+        flush(tick)
+
+        restored = DispatchEngine(clock=Clock(), **params)
+        restored.restore(snapshot)
+        assert engine_state(restored) == engine_state(gateway.engine), (path.stem, tick, kind)
+        if restart:
+            restored.clock = clock
+            gateway.engine = restored
+    return "\n".join(json.dumps(e, sort_keys=True, ensure_ascii=False) for e in transcript) + "\n"
+
+
+@pytest.mark.parametrize("appending", [False, True], ids=["compacting", "appending"])
+@pytest.mark.parametrize("restart", [False, True], ids=["check", "restart"])
+@pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
+def test_crash_after_every_event(path, scenario_model, tmp_path, monkeypatch, restart, appending):
+    if appending:
+        monkeypatch.setattr(dispatch, "_TAIL_LIMIT", 10**9)
+    snapshot = tmp_path / "state.snap"
+    text = replay(path, scenario_model, snapshot, restart)
+    assert text == (GOLDEN / f"{path.stem}.txt").read_text(encoding="utf-8")
+    if appending and snapshot.exists():
+        assert snapshot.read_text("utf-8").count('"section": "meta"') > 1  # batches were appended

@@ -1,6 +1,7 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -59,6 +60,31 @@ def test_token_estimate_monotone_in_query_length():
         cur = build_prompt(base, mode="few_shot").token_estimate
         assert cur >= prev
         prev = cur
+
+
+def test_default_exemplars_read_once_and_unshared():
+    raw = json.loads(resources.files("cbrs.data").joinpath("exemplars.json").read_text("utf-8"))
+    positives, negatives = layer2.default_exemplars()
+    assert [ex.text for ex in positives] == [item["text"] for item in raw["positive"]]
+    assert [ex.text for ex in negatives] == [item["text"] for item in raw["negative"]]
+    positives.clear()
+    negatives.append(negatives[0])
+    again = layer2.default_exemplars()
+    assert len(again[0]) == len(raw["positive"]) and len(again[1]) == len(raw["negative"])
+    assert again[0][0] is layer2.default_exemplars()[0][0]  # parsed once, then shared
+
+
+@pytest.mark.parametrize("mode", ["few_shot", "zero_shot"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "x", "!!!", "O+ lagbe, 2 bag.", "রক্ত লাগবে আজ!\n০১৭১২", "  (spaces)  ", "a\n\nInstruction: b"],
+)
+def test_token_estimate_counts_the_rendered_prompt(mode, text):
+    bundle = build_prompt(text, mode=mode)
+    assert bundle.token_estimate == estimate_tokens(bundle.render())
+    positives, negatives = layer2.default_exemplars()
+    custom = build_prompt(text, mode=mode, exemplar_set=(positives[::-1], negatives[::-1]))
+    assert custom.token_estimate == estimate_tokens(custom.render())
 
 
 def test_exemplar_fixture_objects_are_schema_valid():

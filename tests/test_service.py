@@ -169,6 +169,48 @@ def test_case_payload_matches_full_ledger_scan(scenario_model):
     assert reordered
 
 
+def test_acknowledged_posts_survive_a_restore(scenario_model, tmp_path):
+    # Every acknowledged POST is in the snapshot file before its reply:
+    # a reply, a registration and an update each restore without a later
+    # event to carry them.
+    snapshot = tmp_path / "served.snap"
+    clock = Clock()
+    engine = DispatchEngine(clock=clock, stage_size=3)
+    gateway = Gateway(scenario_model, RulesBackend(), engine=engine, clock=clock, snapshot_path=snapshot)
+    running = serve(gateway, port=0)
+
+    def restored():
+        fresh = DispatchEngine(clock=Clock())
+        fresh.restore(snapshot)
+        return fresh
+
+    try:
+        for name in ("alice", "bob"):
+            _call(running.port, "POST", "/donors",
+                  {"platform_id": name, "blood_group": "O+", "latitude": 23.81, "longitude": 90.41})
+        _, body = _call(running.port, "POST", "/messages", {"message_id": "m1", "text": REQUEST_TEXT})
+        rid = body["trace"]["request_id"]
+        status, body = _call(running.port, "POST", "/responses",
+                             {"sender": "bob", "message_id": "m1", "text": "no"})
+        assert (status, body) == (200, {"status": "open"})
+        bob = engine.donor_by_platform("bob").donor_id
+        assert restored().ledger[(rid, bob)].response == "negative"
+
+        status, _ = _call(running.port, "POST", "/donors",
+                          {"platform_id": "carol", "blood_group": "B-", "latitude": 22.36,
+                           "longitude": 91.78, "last_donation_date": "2024-09-01"})
+        assert status == 200
+        assert restored().donors["carol"] == engine.donors["carol"]
+
+        status, _ = _call(running.port, "POST", "/donors", {"platform_id": "carol", "blood_group": "AB-"})
+        assert status == 200
+        assert restored().donors["carol"].blood_group == "AB-"
+        final = restored()
+        assert (final.donors, final.cases, final.ledger) == (engine.donors, engine.cases, engine.ledger)
+    finally:
+        running.shutdown()
+
+
 def test_unknown_request_404(service):
     running, _ = service
     status, body = _call(running.port, "GET", "/requests/r99999")
