@@ -20,7 +20,6 @@ from .layer2 import (
     ParseRecord,
     RulesBackend,
     build_prompt,
-    layer2_filter,
     parse_remote,
     parse_rules,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "field_accuracy",
     "forward",
     "haversine_km",
-    "layer2_filter",
     "load_corpus",
     "load_model",
     "parse_remote",

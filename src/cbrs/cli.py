@@ -61,6 +61,15 @@ def _backend_from(args: argparse.Namespace) -> layer2.Backend:
     return make_backend(cfg)
 
 
+def _model_or_default(path: str | None) -> layer1.ClassifierModel:
+    """The model saved at `path`, or a small one trained on the synthetic corpus."""
+    if path:
+        return layer1.load_model(path)
+    return layer1.train(
+        separable_corpus(400, seed=13), Hyper(dim=16, buckets=2**14, epochs=8, lr=0.5, seed=7)
+    )
+
+
 def cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     model = layer1.train(corpus, _hyper_from(args))
@@ -125,13 +134,9 @@ def cmd_cost(args) -> int:
 
 def cmd_serve(args) -> int:
     cfg = ServiceConfig.from_file(args.config)
-    if cfg.model_path:
-        model = layer1.load_model(cfg.model_path)
-    else:
+    if not cfg.model_path:
         print("no model_path in config; training a default on the bundled corpus", file=sys.stderr)
-        model = layer1.train(
-            separable_corpus(400, seed=13), Hyper(dim=16, buckets=2**14, epochs=8, lr=0.5, seed=7)
-        )
+    model = _model_or_default(cfg.model_path)
     backend = make_backend(
         BackendConfig(kind=cfg.backend, endpoint=cfg.endpoint, model=cfg.backend_model, mode=cfg.prompt_mode)
     )
@@ -175,12 +180,7 @@ def _resolve_scenario(name: str) -> Path:
 
 def cmd_simulate(args) -> int:
     scenario = _resolve_scenario(args.scenario)
-    if args.model:
-        model = layer1.load_model(args.model)
-    else:
-        model = layer1.train(
-            separable_corpus(400, seed=13), Hyper(dim=16, buckets=2**14, epochs=8, lr=0.5, seed=7)
-        )
+    model = _model_or_default(args.model)
     backend = _backend_from(args)
     result = simulate(scenario, model, backend, threshold=args.threshold)
     if args.transcript_out:

@@ -600,14 +600,15 @@ class DispatchEngine:
         self,
         message_id: str,
         new_text: str,
-        classify: Callable[[str], ParseOutcome],
+        classify: Callable[[str], ParseOutcome | None],
     ) -> str:
         """Re-process an edited message for the case it produced.
 
         A managed/resolved marker ends the case and sends each previously
         notified donor exactly one resolution notice; other edits update the
-        stored request in place. Unknown message ids are ignored with a
-        diagnostic status.
+        stored request in place. `classify` returns None when it could not
+        decide, which leaves the case untouched and answers "parse-error".
+        Unknown message ids are ignored with a diagnostic status.
         """
         request_id = self.case_by_message.get(message_id)
         if request_id is None:
@@ -621,6 +622,8 @@ class DispatchEngine:
             self._fan_out_resolution(case)
             return case.status
         outcome = classify(new_text)
+        if outcome is None:
+            return "parse-error"
         if not outcome.is_negative:
             case.request = schema.canonicalize(outcome.request)
             case.anchor = geocode_markers(case.request.location_markers)

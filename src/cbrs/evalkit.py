@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import time
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import layer1, schema, textrep
 from .corpus import Corpus, split
-from .layer1 import ClassReport, Hyper, build_report
+from .layer1 import ClassReport, Hyper, _timed_report
 from .layer2 import Backend
 from .schema import ParseOutcome
 from .ted import tree_edit_distance
@@ -333,14 +332,7 @@ def compare_classifiers(
             reports[name] = layer1.classification_report(model, test_set, timing_calls)
         else:
             baseline = train_tfidf_logreg(train_set, seed=seed)
-            pairs = [(s.label, baseline.predict(s.text)) for s in test_set]
-            texts = [s.text for s in test_set]
-            times = []
-            for i in range(max(timing_calls, 1)):
-                t0 = time.perf_counter()
-                baseline.predict(texts[i % len(texts)])
-                times.append(time.perf_counter() - t0)
-            reports[name] = build_report(pairs, times)
+            reports[name] = _timed_report(baseline.predict, test_set, timing_calls)
     return reports
 
 

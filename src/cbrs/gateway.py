@@ -5,7 +5,8 @@ Real chat platforms are out of scope; the adapter contract is an
 bindings can be added without touching the core. Every ingested message
 carries a four-stage trace (arrival, parsed-and-stored, first notification,
 first affirmative response); stage timestamps come from the injected clock
-and are monotone by construction.
+and are monotone by construction. Messages and edits share one two-layer
+decision; a Layer-2 failure is an error, queued for retry, never a negative.
 """
 
 from __future__ import annotations
@@ -92,6 +93,15 @@ class PipelineTrace:
         }
 
 
+@dataclass(frozen=True)
+class Decision:
+    """What the two layers made of one text."""
+
+    status: str  # a PipelineTrace.layer2_outcome value
+    layer1_prob: float
+    outcome: ParseOutcome | None  # None on a Layer-2 error
+
+
 def intake_token(platform_id: str) -> str:
     """Stable per-sender token for the donor-intake URL."""
     return hashlib.blake2b(platform_id.encode("utf-8"), digest_size=8).hexdigest()
@@ -160,49 +170,44 @@ class Gateway:
 
     # -- pipeline -----------------------------------------------------------
 
-    def _classify_parse(self, text: str) -> ParseOutcome:
-        """Both layers as one callable (used for edit re-classification)."""
-        pred = layer1.forward(self.model, text)
-        if pred.p_positive < self.threshold:
-            return ParseOutcome.negative()
-        record = self.backend.parse(text)
+    def _decide(self, ev: InboundEvent) -> Decision:
+        """Run both layers on the event's text.
+
+        Texts below the Layer-1 threshold never reach the backend; that is
+        the entire cost case for the two-layer design. A backend that
+        raises or returns a failed record is an error, never a negative:
+        the event is logged and queued on `retry_queue`.
+        """
+        p_positive = layer1.forward(self.model, ev.text).p_positive
+        if p_positive < self.threshold:
+            return Decision("skipped", p_positive, ParseOutcome.negative())
+        try:
+            record = self.backend.parse(ev.text)
+        except Exception as exc:
+            log.error("layer-2 backend failed for %s: %s", ev.message_id, exc)
+            self.retry_queue.append(ev)
+            return Decision("error", p_positive, None)
         self.layer2_calls += 1
-        if record.failed or record.outcome is None:
-            return ParseOutcome.negative()
-        return record.outcome
+        if record.failed:
+            log.error("layer-2 parse failed for %s: %s", ev.message_id, record.error)
+            self.retry_queue.append(ev)
+            return Decision("error", p_positive, None)
+        status = "negative" if record.outcome.is_negative else "request"
+        return Decision(status, p_positive, record.outcome)
 
     def ingest_message(self, ev: InboundEvent) -> PipelineTrace:
-        """Run one message through both layers and, on a parse, dispatch.
-
-        Messages below the Layer-1 threshold never reach the backend; that
-        is the entire cost case for the two-layer design.
-        """
+        """Run one message through both layers and, on a parse, dispatch."""
         if ev.kind != "message":
             raise ValueError(f"ingest_message needs a message event, got {ev.kind!r}")
         self._check_group_order(ev)
         trace = PipelineTrace(message_id=ev.message_id, t_arrival=self.clock.now)
         self.traces[ev.message_id] = trace
-        pred = layer1.forward(self.model, ev.text)
-        trace.layer1_prob = pred.p_positive
-        if pred.p_positive < self.threshold:
+        decision = self._decide(ev)
+        trace.layer1_prob = decision.layer1_prob
+        trace.layer2_outcome = decision.status
+        if decision.status != "request":
             return trace
-        try:
-            record = self.backend.parse(ev.text)
-            self.layer2_calls += 1
-        except Exception as exc:
-            log.error("layer-2 backend failed for %s: %s", ev.message_id, exc)
-            trace.layer2_outcome = "error"
-            self.retry_queue.append(ev)
-            return trace
-        if record.failed or record.outcome is None:
-            trace.layer2_outcome = "error"
-            self.retry_queue.append(ev)
-            return trace
-        if record.outcome.is_negative:
-            trace.layer2_outcome = "negative"
-            return trace
-        trace.layer2_outcome = "request"
-        case = self.engine.open_case(ev.message_id, record.outcome.request)
+        case = self.engine.open_case(ev.message_id, decision.outcome.request)
         trace.request_id = case.request_id
         trace.t_parsed_stored = self.clock.now
         if case.stages_fired > 0:
@@ -210,17 +215,19 @@ class Gateway:
         return trace
 
     def handle_edit_event(self, ev: InboundEvent) -> str:
-        """Edits re-run both layers.
+        """Edits re-run both layers, through the same decision as messages.
 
         Edits of a message with a case go through dispatch (managed markers
-        resolve it, other changes update it). An edit of a seen message that
-        had no case may turn it into a request; an edit citing a message id
-        this gateway never ingested is ignored with a diagnostic.
+        resolve it without reaching either layer, other changes update it).
+        An edit of a seen message that had no case may turn it into a
+        request; an edit citing a message id this gateway never ingested is
+        ignored with a diagnostic. A Layer-2 error answers "parse-error"
+        and changes no case.
         """
         if ev.kind != "edit":
             raise ValueError(f"handle_edit_event needs an edit event, got {ev.kind!r}")
         if ev.message_id in self.engine.case_by_message:
-            return self.engine.handle_edit(ev.message_id, ev.text, self._classify_parse)
+            return self.engine.handle_edit(ev.message_id, ev.text, lambda _: self._decide(ev).outcome)
         if ev.message_id not in self.traces:
             log.warning("edit for unknown message id %s ignored", ev.message_id)
             return "ignored-unknown-message"
@@ -237,6 +244,8 @@ class Gateway:
                 tick=ev.tick,
             )
         )
+        if trace.layer2_outcome == "error":
+            return "parse-error"
         return "new-case" if trace.request_id else "ignored-non-request"
 
     def handle_donor_response(self, ev: InboundEvent) -> str:

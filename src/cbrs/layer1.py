@@ -68,12 +68,6 @@ class ClassifierModel:
             words, self.hyper.minn, self.hyper.maxn, self.hyper.word_n, self.hyper.buckets
         )
 
-    def message_vector(self, text: str) -> np.ndarray:
-        feats = self.features(text)
-        if feats.empty:
-            return np.zeros(self.hyper.dim, dtype=self.embeddings.dtype)
-        return feats.coeffs @ self.embeddings[feats.rows]
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -101,7 +95,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(model: ClassifierModel, text: str) -> Prediction:
-    vec = model.message_vector(text)
+    vec = model.features(text).pool(model.embeddings)
     logits = model.weights @ vec + model.bias
     probs = softmax(logits)
     p_pos = float(probs[1])
@@ -136,10 +130,7 @@ def _sample_gradients(
     Returns (dW, db, dE_rows, p_positive) where dE_rows has one row per
     entry of feats.rows.
     """
-    if feats.empty:
-        vec = np.zeros(model.hyper.dim)
-    else:
-        vec = feats.coeffs @ model.embeddings[feats.rows]
+    vec = feats.pool(model.embeddings)
     logits = model.weights @ vec + model.bias
     probs = softmax(logits)
     scale = model.hyper.alpha if y == 1 else 1.0
@@ -274,25 +265,30 @@ def build_report(
     )
 
 
-def classification_report(
-    model: ClassifierModel, testset: Corpus, timing_calls: int = 1000
-) -> ClassReport:
-    """Confusion-matrix metrics at the model threshold plus forward timing.
+def _timed_report(predict: Callable[[str], int], testset: Corpus, timing_calls: int) -> ClassReport:
+    """Confusion-matrix metrics of `predict` on a test set plus its timing.
 
-    Timing is the median and mean wall-clock seconds per forward over at
+    Timing is the median and mean wall-clock seconds per call over at
     least ``timing_calls`` calls, cycling the test set if it is smaller.
     """
     if len(testset) == 0:
         raise ValueError("test set is empty")
-    pairs = [(s.label, forward(model, s.text).label) for s in testset]
+    pairs = [(s.label, predict(s.text)) for s in testset]
     texts = [s.text for s in testset]
     times = []
     for i in range(max(timing_calls, 1)):
         text = texts[i % len(texts)]
         t0 = time.perf_counter()
-        forward(model, text)
+        predict(text)
         times.append(time.perf_counter() - t0)
     return build_report(pairs, times)
+
+
+def classification_report(
+    model: ClassifierModel, testset: Corpus, timing_calls: int = 1000
+) -> ClassReport:
+    """Confusion-matrix metrics at the model threshold plus forward timing."""
+    return _timed_report(lambda text: forward(model, text).label, testset, timing_calls)
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:

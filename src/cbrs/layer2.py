@@ -313,11 +313,6 @@ def parse_remote(cfg: BackendConfig, bundle: PromptBundle) -> ParseRecord:
     )
 
 
-def layer2_filter(outcome: ParseOutcome) -> bool:
-    """True (forward to dispatch) iff the outcome is a parsed request."""
-    return not outcome.is_negative
-
-
 # --------------------------------------------------------------------------
 # Rule-based backend
 

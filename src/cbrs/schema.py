@@ -298,6 +298,25 @@ def _validate_dict(obj: dict[str, Any]) -> tuple[ParsedRequest, list[SchemaError
     return request, errors
 
 
+def _check(raw: str) -> tuple[ParseOutcome | None, list[SchemaError]]:
+    """Load raw JSON text and check it against the schema.
+
+    Returns the outcome with every invalid value blanked and unknown keys
+    dropped (None when the payload is not a JSON object) and the errors
+    found on the way.
+    """
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        return None, [SchemaError("$", f"invalid JSON: {exc.msg}")]
+    if not isinstance(obj, dict):
+        return None, [SchemaError("$", "expected a JSON object")]
+    if obj.get(NEGATIVE_KEY) is False:
+        return ParseOutcome.negative(), []
+    request, errors = _validate_dict({k: v for k, v in obj.items() if k != NEGATIVE_KEY})
+    return ParseOutcome.positive(request), errors
+
+
 def validate(raw: str) -> ParseOutcome | list[SchemaError]:
     """Validate raw JSON text against the schema.
 
@@ -306,19 +325,8 @@ def validate(raw: str) -> ParseOutcome | list[SchemaError]:
     to repair or reject. Syntactically invalid JSON yields a single
     syntax-error entry.
     """
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        return [SchemaError("$", f"invalid JSON: {exc.msg}")]
-    if not isinstance(obj, dict):
-        return [SchemaError("$", "expected a JSON object")]
-    if obj.get(NEGATIVE_KEY) is False:
-        return ParseOutcome.negative()
-    obj = {k: v for k, v in obj.items() if k != NEGATIVE_KEY}
-    request, errors = _validate_dict(obj)
-    if errors:
-        return errors
-    return ParseOutcome.positive(request)
+    outcome, errors = _check(raw)
+    return errors or outcome
 
 
 def repair(raw: str) -> ParseOutcome | None:
@@ -327,17 +335,7 @@ def repair(raw: str) -> ParseOutcome | None:
     Returns None when the payload is not a JSON object at all (unrepairable
     without guessing).
     """
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(obj, dict):
-        return None
-    if obj.get(NEGATIVE_KEY) is False:
-        return ParseOutcome.negative()
-    obj = {k: v for k, v in obj.items() if k != NEGATIVE_KEY}
-    request, _ = _validate_dict(obj)
-    return ParseOutcome.positive(request)
+    return _check(raw)[0]
 
 
 def canonicalize(request: ParsedRequest) -> ParsedRequest:
@@ -434,83 +432,33 @@ def to_tree(outcome: ParseOutcome) -> LabeledTree:
     if outcome.is_negative:
         return LabeledTree("negative")
 
-    def leaf(key: str, value: str) -> LabeledTree:
-        return LabeledTree(f"{key}={value}")
+    def node(key: str, value: Any) -> LabeledTree:
+        if isinstance(value, str):
+            return LabeledTree(f"{key}={value}")
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return LabeledTree(key, tuple(node(str(k), v) for k, v in items))
 
-    def scalar_list(key: str, values: tuple[str, ...]) -> LabeledTree:
-        return LabeledTree(key, tuple(leaf(str(i), v) for i, v in enumerate(values)))
-
-    r = outcome.request
-    children = (
-        leaf("blood_group", r.blood_group),
-        leaf("bags_needed", r.bags_needed),
-        LabeledTree(
-            "patient",
-            (
-                leaf("name", r.patient.name),
-                leaf("gender", r.patient.gender),
-                leaf("age_group", r.patient.age_group),
-            ),
-        ),
-        leaf("condition", r.condition),
-        leaf("location", r.location),
-        leaf("hospital_name", r.hospital_name),
-        scalar_list("location_markers", r.location_markers),
-        leaf("probable_day", r.probable_day),
-        leaf("probable_time", r.probable_time),
-        LabeledTree(
-            "contacts",
-            tuple(
-                LabeledTree(
-                    str(i),
-                    (
-                        leaf("name", c.name),
-                        scalar_list("contact_numbers", c.contact_numbers),
-                        leaf("relation_with_patient", c.relation_with_patient),
-                    ),
-                )
-                for i, c in enumerate(r.contacts)
-            ),
-        ),
-        LabeledTree(
-            "compensation",
-            (
-                leaf("transportation", r.compensation.transportation),
-                leaf("allowance", r.compensation.allowance),
-            ),
-        ),
-    )
-    return LabeledTree("request", children)
+    return node("request", to_dict(outcome))
 
 
 def leaf_paths(outcome: ParseOutcome) -> dict[str, str]:
     """Flatten an outcome to its scalar leaf paths.
 
-    The negative flag flattens to an empty mapping; list entries appear
-    under index-qualified paths.
+    The negative flag flattens to an empty mapping; object fields appear
+    under dotted paths and list entries under index-qualified ones.
     """
-    if outcome.is_negative:
-        return {}
-    r = outcome.request
-    paths: dict[str, str] = {
-        "blood_group": r.blood_group,
-        "bags_needed": r.bags_needed,
-        "patient.name": r.patient.name,
-        "patient.gender": r.patient.gender,
-        "patient.age_group": r.patient.age_group,
-        "condition": r.condition,
-        "location": r.location,
-        "hospital_name": r.hospital_name,
-        "probable_day": r.probable_day,
-        "probable_time": r.probable_time,
-        "compensation.transportation": r.compensation.transportation,
-        "compensation.allowance": r.compensation.allowance,
-    }
-    for i, marker in enumerate(r.location_markers):
-        paths[f"location_markers[{i}]"] = marker
-    for i, c in enumerate(r.contacts):
-        paths[f"contacts[{i}].name"] = c.name
-        for j, number in enumerate(c.contact_numbers):
-            paths[f"contacts[{i}].contact_numbers[{j}]"] = number
-        paths[f"contacts[{i}].relation_with_patient"] = c.relation_with_patient
+    paths: dict[str, str] = {}
+
+    def walk(path: str, value: Any) -> None:
+        if isinstance(value, str):
+            paths[path] = value
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{path}.{key}" if path else key, item)
+        else:
+            for i, item in enumerate(value):
+                walk(f"{path}[{i}]", item)
+
+    if not outcome.is_negative:
+        walk("", to_dict(outcome))
     return paths

@@ -124,6 +124,12 @@ class MessageFeatures:
     def empty(self) -> bool:
         return self.rows.size == 0
 
+    def pool(self, table: np.ndarray) -> np.ndarray:
+        """The message vector over embedding table `table`; zero when empty."""
+        if self.empty:
+            return np.zeros(table.shape[1], dtype=table.dtype)
+        return self.coeffs @ table[self.rows]
+
 
 def message_features(
     words: list[str], minn: int, maxn: int, word_n: int, buckets: int
@@ -158,10 +164,7 @@ def embed_message(
     Each word vector is the mean of its subword-unit embeddings; the empty
     message embeds to the zero vector.
     """
-    feats = message_features(words, minn, maxn, word_n, buckets=table.shape[0])
-    if feats.empty:
-        return np.zeros(table.shape[1], dtype=table.dtype)
-    return feats.coeffs @ table[feats.rows]
+    return message_features(words, minn, maxn, word_n, buckets=table.shape[0]).pool(table)
 
 
 # --------------------------------------------------------------------------

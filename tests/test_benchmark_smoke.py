@@ -29,11 +29,27 @@ def run_benchmark(*args: str) -> dict:
     return result
 
 
+# Spans the tracer records only while the program still calls the names it
+# patches; a refactor that routes around one reads zero here.
+DISPATCH_SPANS = (
+    "corpus.normalize_us",
+    "textrep.tokenize_us",
+    "textrep.featurize_us",
+    "layer1.forward_us",
+    "layer2.parse_us",
+    "dispatch.handle_edit_us",
+)
+
+
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_dispatch_benchmark_tiny_is_correct(trace):
-    run_benchmark("--workload", "dispatch_100k", "--seconds", "0.5", "--trace", trace)
+    result = run_benchmark("--workload", "dispatch_100k", "--seconds", "0.5", "--trace", trace)
+    if trace == "1":
+        for name in DISPATCH_SPANS:
+            assert result["metrics"][name]["value"] > 0, name
 
 
 def test_durable_http_tiny_loses_no_mutation():
     result = run_benchmark("--workload", "durable_http", "--seconds", "0.5", "--trace", "1")
     assert result["metrics"]["service.lost_mutations"]["value"] == 0
+    assert result["metrics"]["schema.validate_us"]["value"] > 0

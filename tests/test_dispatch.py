@@ -538,6 +538,18 @@ def test_persist_appends_only_what_changed(tmp_path):
     assert _state(_restored(other)) == _state(eng)
 
 
+def test_undecided_edit_appends_nothing(tmp_path):
+    eng, path = _journaled(tmp_path)
+    case = eng.cases[eng.case_by_message["m1"]]
+    request = case.request
+    assert eng.handle_edit("m1", "Urgent O- blood needed", lambda text: None) == "parse-error"
+    assert case.request == request
+    before = path.stat()
+    eng.persist(path)
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
 def test_torn_final_batch_is_dropped(tmp_path):
     eng, path = _journaled(tmp_path)
     data = path.read_bytes()

@@ -3,7 +3,7 @@ import pytest
 from cbrs import gateway as gw
 from cbrs.dispatch import Clock, DispatchEngine, FULFILLED, RESOLVED_EXTERNALLY
 from cbrs.gateway import Gateway, InboundEvent, bundled_scenarios, load_scenario, simulate
-from cbrs.layer2 import Backend, RulesBackend, parse_rules
+from cbrs.layer2 import Backend, ParseRecord, RulesBackend, parse_rules
 from conftest import check_protocol_invariants
 
 REQUEST_TEXT = "Urgent! 2 bags O+ blood needed at Square Hospital, Dhaka. Call 01712345678 today."
@@ -21,6 +21,24 @@ class CountingBackend(Backend):
     def parse(self, text):
         self.calls += 1
         return parse_rules(text)
+
+
+class BrokenBackend(Backend):
+    """Counts parse calls; each raises, or returns an unrepairable record."""
+
+    name = "broken"
+
+    def __init__(self, raises):
+        self.raises = raises
+        self.calls = 0
+
+    def parse(self, text):
+        self.calls += 1
+        if self.raises:
+            raise RuntimeError("down")
+        return ParseRecord(
+            outcome=None, input_tokens=1, output_tokens=1, latency_seconds=0.0, backend=self.name, error="bad"
+        )
 
 
 def _gateway(scenario_model, **kw):
@@ -122,14 +140,8 @@ def test_cost_path_calls_equal_layer1_positives(scenario_model):
 
 
 def test_backend_failure_queues_retry(scenario_model):
-    class Exploding(Backend):
-        name = "boom"
-
-        def parse(self, text):
-            raise RuntimeError("down")
-
     clock = Clock()
-    g = Gateway(model=scenario_model, backend=Exploding(), clock=clock)
+    g = Gateway(model=scenario_model, backend=BrokenBackend(raises=True), clock=clock)
     trace = g.ingest_message(InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT))
     assert trace.layer2_outcome == "error"
     assert len(g.retry_queue) == 1
@@ -184,6 +196,37 @@ def test_edit_seen_message_still_not_request(scenario_model):
     g.ingest_message(InboundEvent(kind="message", message_id="m1", text=CHITCHAT, tick=0))
     status = g.handle_edit_event(InboundEvent(kind="edit", message_id="m1", text=CHITCHAT + "!", tick=5))
     assert status == "ignored-non-request"
+
+
+@pytest.mark.parametrize("raises", [True, False], ids=["raising", "failed-record"])
+def test_edit_of_case_with_layer2_error_changes_nothing(scenario_model, tmp_path, raises):
+    snapshot = tmp_path / "s.snap"
+    g, _ = _gateway(scenario_model, snapshot_path=snapshot)
+    g.engine.register_donor("alice", "O+", 23.81, 90.41)
+    g.handle_event(InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT))
+    case = g.engine.cases[g.engine.case_by_message["m1"]]
+    request, size, calls = case.request, snapshot.stat().st_size, g.layer2_calls
+    g.backend = BrokenBackend(raises)
+    edit = InboundEvent(kind="edit", message_id="m1", text=REQUEST_TEXT.replace("2 bags", "3 bags"), tick=5)
+    assert g.handle_event(edit) == {"action": "edit", "status": "parse-error"}
+    assert g.backend.calls == 1
+    assert case.request == request
+    assert snapshot.stat().st_size == size  # the case was not marked changed
+    assert g.retry_queue == [edit]
+    assert g.layer2_calls == calls + (0 if raises else 1)
+
+
+@pytest.mark.parametrize("raises", [True, False], ids=["raising", "failed-record"])
+def test_edit_of_seen_message_with_layer2_error(scenario_model, raises):
+    g, _ = _gateway(scenario_model)
+    g.ingest_message(InboundEvent(kind="message", message_id="m1", text=CHITCHAT, tick=0))
+    g.backend = BrokenBackend(raises)
+    status = g.handle_edit_event(InboundEvent(kind="edit", message_id="m1", text=REQUEST_TEXT, tick=5))
+    assert status == "parse-error"
+    assert g.backend.calls == 1
+    assert not g.engine.cases
+    assert [ev.message_id for ev in g.retry_queue] == ["m1"]
+    assert g.layer2_calls == (0 if raises else 1)
 
 
 # -- donor responses ---------------------------------------------------------------

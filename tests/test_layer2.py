@@ -13,7 +13,6 @@ from cbrs.layer2 import (
     PromptError,
     build_prompt,
     estimate_tokens,
-    layer2_filter,
     parse_remote,
     parse_rules,
 )
@@ -158,12 +157,6 @@ def test_rules_outcomes_always_validate():
         rec = parse_rules(text)
         back = schema.validate(schema.serialize(rec.outcome))
         assert isinstance(back, ParseOutcome)
-
-
-def test_layer2_filter_contract():
-    assert layer2_filter(ParseOutcome.negative()) is False
-    positive = parse_rules("Need 2 bags O- blood at Square Hospital").outcome
-    assert layer2_filter(positive) is True
 
 
 # -- remote backend ------------------------------------------------------------

@@ -199,3 +199,151 @@ def test_day_and_time_patterns():
         assert schema.time_pattern_ok(good), good
     for bad in ("before 24:00", "25:00", "7 pm", "in as soon as possible"):
         assert not schema.time_pattern_ok(bad), bad
+
+
+# -- the derived walks against hand-written references ----------------------------
+
+
+def _reference_to_tree(outcome: ParseOutcome) -> schema.LabeledTree:
+    """`to_tree` as it was written out field by field."""
+    LabeledTree = schema.LabeledTree
+    if outcome.is_negative:
+        return LabeledTree("negative")
+
+    def leaf(key, value):
+        return LabeledTree(f"{key}={value}")
+
+    def scalar_list(key, values):
+        return LabeledTree(key, tuple(leaf(str(i), v) for i, v in enumerate(values)))
+
+    r = outcome.request
+    children = (
+        leaf("blood_group", r.blood_group),
+        leaf("bags_needed", r.bags_needed),
+        LabeledTree(
+            "patient",
+            (
+                leaf("name", r.patient.name),
+                leaf("gender", r.patient.gender),
+                leaf("age_group", r.patient.age_group),
+            ),
+        ),
+        leaf("condition", r.condition),
+        leaf("location", r.location),
+        leaf("hospital_name", r.hospital_name),
+        scalar_list("location_markers", r.location_markers),
+        leaf("probable_day", r.probable_day),
+        leaf("probable_time", r.probable_time),
+        LabeledTree(
+            "contacts",
+            tuple(
+                LabeledTree(
+                    str(i),
+                    (
+                        leaf("name", c.name),
+                        scalar_list("contact_numbers", c.contact_numbers),
+                        leaf("relation_with_patient", c.relation_with_patient),
+                    ),
+                )
+                for i, c in enumerate(r.contacts)
+            ),
+        ),
+        LabeledTree(
+            "compensation",
+            (
+                leaf("transportation", r.compensation.transportation),
+                leaf("allowance", r.compensation.allowance),
+            ),
+        ),
+    )
+    return LabeledTree("request", children)
+
+
+def _reference_leaf_paths(outcome: ParseOutcome) -> dict[str, str]:
+    """`leaf_paths` as it was written out field by field."""
+    if outcome.is_negative:
+        return {}
+    r = outcome.request
+    paths = {
+        "blood_group": r.blood_group,
+        "bags_needed": r.bags_needed,
+        "patient.name": r.patient.name,
+        "patient.gender": r.patient.gender,
+        "patient.age_group": r.patient.age_group,
+        "condition": r.condition,
+        "location": r.location,
+        "hospital_name": r.hospital_name,
+        "probable_day": r.probable_day,
+        "probable_time": r.probable_time,
+        "compensation.transportation": r.compensation.transportation,
+        "compensation.allowance": r.compensation.allowance,
+    }
+    for i, marker in enumerate(r.location_markers):
+        paths[f"location_markers[{i}]"] = marker
+    for i, c in enumerate(r.contacts):
+        paths[f"contacts[{i}].name"] = c.name
+        for j, number in enumerate(c.contact_numbers):
+            paths[f"contacts[{i}].contact_numbers[{j}]"] = number
+        paths[f"contacts[{i}].relation_with_patient"] = c.relation_with_patient
+    return paths
+
+
+_TEXTS = ("", " ", "dhaka", "ঢাকা মেডিকেল", "রহিম", "  ward 5 ", "a=b", "[0]", "x.y", "017XXXXXXXX")
+
+
+def _random_walk_case(rng: np.random.Generator) -> ParseOutcome:
+    """Up to three markers, contacts and numbers per contact, Bengali and
+    empty text, enum values, and the negative flag."""
+    if rng.random() < 0.1:
+        return ParseOutcome.negative()
+
+    def text():
+        return str(rng.choice(_TEXTS))
+
+    def enum(values):
+        return str(rng.choice(values + ("",)))
+
+    return ParseOutcome.positive(
+        ParsedRequest(
+            blood_group=enum(schema.BLOOD_GROUPS),
+            bags_needed=text(),
+            patient=schema.Patient(name=text(), gender=enum(schema.GENDERS), age_group=enum(schema.AGE_GROUPS)),
+            condition=text(),
+            location=text(),
+            hospital_name=text(),
+            location_markers=tuple(text() for _ in range(rng.integers(0, 4))),
+            probable_day=text(),
+            probable_time=text(),
+            contacts=tuple(
+                schema.Contact(
+                    name=text(),
+                    contact_numbers=tuple(text() for _ in range(rng.integers(0, 4))),
+                    relation_with_patient=text(),
+                )
+                for _ in range(rng.integers(0, 4))
+            ),
+            compensation=schema.Compensation(
+                transportation=enum(schema.YES_NO), allowance=enum(schema.YES_NO)
+            ),
+        )
+    )
+
+
+def test_derived_walks_match_hand_written_references():
+    def labels(tree, depth=0):
+        out = [(depth, tree.label)]
+        for child in tree.children:
+            out.extend(labels(child, depth + 1))
+        return out
+
+    rng = np.random.default_rng(2026)
+    seen_contacts = set()
+    for _ in range(600):
+        outcome = _random_walk_case(rng)
+        if not outcome.is_negative:
+            seen_contacts.add(len(outcome.request.contacts))
+        assert labels(schema.to_tree(outcome)) == labels(_reference_to_tree(outcome))
+        assert schema.to_tree(outcome) == _reference_to_tree(outcome)
+        paths, reference = schema.leaf_paths(outcome), _reference_leaf_paths(outcome)
+        assert sorted(paths.items()) == sorted(reference.items())
+    assert seen_contacts == {0, 1, 2, 3}

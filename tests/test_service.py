@@ -6,7 +6,7 @@ import pytest
 
 from cbrs.dispatch import Clock, DispatchEngine
 from cbrs.gateway import Gateway
-from cbrs.layer2 import RulesBackend
+from cbrs.layer2 import Backend, RulesBackend
 from cbrs.schema import ParsedRequest
 from cbrs.service import ServiceConfig, _case_payload, serve
 
@@ -113,6 +113,21 @@ def test_message_creates_retrievable_request(service):
     assert case["request"]["blood_group"] == "O+"
     assert case["ledger"][0]["donor_id"] == "d00001"
     assert case["trace"]["layer1_prob"] >= 0.5
+
+
+def test_edit_with_failing_backend_answers_parse_error(service):
+    running, gateway = service
+    _call(running.port, "POST", "/messages", {"message_id": "m1", "text": REQUEST_TEXT})
+
+    class Raising(Backend):
+        def parse(self, text):
+            raise RuntimeError("down")
+
+    gateway.backend = Raising()
+    status, body = _call(
+        running.port, "POST", "/messages", {"kind": "edit", "message_id": "m1", "text": REQUEST_TEXT + " Now!"}
+    )
+    assert (status, body) == (200, {"action": "edit", "status": "parse-error"})
 
 
 def test_response_endpoint_fulfills(service):
