@@ -906,7 +906,7 @@ def _decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry:
         last = obj["last_donation_date"]
         obj["last_donation_date"] = date.fromisoformat(last) if last else None
     elif cls is RequestCase:
-        outcome = schema.validate(json.dumps(obj["request"], ensure_ascii=False))
+        outcome = schema.validate(obj["request"])
         if not isinstance(outcome, ParseOutcome) or outcome.is_negative:
             raise ValueError("bad case payload")
         obj["request"] = outcome.request

@@ -216,7 +216,7 @@ def load_goldset(path: str | Path) -> list[tuple[str, ParseOutcome, str]]:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            outcome = schema.validate(json.dumps(obj["gold"], ensure_ascii=False))
+            outcome = schema.validate(obj["gold"])
             if not isinstance(outcome, ParseOutcome):
                 raise ValueError(f"{path}:{lineno}: gold object invalid: {outcome[0]}")
             items.append((obj["text"], outcome, obj["language"]))

@@ -39,6 +39,10 @@ HELP_TEXT = """Available commands:
 /register_as_donor  Register as a blood donor
 /goodbye            End interaction with the bot"""
 
+# Events a Layer-2 error queues for retry; past this many the oldest is
+# dropped and counted in `Gateway.dead_letters`.
+RETRY_LIMIT = 1000
+
 _YES_WORDS = frozenset({"yes", "y", "sure", "ok", "okay", "raji", "parbo", "ji", "হ্যাঁ", "হা"})
 
 
@@ -132,7 +136,8 @@ class Gateway:
         self.threshold = threshold if threshold is not None else model.hyper.threshold
         self.snapshot_path = Path(snapshot_path) if snapshot_path else None
         self.traces: dict[str, PipelineTrace] = {}
-        self.retry_queue: list[InboundEvent] = []
+        self.retry_queue: list[InboundEvent] = []  # oldest first, at most RETRY_LIMIT
+        self.dead_letters = 0
         self.layer2_calls = 0
         self._last_tick_per_group: dict[str, int] = {}
 
@@ -185,15 +190,22 @@ class Gateway:
             record = self.backend.parse(ev.text)
         except Exception as exc:
             log.error("layer-2 backend failed for %s: %s", ev.message_id, exc)
-            self.retry_queue.append(ev)
+            self._queue_retry(ev)
             return Decision("error", p_positive, None)
         self.layer2_calls += 1
         if record.failed:
             log.error("layer-2 parse failed for %s: %s", ev.message_id, record.error)
-            self.retry_queue.append(ev)
+            self._queue_retry(ev)
             return Decision("error", p_positive, None)
         status = "negative" if record.outcome.is_negative else "request"
         return Decision(status, p_positive, record.outcome)
+
+    def _queue_retry(self, ev: InboundEvent) -> None:
+        self.retry_queue.append(ev)
+        if len(self.retry_queue) > RETRY_LIMIT:
+            dropped = self.retry_queue.pop(0)
+            self.dead_letters += 1
+            log.error("retry queue full, dropped %s", dropped.message_id)
 
     def ingest_message(self, ev: InboundEvent) -> PipelineTrace:
         """Run one message through both layers and, on a parse, dispatch."""

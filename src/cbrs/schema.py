@@ -5,14 +5,22 @@ A parse outcome is either a structured request object or a negative flag
 emits every field, in one fixed order, so byte-level comparison of two
 canonical objects is meaningful. Outcomes convert to ordered labeled trees
 for edit-distance scoring.
+
+The record dataclasses are the schema. Their fields, in declared order, are
+its keys. A field's default gives its shape: a string, a nested record, or
+a tuple for a list. Its `metadata` holds the rest of its rule: `enum` (the
+allowed spellings), `pattern` (a check on the whitespace-collapsed value)
+or `item` (the record type of a list's items; other lists hold strings).
+`validate`, `canonicalize` and `to_dict` walk that one spec.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Callable, NamedTuple
 
 BLOOD_GROUPS = ("A+", "A-", "B+", "B-", "O+", "O-", "AB+", "AB-")
 GENDERS = ("M", "F")
@@ -40,6 +48,26 @@ _TIME_PATTERNS = (
 )
 
 
+def day_pattern_ok(value: str) -> bool:
+    if value == "" or value in _DAY_WORDS:
+        return True
+    return any(p.match(value) for p in _DAY_PATTERNS)
+
+
+def time_pattern_ok(value: str) -> bool:
+    if value == "":
+        return True
+    return any(p.match(value) for p in _TIME_PATTERNS)
+
+
+def _enum(allowed: tuple[str, ...]) -> Any:
+    return field(default="", metadata={"enum": allowed})
+
+
+def _pattern(ok: Callable[[str], bool]) -> Any:
+    return field(default="", metadata={"pattern": ok})
+
+
 @dataclass(frozen=True)
 class SchemaError:
     path: str
@@ -52,8 +80,8 @@ class SchemaError:
 @dataclass(frozen=True)
 class Patient:
     name: str = ""
-    gender: str = ""
-    age_group: str = ""
+    gender: str = _enum(GENDERS)
+    age_group: str = _enum(AGE_GROUPS)
 
 
 @dataclass(frozen=True)
@@ -65,22 +93,22 @@ class Contact:
 
 @dataclass(frozen=True)
 class Compensation:
-    transportation: str = ""
-    allowance: str = ""
+    transportation: str = _enum(YES_NO)
+    allowance: str = _enum(YES_NO)
 
 
 @dataclass(frozen=True)
 class ParsedRequest:
-    blood_group: str = ""
+    blood_group: str = _enum(BLOOD_GROUPS)
     bags_needed: str = ""
     patient: Patient = Patient()
     condition: str = ""
     location: str = ""
     hospital_name: str = ""
     location_markers: tuple[str, ...] = ()
-    probable_day: str = ""
-    probable_time: str = ""
-    contacts: tuple[Contact, ...] = ()
+    probable_day: str = _pattern(day_pattern_ok)
+    probable_time: str = _pattern(time_pattern_ok)
+    contacts: tuple[Contact, ...] = field(default=(), metadata={"item": Contact})
     compensation: Compensation = Compensation()
 
 
@@ -112,18 +140,6 @@ class LabeledTree:
         return 1 + sum(c.size() for c in self.children)
 
 
-def day_pattern_ok(value: str) -> bool:
-    if value == "" or value in _DAY_WORDS:
-        return True
-    return any(p.match(value) for p in _DAY_PATTERNS)
-
-
-def time_pattern_ok(value: str) -> bool:
-    if value == "":
-        return True
-    return any(p.match(value) for p in _TIME_PATTERNS)
-
-
 def _clean(value: str) -> str:
     return _WS_RUN.sub(" ", value).strip()
 
@@ -139,186 +155,140 @@ def _canonical_enum(value: str, allowed: tuple[str, ...]) -> str | None:
     return None
 
 
-_FIELD_ORDER = (
-    "blood_group",
-    "bags_needed",
-    "patient",
-    "condition",
-    "location",
-    "hospital_name",
-    "location_markers",
-    "probable_day",
-    "probable_time",
-    "contacts",
-    "compensation",
-)
-_PATIENT_KEYS = ("name", "gender", "age_group")
-_CONTACT_KEYS = ("name", "contact_numbers", "relation_with_patient")
-_COMPENSATION_KEYS = ("transportation", "allowance")
+class _Rule(NamedTuple):
+    """One field's rule, read from its dataclass field."""
+
+    is_list: bool
+    record: type | None  # the nested record type of the field or of its items
+    enum: tuple[str, ...] | None
+    pattern: Callable[[str], bool] | None
 
 
-def _check_str(obj: dict, key: str, path: str, errors: list[SchemaError]) -> str:
-    value = obj.get(key, "")
-    if not isinstance(value, str):
-        errors.append(SchemaError(path, f"expected string, got {type(value).__name__}"))
-        return ""
-    return value
+@functools.cache
+def _spec(cls: type) -> dict[str, _Rule]:
+    """Field name -> rule for one record type, in declared order."""
+    spec = {}
+    for f in fields(cls):
+        is_list = isinstance(f.default, tuple)
+        if is_list:
+            record = f.metadata.get("item")
+        else:
+            record = type(f.default) if is_dataclass(f.default) else None
+        spec[f.name] = _Rule(is_list, record, f.metadata.get("enum"), f.metadata.get("pattern"))
+    return spec
 
 
-def _validate_dict(obj: dict[str, Any]) -> tuple[ParsedRequest, list[SchemaError]]:
-    errors: list[SchemaError] = []
-    for key in obj:
-        if key not in _FIELD_ORDER:
-            errors.append(SchemaError(key, "unknown-key"))
-    for key in _FIELD_ORDER:
-        if key not in obj:
-            errors.append(SchemaError(key, "missing-key"))
+def _check_record(cls: type, raw: Any, path: str, errors: list[SchemaError]) -> Any:
+    """The record a JSON object holds, each invalid value left at its
+    default; None when `raw` is not an object.
 
-    blood_group = _canonical_enum(_check_str(obj, "blood_group", "blood_group", errors), BLOOD_GROUPS)
-    if blood_group is None:
-        errors.append(SchemaError("blood_group", "enum-violation"))
-        blood_group = ""
-
-    bags_needed = _check_str(obj, "bags_needed", "bags_needed", errors)
-
-    patient_raw = obj.get("patient", {})
-    if not isinstance(patient_raw, dict):
-        errors.append(SchemaError("patient", "expected object"))
-        patient_raw = {}
-    for key in patient_raw:
-        if key not in _PATIENT_KEYS:
-            errors.append(SchemaError(f"patient.{key}", "unknown-key"))
-    gender = _canonical_enum(_check_str(patient_raw, "gender", "patient.gender", errors), GENDERS)
-    if gender is None:
-        errors.append(SchemaError("patient.gender", "enum-violation"))
-        gender = ""
-    age_group = _canonical_enum(
-        _check_str(patient_raw, "age_group", "patient.age_group", errors), AGE_GROUPS
-    )
-    if age_group is None:
-        errors.append(SchemaError("patient.age_group", "enum-violation"))
-        age_group = ""
-    patient = Patient(
-        name=_check_str(patient_raw, "name", "patient.name", errors),
-        gender=gender,
-        age_group=age_group,
-    )
-
-    condition = _check_str(obj, "condition", "condition", errors)
-    location = _check_str(obj, "location", "location", errors)
-    hospital_name = _check_str(obj, "hospital_name", "hospital_name", errors)
-
-    markers_raw = obj.get("location_markers", [])
-    markers: list[str] = []
-    if not isinstance(markers_raw, list):
-        errors.append(SchemaError("location_markers", "expected list"))
-    else:
-        for i, item in enumerate(markers_raw):
-            if isinstance(item, str):
-                markers.append(item)
-            else:
-                errors.append(SchemaError(f"location_markers[{i}]", "expected string"))
-
-    probable_day = _check_str(obj, "probable_day", "probable_day", errors)
-    if not day_pattern_ok(_clean(probable_day)):
-        errors.append(SchemaError("probable_day", "pattern-violation"))
-        probable_day = ""
-    probable_time = _check_str(obj, "probable_time", "probable_time", errors)
-    if not time_pattern_ok(_clean(probable_time)):
-        errors.append(SchemaError("probable_time", "pattern-violation"))
-        probable_time = ""
-
-    contacts_raw = obj.get("contacts", [])
-    contacts: list[Contact] = []
-    if not isinstance(contacts_raw, list):
-        errors.append(SchemaError("contacts", "expected list"))
-    else:
-        for i, item in enumerate(contacts_raw):
-            if not isinstance(item, dict):
-                errors.append(SchemaError(f"contacts[{i}]", "expected object"))
-                continue
-            for key in item:
-                if key not in _CONTACT_KEYS:
-                    errors.append(SchemaError(f"contacts[{i}].{key}", "unknown-key"))
-            numbers_raw = item.get("contact_numbers", [])
-            numbers: list[str] = []
-            if not isinstance(numbers_raw, list):
-                errors.append(SchemaError(f"contacts[{i}].contact_numbers", "expected list"))
-            else:
-                for j, num in enumerate(numbers_raw):
-                    if isinstance(num, str):
-                        numbers.append(num)
-                    else:
-                        errors.append(
-                            SchemaError(f"contacts[{i}].contact_numbers[{j}]", "expected string")
-                        )
-            contacts.append(
-                Contact(
-                    name=_check_str(item, "name", f"contacts[{i}].name", errors),
-                    contact_numbers=tuple(numbers),
-                    relation_with_patient=_check_str(
-                        item, "relation_with_patient", f"contacts[{i}].relation_with_patient", errors
-                    ),
-                )
-            )
-
-    comp_raw = obj.get("compensation", {})
-    if not isinstance(comp_raw, dict):
-        errors.append(SchemaError("compensation", "expected object"))
-        comp_raw = {}
-    for key in comp_raw:
-        if key not in _COMPENSATION_KEYS:
-            errors.append(SchemaError(f"compensation.{key}", "unknown-key"))
-    transportation = _canonical_enum(
-        _check_str(comp_raw, "transportation", "compensation.transportation", errors), YES_NO
-    )
-    if transportation is None:
-        errors.append(SchemaError("compensation.transportation", "enum-violation"))
-        transportation = ""
-    allowance = _canonical_enum(
-        _check_str(comp_raw, "allowance", "compensation.allowance", errors), YES_NO
-    )
-    if allowance is None:
-        errors.append(SchemaError("compensation.allowance", "enum-violation"))
-        allowance = ""
-
-    request = ParsedRequest(
-        blood_group=blood_group,
-        bags_needed=bags_needed,
-        patient=patient,
-        condition=condition,
-        location=location,
-        hospital_name=hospital_name,
-        location_markers=tuple(markers),
-        probable_day=probable_day,
-        probable_time=probable_time,
-        contacts=tuple(contacts),
-        compensation=Compensation(transportation=transportation, allowance=allowance),
-    )
-    return request, errors
+    Unknown keys are errors at every level, missing keys only at the top
+    (the empty path): nested objects may omit keys.
+    """
+    if not isinstance(raw, dict):
+        errors.append(SchemaError(path, "expected object"))
+        return None
+    prefix = f"{path}." if path else ""
+    spec = _spec(cls)
+    errors.extend(SchemaError(prefix + key, "unknown-key") for key in raw if key not in spec)
+    values = {}
+    for name, rule in spec.items():
+        if name in raw:
+            value = _check_value(rule, raw[name], prefix + name, errors)
+            if value is not None:
+                values[name] = value
+        elif not path:
+            errors.append(SchemaError(name, "missing-key"))
+    return cls(**values)
 
 
-def _check(raw: str) -> tuple[ParseOutcome | None, list[SchemaError]]:
-    """Load raw JSON text and check it against the schema.
+def _check_value(rule: _Rule, raw: Any, path: str, errors: list[SchemaError]) -> Any:
+    """One field's checked value, enums canonicalized; None when invalid."""
+    if rule.is_list:
+        if not isinstance(raw, list):
+            errors.append(SchemaError(path, "expected list"))
+            return None
+        items = []
+        for i, item in enumerate(raw):
+            if rule.record is not None:
+                item = _check_record(rule.record, item, f"{path}[{i}]", errors)
+            elif not isinstance(item, str):
+                errors.append(SchemaError(f"{path}[{i}]", "expected string"))
+                item = None
+            if item is not None:
+                items.append(item)
+        return tuple(items)
+    if rule.record is not None:
+        return _check_record(rule.record, raw, path, errors)
+    if not isinstance(raw, str):
+        errors.append(SchemaError(path, f"expected string, got {type(raw).__name__}"))
+        return None
+    if rule.enum is not None:
+        value = _canonical_enum(raw, rule.enum)
+        if value is None:
+            errors.append(SchemaError(path, "enum-violation"))
+        return value
+    if rule.pattern is not None and not rule.pattern(_clean(raw)):
+        errors.append(SchemaError(path, "pattern-violation"))
+        return None
+    return raw
+
+
+def _canonical(record: Any) -> Any:
+    """The record with whitespace collapsed everywhere and enums canonical."""
+    values = {}
+    for name, rule in _spec(type(record)).items():
+        value = getattr(record, name)
+        if rule.is_list:
+            values[name] = tuple(_canonical(x) if rule.record else _clean(x) for x in value)
+        elif rule.record is not None:
+            values[name] = _canonical(value)
+        elif rule.enum is not None:
+            values[name] = _canonical_enum(value, rule.enum) or ""
+        else:
+            values[name] = _clean(value)
+    return type(record)(**values)
+
+
+def _plain(record: Any) -> dict[str, Any]:
+    """The record as a dict in field order: records nest as dicts, tuples
+    become lists."""
+    out = {}
+    for name, rule in _spec(type(record)).items():
+        value = getattr(record, name)
+        if rule.is_list:
+            out[name] = [_plain(x) for x in value] if rule.record else list(value)
+        elif rule.record is not None:
+            out[name] = _plain(value)
+        else:
+            out[name] = value
+    return out
+
+
+def _check(raw: str | Any) -> tuple[ParseOutcome | None, list[SchemaError]]:
+    """Check JSON text, or an object `json.loads` returned, against the schema.
 
     Returns the outcome with every invalid value blanked and unknown keys
     dropped (None when the payload is not a JSON object) and the errors
     found on the way.
     """
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        return None, [SchemaError("$", f"invalid JSON: {exc.msg}")]
+    obj = raw
+    if isinstance(raw, str):
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            return None, [SchemaError("$", f"invalid JSON: {exc.msg}")]
     if not isinstance(obj, dict):
         return None, [SchemaError("$", "expected a JSON object")]
     if obj.get(NEGATIVE_KEY) is False:
         return ParseOutcome.negative(), []
-    request, errors = _validate_dict({k: v for k, v in obj.items() if k != NEGATIVE_KEY})
+    errors: list[SchemaError] = []
+    request = _check_record(ParsedRequest, {k: v for k, v in obj.items() if k != NEGATIVE_KEY}, "", errors)
     return ParseOutcome.positive(request), errors
 
 
-def validate(raw: str) -> ParseOutcome | list[SchemaError]:
-    """Validate raw JSON text against the schema.
+def validate(raw: str | Any) -> ParseOutcome | list[SchemaError]:
+    """Validate JSON text, or an already-loaded JSON object, against the schema.
 
     Returns a :class:`ParseOutcome` when the payload is clean, otherwise the
     collected error list (field path + reason). The caller decides whether
@@ -329,7 +299,7 @@ def validate(raw: str) -> ParseOutcome | list[SchemaError]:
     return errors or outcome
 
 
-def repair(raw: str) -> ParseOutcome | None:
+def repair(raw: str | Any) -> ParseOutcome | None:
     """One repair pass: drop unknown keys, blank missing or invalid values.
 
     Returns None when the payload is not a JSON object at all (unrepairable
@@ -344,37 +314,7 @@ def canonicalize(request: ParsedRequest) -> ParsedRequest:
     Free-text fields keep their original language and wording; only
     surrounding/internal whitespace runs are touched. Idempotent.
     """
-    def enum(value: str, allowed: tuple[str, ...]) -> str:
-        canonical = _canonical_enum(value, allowed)
-        return canonical if canonical is not None else ""
-
-    return ParsedRequest(
-        blood_group=enum(request.blood_group, BLOOD_GROUPS),
-        bags_needed=_clean(request.bags_needed),
-        patient=Patient(
-            name=_clean(request.patient.name),
-            gender=enum(request.patient.gender, GENDERS),
-            age_group=enum(request.patient.age_group, AGE_GROUPS),
-        ),
-        condition=_clean(request.condition),
-        location=_clean(request.location),
-        hospital_name=_clean(request.hospital_name),
-        location_markers=tuple(_clean(m) for m in request.location_markers),
-        probable_day=_clean(request.probable_day),
-        probable_time=_clean(request.probable_time),
-        contacts=tuple(
-            Contact(
-                name=_clean(c.name),
-                contact_numbers=tuple(_clean(n) for n in c.contact_numbers),
-                relation_with_patient=_clean(c.relation_with_patient),
-            )
-            for c in request.contacts
-        ),
-        compensation=Compensation(
-            transportation=enum(request.compensation.transportation, YES_NO),
-            allowance=enum(request.compensation.allowance, YES_NO),
-        ),
-    )
+    return _canonical(request)
 
 
 def canonicalize_outcome(outcome: ParseOutcome) -> ParseOutcome:
@@ -387,34 +327,7 @@ def to_dict(outcome: ParseOutcome) -> dict[str, Any]:
     """Plain-dict form with every field present, in canonical field order."""
     if outcome.is_negative:
         return {NEGATIVE_KEY: False}
-    r = outcome.request
-    return {
-        "blood_group": r.blood_group,
-        "bags_needed": r.bags_needed,
-        "patient": {
-            "name": r.patient.name,
-            "gender": r.patient.gender,
-            "age_group": r.patient.age_group,
-        },
-        "condition": r.condition,
-        "location": r.location,
-        "hospital_name": r.hospital_name,
-        "location_markers": list(r.location_markers),
-        "probable_day": r.probable_day,
-        "probable_time": r.probable_time,
-        "contacts": [
-            {
-                "name": c.name,
-                "contact_numbers": list(c.contact_numbers),
-                "relation_with_patient": c.relation_with_patient,
-            }
-            for c in r.contacts
-        ],
-        "compensation": {
-            "transportation": r.compensation.transportation,
-            "allowance": r.compensation.allowance,
-        },
-    }
+    return _plain(outcome.request)
 
 
 def serialize(outcome: ParseOutcome) -> str:

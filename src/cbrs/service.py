@@ -1,8 +1,9 @@
 """HTTP/JSON service wrapping a gateway: ingestion, registry, lookups.
 
 Endpoints: POST /messages, POST /donors, POST /responses,
-GET /requests/{id}, GET /health. Bodies are JSON both ways; malformed input
-gets a 400 with field diagnostics, unknown ids a 404. Handlers share one
+GET /requests/{id}, GET /health. Bodies are JSON both ways; malformed or
+wrong-typed input gets a 400 with field diagnostics before any state
+changes, unknown ids a 404. Handlers share one
 lock so case/ledger mutations stay serialized. With a snapshot path set,
 every POST persists what it changed, under the lock, before it replies.
 """
@@ -83,6 +84,28 @@ def _case_payload(gateway: Gateway, case: RequestCase) -> dict:
     }
 
 
+def _text(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected string, got {type(value).__name__}")
+    return value
+
+
+# The fields of each POST body that are read, with their conversions from
+# JSON; a value that does not convert is answered with a 400.
+_MESSAGE_FIELDS = {
+    **dict.fromkeys(("kind", "platform", "group_id", "sender", "message_id", "text"), _text),
+    "tick": int,
+}
+_RESPONSE_FIELDS = {"sender": _text, "message_id": _text, "text": _text, "tick": int}
+_DONOR_FIELDS = {
+    "platform_id": _text,
+    "blood_group": _text,
+    "latitude": float,
+    "longitude": float,
+    "last_donation_date": lambda v: date.fromisoformat(v) if v else None,
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
     gateway: Gateway
     lock: threading.Lock
@@ -99,12 +122,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict | None:
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send(400, {"error": "invalid Content-Length", "fields": ["Content-Length"]})
+            return None
         raw = self.rfile.read(length)
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            self._send(400, {"error": f"invalid JSON body: {exc.msg}"})
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            self._send(400, {"error": f"invalid JSON body: {exc}"})
             return None
         if not isinstance(obj, dict):
             self._send(400, {"error": "body must be a JSON object"})
@@ -142,20 +171,30 @@ class _Handler(BaseHTTPRequestHandler):
         except (DispatchError, ValueError) as exc:
             self._send(400, {"error": str(exc)})
 
+    def _converted(self, body: dict, converters: dict) -> dict | None:
+        """The body's fields that `converters` names, converted; None, with a
+        400 sent, when one does not convert."""
+        values, wrong = {}, []
+        for key, convert in converters.items():
+            if key in body:
+                try:
+                    values[key] = convert(body[key])
+                except (TypeError, ValueError, OverflowError):
+                    wrong.append(key)
+        if wrong:
+            self._send(400, {"error": "wrong-typed fields", "fields": wrong})
+            return None
+        return values
+
     def _post_message(self, body: dict) -> None:
         missing = [k for k in ("message_id", "text") if k not in body]
         if missing:
             self._send(400, {"error": "missing fields", "fields": missing})
             return
-        ev = InboundEvent(
-            kind=body.get("kind", "message"),
-            platform=body.get("platform", "api"),
-            group_id=body.get("group_id", "api"),
-            sender=body.get("sender", ""),
-            message_id=body["message_id"],
-            text=body["text"],
-            tick=int(body.get("tick", 0)),
-        )
+        values = self._converted(body, _MESSAGE_FIELDS)
+        if values is None:
+            return
+        ev = InboundEvent(**{"kind": "message", "platform": "api", "group_id": "api", **values})
         with self.lock:
             action = self.gateway.handle_event(ev)
         self._send(200, action)
@@ -164,26 +203,15 @@ class _Handler(BaseHTTPRequestHandler):
         if "platform_id" not in body:
             self._send(400, {"error": "missing fields", "fields": ["platform_id"]})
             return
+        patch = self._converted(body, _DONOR_FIELDS)
+        if patch is None:
+            return
+        platform_id = patch.pop("platform_id")
         with self.lock:
-            required = ("blood_group", "latitude", "longitude")
-            if all(k in body for k in required):
-                last = body.get("last_donation_date")
-                record = self.gateway.engine.register_donor(
-                    platform_id=body["platform_id"],
-                    blood_group=body["blood_group"],
-                    latitude=float(body["latitude"]),
-                    longitude=float(body["longitude"]),
-                    last_donation_date=date.fromisoformat(last) if last else None,
-                )
+            if all(k in patch for k in ("blood_group", "latitude", "longitude")):
+                record = self.gateway.engine.register_donor(platform_id, **patch)
             else:
-                patch = {
-                    k: v
-                    for k, v in body.items()
-                    if k in ("blood_group", "latitude", "longitude", "last_donation_date")
-                }
-                if "last_donation_date" in patch and patch["last_donation_date"]:
-                    patch["last_donation_date"] = date.fromisoformat(patch["last_donation_date"])
-                record = self.gateway.engine.update_donor(body["platform_id"], patch)
+                record = self.gateway.engine.update_donor(platform_id, patch)
             self.gateway.persist()
         self._send(
             200,
@@ -204,13 +232,10 @@ class _Handler(BaseHTTPRequestHandler):
         if missing:
             self._send(400, {"error": "missing fields", "fields": missing})
             return
-        ev = InboundEvent(
-            kind="donor_response",
-            sender=body["sender"],
-            message_id=body["message_id"],
-            text=body["text"],
-            tick=int(body.get("tick", 0)),
-        )
+        values = self._converted(body, _RESPONSE_FIELDS)
+        if values is None:
+            return
+        ev = InboundEvent(kind="donor_response", **values)
         with self.lock:
             action = self.gateway.handle_event(ev)
         self._send(200, {"status": action["status"]})

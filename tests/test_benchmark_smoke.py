@@ -4,8 +4,9 @@
 untraced and once with the tracer's wrappers installed, and verifies the
 outbound digest recorded in `benchmarks/expected.json`. `durable_http`
 runs traced: the service process, its snapshot file, and a restore of that
-file that must hold every acknowledged change. Scratch files go to the
-ignored `.bench_build/` directory of the checkout.
+file that must hold every acknowledged change. `parse_eval` runs traced
+and must reproduce its recorded score digest through the scoring path.
+Scratch files go to the ignored `.bench_build/` directory of the checkout.
 """
 
 import json
@@ -38,6 +39,7 @@ DISPATCH_SPANS = (
     "layer1.forward_us",
     "layer2.parse_us",
     "dispatch.handle_edit_us",
+    "schema.canonicalize_us",
 )
 
 
@@ -53,3 +55,8 @@ def test_durable_http_tiny_loses_no_mutation():
     result = run_benchmark("--workload", "durable_http", "--seconds", "0.5", "--trace", "1")
     assert result["metrics"]["service.lost_mutations"]["value"] == 0
     assert result["metrics"]["schema.validate_us"]["value"] > 0
+
+
+def test_parse_eval_tiny_scores_through_the_schema():
+    result = run_benchmark("--workload", "parse_eval", "--seconds", "0.5", "--trace", "1")
+    assert result["metrics"]["evalkit.parsing_score_ms"]["value"] > 0

@@ -147,6 +147,17 @@ def test_backend_failure_queues_retry(scenario_model):
     assert len(g.retry_queue) == 1
 
 
+def test_retry_queue_keeps_the_newest_events(scenario_model, caplog):
+    from cbrs.gateway import RETRY_LIMIT
+
+    g = Gateway(model=scenario_model, backend=BrokenBackend(raises=True), threshold=0.0)
+    for i in range(RETRY_LIMIT + 1):
+        g.ingest_message(InboundEvent(kind="message", message_id=f"m{i}", text=CHITCHAT, tick=i))
+    assert [ev.message_id for ev in g.retry_queue] == [f"m{i}" for i in range(1, RETRY_LIMIT + 1)]
+    assert g.dead_letters == 1
+    assert "dropped m0" in caplog.text
+
+
 def test_group_order_enforced(scenario_model):
     g, _ = _gateway(scenario_model)
     g.ingest_message(InboundEvent(kind="message", message_id="m1", text=CHITCHAT, tick=10))

@@ -1,4 +1,6 @@
 import json
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -347,3 +349,369 @@ def test_derived_walks_match_hand_written_references():
         paths, reference = schema.leaf_paths(outcome), _reference_leaf_paths(outcome)
         assert sorted(paths.items()) == sorted(reference.items())
     assert seen_contacts == {0, 1, 2, 3}
+
+
+
+# -- the spec-driven walks against the hand-written code they replaced ------------
+
+_REF_FIELD_ORDER = (
+    "blood_group",
+    "bags_needed",
+    "patient",
+    "condition",
+    "location",
+    "hospital_name",
+    "location_markers",
+    "probable_day",
+    "probable_time",
+    "contacts",
+    "compensation",
+)
+_REF_PATIENT_KEYS = ("name", "gender", "age_group")
+_REF_CONTACT_KEYS = ("name", "contact_numbers", "relation_with_patient")
+_REF_COMPENSATION_KEYS = ("transportation", "allowance")
+SchemaError = schema.SchemaError
+
+
+def _ref_clean(value):
+    return re.sub(r"\s+", " ", value).strip()
+
+
+def _ref_canonical_enum(value, allowed):
+    cleaned = _ref_clean(value)
+    if cleaned == "":
+        return ""
+    for candidate in allowed:
+        if cleaned.casefold() == candidate.casefold():
+            return candidate
+    return None
+
+
+def _ref_check_str(obj, key, path, errors):
+    value = obj.get(key, "")
+    if not isinstance(value, str):
+        errors.append(SchemaError(path, f"expected string, got {type(value).__name__}"))
+        return ""
+    return value
+
+
+def _ref_validate_dict(obj):
+    """`_validate_dict` as it was written out field by field."""
+    errors = []
+    for key in obj:
+        if key not in _REF_FIELD_ORDER:
+            errors.append(SchemaError(key, "unknown-key"))
+    for key in _REF_FIELD_ORDER:
+        if key not in obj:
+            errors.append(SchemaError(key, "missing-key"))
+
+    blood_group = _ref_canonical_enum(_ref_check_str(obj, "blood_group", "blood_group", errors), schema.BLOOD_GROUPS)
+    if blood_group is None:
+        errors.append(SchemaError("blood_group", "enum-violation"))
+        blood_group = ""
+
+    bags_needed = _ref_check_str(obj, "bags_needed", "bags_needed", errors)
+
+    patient_raw = obj.get("patient", {})
+    if not isinstance(patient_raw, dict):
+        errors.append(SchemaError("patient", "expected object"))
+        patient_raw = {}
+    for key in patient_raw:
+        if key not in _REF_PATIENT_KEYS:
+            errors.append(SchemaError(f"patient.{key}", "unknown-key"))
+    gender = _ref_canonical_enum(_ref_check_str(patient_raw, "gender", "patient.gender", errors), schema.GENDERS)
+    if gender is None:
+        errors.append(SchemaError("patient.gender", "enum-violation"))
+        gender = ""
+    age_group = _ref_canonical_enum(
+        _ref_check_str(patient_raw, "age_group", "patient.age_group", errors), schema.AGE_GROUPS
+    )
+    if age_group is None:
+        errors.append(SchemaError("patient.age_group", "enum-violation"))
+        age_group = ""
+    patient = schema.Patient(
+        name=_ref_check_str(patient_raw, "name", "patient.name", errors),
+        gender=gender,
+        age_group=age_group,
+    )
+
+    condition = _ref_check_str(obj, "condition", "condition", errors)
+    location = _ref_check_str(obj, "location", "location", errors)
+    hospital_name = _ref_check_str(obj, "hospital_name", "hospital_name", errors)
+
+    markers_raw = obj.get("location_markers", [])
+    markers = []
+    if not isinstance(markers_raw, list):
+        errors.append(SchemaError("location_markers", "expected list"))
+    else:
+        for i, item in enumerate(markers_raw):
+            if isinstance(item, str):
+                markers.append(item)
+            else:
+                errors.append(SchemaError(f"location_markers[{i}]", "expected string"))
+
+    probable_day = _ref_check_str(obj, "probable_day", "probable_day", errors)
+    if not schema.day_pattern_ok(_ref_clean(probable_day)):
+        errors.append(SchemaError("probable_day", "pattern-violation"))
+        probable_day = ""
+    probable_time = _ref_check_str(obj, "probable_time", "probable_time", errors)
+    if not schema.time_pattern_ok(_ref_clean(probable_time)):
+        errors.append(SchemaError("probable_time", "pattern-violation"))
+        probable_time = ""
+
+    contacts_raw = obj.get("contacts", [])
+    contacts = []
+    if not isinstance(contacts_raw, list):
+        errors.append(SchemaError("contacts", "expected list"))
+    else:
+        for i, item in enumerate(contacts_raw):
+            if not isinstance(item, dict):
+                errors.append(SchemaError(f"contacts[{i}]", "expected object"))
+                continue
+            for key in item:
+                if key not in _REF_CONTACT_KEYS:
+                    errors.append(SchemaError(f"contacts[{i}].{key}", "unknown-key"))
+            numbers_raw = item.get("contact_numbers", [])
+            numbers = []
+            if not isinstance(numbers_raw, list):
+                errors.append(SchemaError(f"contacts[{i}].contact_numbers", "expected list"))
+            else:
+                for j, num in enumerate(numbers_raw):
+                    if isinstance(num, str):
+                        numbers.append(num)
+                    else:
+                        errors.append(SchemaError(f"contacts[{i}].contact_numbers[{j}]", "expected string"))
+            contacts.append(
+                schema.Contact(
+                    name=_ref_check_str(item, "name", f"contacts[{i}].name", errors),
+                    contact_numbers=tuple(numbers),
+                    relation_with_patient=_ref_check_str(
+                        item, "relation_with_patient", f"contacts[{i}].relation_with_patient", errors
+                    ),
+                )
+            )
+
+    comp_raw = obj.get("compensation", {})
+    if not isinstance(comp_raw, dict):
+        errors.append(SchemaError("compensation", "expected object"))
+        comp_raw = {}
+    for key in comp_raw:
+        if key not in _REF_COMPENSATION_KEYS:
+            errors.append(SchemaError(f"compensation.{key}", "unknown-key"))
+    transportation = _ref_canonical_enum(
+        _ref_check_str(comp_raw, "transportation", "compensation.transportation", errors), schema.YES_NO
+    )
+    if transportation is None:
+        errors.append(SchemaError("compensation.transportation", "enum-violation"))
+        transportation = ""
+    allowance = _ref_canonical_enum(
+        _ref_check_str(comp_raw, "allowance", "compensation.allowance", errors), schema.YES_NO
+    )
+    if allowance is None:
+        errors.append(SchemaError("compensation.allowance", "enum-violation"))
+        allowance = ""
+
+    request = ParsedRequest(
+        blood_group=blood_group,
+        bags_needed=bags_needed,
+        patient=patient,
+        condition=condition,
+        location=location,
+        hospital_name=hospital_name,
+        location_markers=tuple(markers),
+        probable_day=probable_day,
+        probable_time=probable_time,
+        contacts=tuple(contacts),
+        compensation=schema.Compensation(transportation=transportation, allowance=allowance),
+    )
+    return request, errors
+
+
+def _ref_check(raw):
+    """`_check` as it was, for JSON text."""
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        return None, [SchemaError("$", f"invalid JSON: {exc.msg}")]
+    if not isinstance(obj, dict):
+        return None, [SchemaError("$", "expected a JSON object")]
+    if obj.get(schema.NEGATIVE_KEY) is False:
+        return ParseOutcome.negative(), []
+    request, errors = _ref_validate_dict({k: v for k, v in obj.items() if k != schema.NEGATIVE_KEY})
+    return ParseOutcome.positive(request), errors
+
+
+def _ref_canonicalize(request):
+    """`canonicalize` as it was written out field by field."""
+    def enum(value, allowed):
+        canonical = _ref_canonical_enum(value, allowed)
+        return canonical if canonical is not None else ""
+
+    return ParsedRequest(
+        blood_group=enum(request.blood_group, schema.BLOOD_GROUPS),
+        bags_needed=_ref_clean(request.bags_needed),
+        patient=schema.Patient(
+            name=_ref_clean(request.patient.name),
+            gender=enum(request.patient.gender, schema.GENDERS),
+            age_group=enum(request.patient.age_group, schema.AGE_GROUPS),
+        ),
+        condition=_ref_clean(request.condition),
+        location=_ref_clean(request.location),
+        hospital_name=_ref_clean(request.hospital_name),
+        location_markers=tuple(_ref_clean(m) for m in request.location_markers),
+        probable_day=_ref_clean(request.probable_day),
+        probable_time=_ref_clean(request.probable_time),
+        contacts=tuple(
+            schema.Contact(
+                name=_ref_clean(c.name),
+                contact_numbers=tuple(_ref_clean(n) for n in c.contact_numbers),
+                relation_with_patient=_ref_clean(c.relation_with_patient),
+            )
+            for c in request.contacts
+        ),
+        compensation=schema.Compensation(
+            transportation=enum(request.compensation.transportation, schema.YES_NO),
+            allowance=enum(request.compensation.allowance, schema.YES_NO),
+        ),
+    )
+
+
+def _ref_to_dict(outcome):
+    """`to_dict` as it was written out field by field."""
+    if outcome.is_negative:
+        return {schema.NEGATIVE_KEY: False}
+    r = outcome.request
+    return {
+        "blood_group": r.blood_group,
+        "bags_needed": r.bags_needed,
+        "patient": {"name": r.patient.name, "gender": r.patient.gender, "age_group": r.patient.age_group},
+        "condition": r.condition,
+        "location": r.location,
+        "hospital_name": r.hospital_name,
+        "location_markers": list(r.location_markers),
+        "probable_day": r.probable_day,
+        "probable_time": r.probable_time,
+        "contacts": [
+            {
+                "name": c.name,
+                "contact_numbers": list(c.contact_numbers),
+                "relation_with_patient": c.relation_with_patient,
+            }
+            for c in r.contacts
+        ],
+        "compensation": {
+            "transportation": r.compensation.transportation,
+            "allowance": r.compensation.allowance,
+        },
+    }
+
+
+_JUNK = (5, 1.5, True, None, [], {}, ["x"], {"a": 1}, [{"name": 3}], "x")
+_ODD_SPELLINGS = {
+    "blood_group": (" o- ", "ab+", "AB +", "\tb-\n", "C+", "O  +", "o+"),
+    "gender": ("m", " F ", "male", "f\n"),
+    "age_group": ("ADULT", " child", "Teen ager", "young  "),
+    "transportation": ("y", " n ", "yes", "\u00a0N"),
+    "allowance": ("Y ", "no", " n"),
+    "probable_day": ("21-06", " 21/06 ", "Today", "2  days   later", "1 day later", "tomorrow ", "yesterday"),
+    "probable_time": ("before 24:00", " 19:00", "in  2  hours", "7 pm", "09:00 - 17:00", "after\t08:30"),
+}
+_NON_OBJECTS = ("[1]", "5", "null", '"x"', "{", "", "[{}]", '{"is_blood_donation_request": false, "x": 1}')
+
+
+def _junk(rng):
+    return _JUNK[rng.integers(len(_JUNK))]
+
+
+def _mangle(rng, value, rate, key=None):
+    """A copy of a `to_dict` value with random damage at every level: keys
+    dropped, added or given the wrong type and junk list items, each at
+    about `rate`; odd enum spellings, bad day and time patterns."""
+    if isinstance(value, dict):
+        out = {}
+        for k, v in value.items():
+            r = rng.random()
+            if r < rate:
+                continue
+            out[k] = _junk(rng) if r < 2 * rate else _mangle(rng, v, rate, k)
+        if rng.random() < rate:
+            out[f"extra_{rng.integers(3)}"] = _junk(rng)
+        return out
+    if isinstance(value, list):
+        out = [_mangle(rng, v, rate) for v in value]
+        if rng.random() < 2 * rate:
+            out.insert(int(rng.integers(len(out) + 1)), _junk(rng))
+        return out
+    if key in _ODD_SPELLINGS and rng.random() < 0.3:
+        spellings = _ODD_SPELLINGS[key]
+        return spellings[rng.integers(len(spellings))]
+    return f" {value}\t " if rng.random() < 0.1 else value
+
+
+def _mangled_payload(rng):
+    if rng.random() < 0.04:
+        return _NON_OBJECTS[rng.integers(len(_NON_OBJECTS))]
+    outcome = random_outcome(rng) if rng.random() < 0.5 else _random_walk_case(rng)
+    rate = (0.0, 0.02, 0.1)[rng.integers(3)]
+    return json.dumps(_mangle(rng, schema.to_dict(outcome), rate), ensure_ascii=False)
+
+
+def test_spec_walks_match_hand_written_references():
+    rng = np.random.default_rng(505)
+    reasons = Counter()
+    for _ in range(3000):
+        text = _mangled_payload(rng)
+        ref_outcome, ref_errors = _ref_check(text)
+        reasons.update(e.reason.split(",")[0] for e in ref_errors)
+        inputs = [text]
+        try:
+            loaded = json.loads(text)
+        except json.JSONDecodeError:
+            loaded = ""
+        if not isinstance(loaded, str):  # a string is always read as JSON text
+            inputs.append(loaded)
+        for raw in inputs:
+            result = schema.validate(raw)
+            if ref_errors:
+                assert Counter(result) == Counter(ref_errors), text
+            else:
+                assert result == ref_outcome, text
+            assert schema.repair(raw) == ref_outcome, text
+        if ref_outcome is None:
+            continue
+        canonical = schema.canonicalize_outcome(ref_outcome)
+        if not ref_outcome.is_negative:
+            assert canonical.request == _ref_canonicalize(ref_outcome.request), text
+        for outcome in (ref_outcome, canonical):
+            plain = schema.to_dict(outcome)
+            assert json.dumps(plain) == json.dumps(_ref_to_dict(outcome)), text
+            assert plain == _ref_to_dict(outcome), text
+            assert schema.to_tree(outcome) == _reference_to_tree(outcome), text
+            assert schema.leaf_paths(outcome) == _reference_leaf_paths(outcome), text
+    # Every kind of error the schema reports came up.
+    assert set(reasons) == {
+        "unknown-key",
+        "missing-key",
+        "expected string",
+        "expected object",
+        "expected list",
+        "enum-violation",
+        "pattern-violation",
+        "invalid JSON: Expecting property name enclosed in double quotes",
+        "invalid JSON: Expecting value",
+        "expected a JSON object",
+    }, reasons
+
+
+def test_nested_objects_may_omit_keys():
+    obj = dict(GOLD_AB_NEG, patient={"gender": "f"}, contacts=[{}], compensation={})
+    out = schema.validate(obj)
+    assert isinstance(out, ParseOutcome)
+    assert out.request.patient == schema.Patient(gender="F")
+    assert out.request.contacts == (schema.Contact(),)
+
+
+def test_validate_returns_raw_day_and_time():
+    obj = dict(GOLD_AB_NEG, probable_day=" 2  days later", probable_time="in  3 hours ")
+    out = schema.validate(json.dumps(obj))
+    assert (out.request.probable_day, out.request.probable_time) == (" 2  days later", "in  3 hours ")

@@ -1,3 +1,4 @@
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -240,6 +241,53 @@ def test_malformed_body_400(service):
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(req, timeout=5)
     assert err.value.code == 400
+
+
+def _post_raw(port, path, data: bytes, length: str):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Length", length)
+        conn.endheaders(data)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    "path,body,length,fields",
+    [
+        ("/donors", {"platform_id": "bob", "blood_group": "O+", "latitude": [1], "longitude": 90.4}, None, ["latitude"]),
+        ("/donors", {"platform_id": "alice", "latitude": [1]}, None, ["latitude"]),
+        ("/donors", {"platform_id": "alice", "last_donation_date": 5}, None, ["last_donation_date"]),
+        ("/messages", {"message_id": "m2", "text": 5}, None, ["text"]),
+        ("/messages", {"message_id": "m2", "text": "hi", "tick": [1]}, None, ["tick"]),
+        ("/messages", {"kind": "edit", "message_id": "m1", "text": 5, "tick": 9}, None, ["text"]),
+        ("/responses", {"sender": "alice", "message_id": "m1", "text": 5}, None, ["text"]),
+        ("/messages", {"message_id": "m2", "text": "hi"}, "12abc", ["Content-Length"]),
+        ("/donors", {"platform_id": "alice"}, "-1", ["Content-Length"]),
+        ("/messages", b'{"message_id": "m2", "text": "\xff"}', None, None),
+    ],
+    ids=["latitude", "update-latitude", "last-donation-date", "text", "tick", "edit-text",
+         "response-text", "content-length", "negative-content-length", "not-utf8"],
+)
+def test_wrong_typed_input_400_changes_nothing(service, path, body, length, fields):
+    running, gateway = service
+    engine = gateway.engine
+    _call(running.port, "POST", "/donors", {"platform_id": "alice", "blood_group": "O+", "latitude": 23.8, "longitude": 90.4})
+    _call(running.port, "POST", "/messages", {"message_id": "m1", "text": "good morning everyone", "tick": 5})
+
+    def state():
+        traces = {k: (id(t), t.to_dict()) for k, t in gateway.traces.items()}
+        return traces, dict(gateway._last_tick_per_group), dict(engine.donors), dict(engine.cases), dict(engine.ledger)
+
+    before = state()
+    data = body if isinstance(body, bytes) else json.dumps(body).encode()
+    status, reply = _post_raw(running.port, path, data, length or str(len(data)))
+    assert status == 400
+    assert reply.get("fields") == fields
+    assert state() == before
 
 
 def test_missing_fields_400(service):
