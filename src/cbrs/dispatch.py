@@ -18,7 +18,8 @@ in service mode), so scenario runs are deterministic.
 
 State is saved to a snapshot file of JSON lines. A batch is a `meta` line
 (format version, id counters, clock), one line per donor, case or ledger
-entry, and an `end` line counting the batch's lines. A full snapshot is
+entry (its section and `encode` form, which the HTTP service answers too),
+and an `end` line counting the batch's lines. A full snapshot is
 one batch of every record, written to a temporary file and renamed over
 the old one. The engine notes the keys each mutation touches;
 `persist` then appends one batch of just those records to the file it
@@ -279,6 +280,19 @@ def urgency_depth(case: RequestCase, epoch_date: date = date(2025, 1, 1)) -> int
     return 1
 
 
+def _check_donor(blood_group: str, latitude: float, longitude: float) -> None:
+    """DispatchError naming every value a donor record may not hold."""
+    problems = []
+    if not -90.0 <= latitude <= 90.0:
+        problems.append(f"latitude {latitude} outside [-90, 90]")
+    if not -180.0 <= longitude <= 180.0:
+        problems.append(f"longitude {longitude} outside [-180, 180]")
+    if blood_group not in schema.BLOOD_GROUPS:
+        problems.append(f"blood_group {blood_group!r} not one of {schema.BLOOD_GROUPS}")
+    if problems:
+        raise DispatchError("; ".join(problems))
+
+
 def detect_managed_marker(text: str) -> bool:
     lowered = text.casefold()
     return any(marker in lowered for marker in MANAGED_MARKERS)
@@ -386,15 +400,7 @@ class DispatchEngine:
         last_donation_date: date | None = None,
     ) -> DonorRecord:
         """Upsert keyed by platform identity; re-registering keeps the id."""
-        problems = []
-        if not -90.0 <= latitude <= 90.0:
-            problems.append(f"latitude {latitude} outside [-90, 90]")
-        if not -180.0 <= longitude <= 180.0:
-            problems.append(f"longitude {longitude} outside [-180, 180]")
-        if blood_group not in schema.BLOOD_GROUPS:
-            problems.append(f"blood_group {blood_group!r} not one of {schema.BLOOD_GROUPS}")
-        if problems:
-            raise DispatchError("; ".join(problems))
+        _check_donor(blood_group, latitude, longitude)
         existing = self.donors.get(platform_id)
         if existing is None:
             self._donor_seq += 1
@@ -431,10 +437,7 @@ class DispatchEngine:
         if unknown:
             raise DispatchError(f"unknown donor fields: {sorted(unknown)}")
         merged = replace(existing, **patch)
-        if not -90.0 <= merged.latitude <= 90.0 or not -180.0 <= merged.longitude <= 180.0:
-            raise DispatchError("patched coordinates out of range")
-        if merged.blood_group not in schema.BLOOD_GROUPS:
-            raise DispatchError(f"blood_group {merged.blood_group!r} invalid")
+        _check_donor(merged.blood_group, merged.latitude, merged.longitude)
         self.donors[platform_id] = merged
         self._dirty_donors.add(platform_id)
         self._groups.pop(existing.blood_group, None)
@@ -705,9 +708,13 @@ class DispatchEngine:
                 }
             )
         ]
-        lines += [_encode("donor", self.donors[k]) for k in sorted(donors)]
-        lines += [_encode("case", self.cases[k]) for k in sorted(cases)]
-        lines += [_encode("ledger", self.ledger[k]) for k in sorted(ledger)]
+        for section, records, keys in (
+            ("donor", self.donors, donors), ("case", self.cases, cases), ("ledger", self.ledger, ledger)
+        ):
+            lines += [
+                json.dumps({"section": section, **encode(records[k])}, ensure_ascii=False)
+                for k in sorted(keys)
+            ]
         lines.append(json.dumps({"section": "end", "records": len(lines)}))
         return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -776,7 +783,7 @@ class DispatchEngine:
                     if section in _RECORDS:
                         if batch is None:
                             raise ValueError(f"{section!r} line outside a batch")
-                        batch.append(_decode(_RECORDS[section], obj))
+                        batch.append(decode(_RECORDS[section], obj))
                     elif section == "meta":
                         if batch is not None:
                             raise ValueError("meta line inside a batch")
@@ -877,38 +884,120 @@ def _is_end(raw: bytes) -> bool:
     return isinstance(obj, dict) and obj.get("section") == "end"
 
 
-
 # Snapshot section -> the record type its lines hold.
 _RECORDS = {"donor": DonorRecord, "case": RequestCase, "ledger": LedgerEntry}
 _FIELD_COUNT = {cls: len(fields(cls)) for cls in _RECORDS.values()}
 _META_FIELDS = {"version", "donor_seq", "case_seq", "clock"}
 
 
-def _encode(section: str, record: DonorRecord | RequestCase | LedgerEntry) -> str:
-    """One snapshot line: the section, then every field of the record."""
-    obj = {"section": section, **vars(record)}
-    if section == "donor":
-        last = record.last_donation_date
-        obj["last_donation_date"] = last.isoformat() if last else None
-    elif section == "case":
-        obj["request"] = schema.to_dict(ParseOutcome.positive(record.request))
-        obj["anchor"] = list(record.anchor) if record.anchor else None
-    return json.dumps(obj, ensure_ascii=False)
+# -- JSON forms -------------------------------------------------------------
+# One form per record type, shared by the snapshot and the HTTP service.
 
 
-def _decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry:
-    """The record a snapshot line holds, its section removed: the inverse of
-    `_encode`. ValueError or TypeError unless its fields are exactly the
-    record's."""
+class FieldError(ValueError):
+    """A JSON object lacks required fields or holds wrong-typed values."""
+
+    def __init__(self, error: str, names: list[str]):
+        super().__init__(f"{error}: {names}")
+        self.error = error
+        self.fields = names
+
+
+def parse_day(value: str | None) -> date | None:
+    """An ISO date; None for null or the empty string."""
+    return None if value is None or value == "" else date.fromisoformat(value)
+
+
+def _request_form(request: ParsedRequest) -> dict:
+    return schema.to_dict(ParseOutcome.positive(request))
+
+
+def _request(obj: dict) -> ParsedRequest:
+    outcome = schema.validate(obj)
+    if not isinstance(outcome, ParseOutcome) or outcome.is_negative:
+        raise ValueError("bad case payload")
+    return outcome.request
+
+
+# The fields whose JSON form is not their value: name -> (to JSON, from JSON).
+_FORMS = {
+    DonorRecord: {"last_donation_date": (lambda d: d.isoformat() if d else None, parse_day)},
+    RequestCase: {
+        "request": (_request_form, _request),
+        "anchor": (lambda a: list(a) if a else None, lambda a: tuple(a) if a else None),
+    },
+    LedgerEntry: {},
+}
+
+
+def encode(record: DonorRecord | RequestCase | LedgerEntry) -> dict:
+    """The JSON form of a donor, case or ledger entry: every field, in
+    declared order; dates as ISO strings or null, the request as
+    `schema.to_dict`, the anchor as a list."""
+    obj = dict(vars(record))
+    for name, (to_json, _) in _FORMS[type(record)].items():
+        obj[name] = to_json(obj[name])
+    return obj
+
+
+def decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry:
+    """The record of type `cls` whose JSON form is `obj` (which it takes
+    over): the inverse of `encode`. ValueError or TypeError unless the
+    fields are exactly the record's."""
     if len(obj) != _FIELD_COUNT[cls]:  # the constructor rejects unknown names
         raise ValueError(f"{cls.__name__} fields {sorted(obj)}")
-    if cls is DonorRecord:
-        last = obj["last_donation_date"]
-        obj["last_donation_date"] = date.fromisoformat(last) if last else None
-    elif cls is RequestCase:
-        outcome = schema.validate(obj["request"])
-        if not isinstance(outcome, ParseOutcome) or outcome.is_negative:
-            raise ValueError("bad case payload")
-        obj["request"] = outcome.request
-        obj["anchor"] = tuple(obj["anchor"]) if obj["anchor"] else None
+    for name, (_, from_json) in _FORMS[cls].items():
+        obj[name] = from_json(obj[name])
     return cls(**obj)
+
+
+def _json(kind: type, *also: type) -> Callable:
+    """A check that a JSON value is a `kind`, or one of `also`, and never a
+    boolean; it returns the value as a `kind`."""
+
+    def check(value: object):
+        if isinstance(value, bool) or not isinstance(value, (kind, *also)):
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return kind(value)
+
+    return check
+
+
+# A field's check and conversion from JSON input, by its annotation.
+_INPUT = {"str": _json(str), "int": _json(int), "float": _json(float, int), "date | None": parse_day}
+
+
+def input_fields(cls: type, exclude: tuple[str, ...] = ()) -> dict[str, Callable]:
+    """Field name -> conversion from JSON input, for the dataclass `cls`."""
+    return {f.name: _INPUT[f.type] for f in fields(cls) if f.name not in exclude}
+
+
+def read_fields(obj: dict, converters: dict[str, Callable], required: Iterable[str] = ()) -> dict:
+    """The fields of `obj` that `converters` names, converted.
+
+    FieldError names the `required` fields `obj` lacks, else the values
+    that do not convert. Other keys are ignored.
+    """
+    missing = [name for name in required if name not in obj]
+    if missing:
+        raise FieldError("missing fields", missing)
+    values, wrong = {}, []
+    for name, convert in converters.items():
+        if name in obj:
+            try:
+                values[name] = convert(obj[name])
+            except (TypeError, ValueError, OverflowError):
+                wrong.append(name)
+    if wrong:
+        raise FieldError("wrong-typed fields", wrong)
+    return values
+
+
+# A donor registration or update: the fields the engine does not assign.
+_DONOR_INPUT = input_fields(DonorRecord, exclude=("donor_id", "registered_at"))
+
+
+def donor_input(obj: dict) -> dict:
+    """The donor fields of a JSON object, `platform_id` required; FieldError
+    otherwise."""
+    return read_fields(obj, _DONOR_INPUT, required=("platform_id",))

@@ -119,10 +119,12 @@ class ParserEvalReport:
 
 def ted_normalized(a: schema.LabeledTree, b: schema.LabeledTree) -> float:
     """Edit distance divided by the larger node count; 0 for two empties."""
+    return _normalized(tree_edit_distance(a, b), a, b)
+
+
+def _normalized(ted: int, a: schema.LabeledTree, b: schema.LabeledTree) -> float:
     bigger = max(a.size(), b.size())
-    if bigger == 0:
-        return 0.0
-    return tree_edit_distance(a, b) / bigger
+    return ted / bigger if bigger else 0.0
 
 
 def field_accuracy(gold: ParseOutcome, pred: ParseOutcome) -> float:
@@ -132,12 +134,17 @@ def field_accuracy(gold: ParseOutcome, pred: ParseOutcome) -> float:
     hallucinated values and list entries are penalized. Matching negative
     flags score 1.0; a polarity mismatch scores 0.0.
     """
+    return _field_accuracy(schema.canonicalize_outcome(gold), schema.canonicalize_outcome(pred))
+
+
+def _field_accuracy(gold: ParseOutcome, pred: ParseOutcome) -> float:
+    """`field_accuracy` of two canonical outcomes."""
     if gold.is_negative and pred.is_negative:
         return 1.0
     if gold.is_negative != pred.is_negative:
         return 0.0
-    gold_paths = schema.leaf_paths(schema.canonicalize_outcome(gold))
-    pred_paths = schema.leaf_paths(schema.canonicalize_outcome(pred))
+    gold_paths = schema.leaf_paths(gold)
+    pred_paths = schema.leaf_paths(pred)
     union = {p for p, v in gold_paths.items() if v} | {p for p, v in pred_paths.items() if v}
     if not union:
         return 1.0
@@ -151,8 +158,8 @@ def parsing_score(gold: ParseOutcome, pred: ParseOutcome) -> ParsingScore:
     gold_tree = schema.to_tree(gold_c)
     pred_tree = schema.to_tree(pred_c)
     ted = tree_edit_distance(gold_tree, pred_tree)
-    tn = ted_normalized(gold_tree, pred_tree)
-    fa = field_accuracy(gold_c, pred_c)
+    tn = _normalized(ted, gold_tree, pred_tree)
+    fa = _field_accuracy(gold_c, pred_c)
     return ParsingScore(
         field_accuracy=fa,
         ted=ted,

@@ -15,12 +15,12 @@ import hashlib
 import json
 import logging
 import statistics
-from dataclasses import dataclass
-from datetime import date
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 from . import layer1
-from .dispatch import Clock, DispatchEngine, FULFILLED
+from .dispatch import Clock, DispatchEngine, FULFILLED, input_fields, parse_day, read_fields
 from .layer1 import ClassifierModel
 from .layer2 import Backend
 from .schema import ParseOutcome
@@ -59,6 +59,20 @@ class InboundEvent:
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
+
+
+_EVENT_FIELDS = input_fields(InboundEvent)
+
+
+def decode_event(obj: dict, required: Iterable[str] = (), **defaults) -> InboundEvent:
+    """The event a JSON object describes; fields it lacks come from
+    `defaults`, then from `InboundEvent`'s own. Other keys are ignored.
+
+    `dispatch.FieldError` names the `required` fields `obj` lacks, else
+    the ones that are not strings (an integer for `tick`); ValueError for
+    an unknown kind.
+    """
+    return InboundEvent(**{**defaults, **read_fields(obj, _EVENT_FIELDS, required)})
 
 
 @dataclass
@@ -245,17 +259,7 @@ class Gateway:
             return "ignored-unknown-message"
         # Seen before but produced no case; the edit may turn it into a
         # request.
-        trace = self.ingest_message(
-            InboundEvent(
-                kind="message",
-                platform=ev.platform,
-                group_id=ev.group_id,
-                sender=ev.sender,
-                message_id=ev.message_id,
-                text=ev.text,
-                tick=ev.tick,
-            )
-        )
+        trace = self.ingest_message(replace(ev, kind="message"))
         if trace.layer2_outcome == "error":
             return "parse-error"
         return "new-case" if trace.request_id else "ignored-non-request"
@@ -380,6 +384,8 @@ def load_scenario(path: str | Path) -> list[dict]:
                     raise ValueError(f"unknown kind {obj['kind']!r}")
                 if obj["kind"] == "config" and events:
                     raise ValueError("config must be the first scenario line")
+                if obj["kind"] in EVENT_KINDS:
+                    decode_event(obj)
             except (json.JSONDecodeError, ValueError) as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
             events.append(obj)
@@ -393,9 +399,6 @@ def simulate(
     scenario_path: str | Path,
     model: ClassifierModel,
     backend: Backend,
-    stage_size: int = 5,
-    stage_timeout: int = 600,
-    eligibility_days: int = 90,
     threshold: float | None = None,
 ) -> SimulationResult:
     """Replay a scripted event timeline under a logical clock.
@@ -407,18 +410,11 @@ def simulate(
     Identical scenarios produce byte-identical transcripts.
     """
     events = load_scenario(scenario_path)
-    if events and events[0]["kind"] == "config":
-        head = events[0]
-        stage_size = head.get("stage_size", stage_size)
-        stage_timeout = head.get("stage_timeout", stage_timeout)
-        eligibility_days = head.get("eligibility_days", eligibility_days)
-        events = events[1:]
+    knobs = events.pop(0) if events and events[0]["kind"] == "config" else {}
     clock = Clock()
     engine = DispatchEngine(
         clock=clock,
-        stage_size=stage_size,
-        stage_timeout=stage_timeout,
-        eligibility_days=eligibility_days,
+        **{k: knobs[k] for k in ("stage_size", "stage_timeout", "eligibility_days") if k in knobs},
     )
     gateway = Gateway(model=model, backend=backend, engine=engine, clock=clock, threshold=threshold)
     transcript: list[dict] = []
@@ -435,26 +431,16 @@ def simulate(
         if kind == "advance":
             action = {"action": "advance"}
         elif kind == "donor":
-            last = obj.get("last_donation_date")
             record = engine.register_donor(
                 platform_id=obj["sender"],
                 blood_group=obj["blood_group"],
                 latitude=obj["latitude"],
                 longitude=obj["longitude"],
-                last_donation_date=date.fromisoformat(last) if last else None,
+                last_donation_date=parse_day(obj.get("last_donation_date")),
             )
             action = {"action": "donor_registered", "donor_id": record.donor_id}
         else:
-            ev = InboundEvent(
-                kind=kind,
-                platform=obj.get("platform", "sim"),
-                group_id=obj.get("group_id", "g1"),
-                sender=obj.get("sender", ""),
-                message_id=obj.get("message_id", ""),
-                text=obj.get("text", ""),
-                tick=tick,
-            )
-            action = gateway.handle_event(ev)
+            action = gateway.handle_event(decode_event(obj))
         transcript.append({"tick": tick, "event": obj, "action": action})
         flush_outbound(tick)
 

@@ -20,7 +20,6 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Any
 
 from . import schema
@@ -217,18 +216,9 @@ def _interpret_reply(reply: str) -> tuple[ParseOutcome | None, bool, str]:
     return repaired, True, ""
 
 
-class _AuditLog:
-    """Line-delimited JSON audit sink; the raw reply is archived verbatim."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-
-    def append(self, entry: dict[str, Any]) -> None:
-        line = json.dumps(entry, ensure_ascii=False)
-        with self._lock:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+# Held while a line is appended to an audit log, so that concurrent parses
+# never interleave their lines.
+_AUDIT_LOCK = threading.Lock()
 
 
 def _extract_reply_text(payload: dict[str, Any]) -> str:
@@ -269,7 +259,6 @@ def parse_remote(cfg: BackendConfig, bundle: PromptBundle) -> ParseRecord:
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
 
-    audit = _AuditLog(cfg.audit_path) if cfg.audit_path else None
     started = time.perf_counter()
     last_error: Exception | None = None
     for attempt in range(cfg.retries + 1):
@@ -291,16 +280,17 @@ def parse_remote(cfg: BackendConfig, bundle: PromptBundle) -> ParseRecord:
     output_tokens = int(usage.get("completion_tokens", estimate_tokens(reply_text)))
 
     outcome, repaired, error = _interpret_reply(reply_text)
-    if audit is not None:
-        audit.append(
-            {
-                "backend": cfg.model or "remote",
-                "query": bundle.query_text,
-                "raw_reply": reply_text,
-                "repair_applied": repaired,
-                "error": error,
-            }
-        )
+    if cfg.audit_path:  # line-delimited JSON; the raw reply is archived verbatim
+        entry = {
+            "backend": cfg.model or "remote",
+            "query": bundle.query_text,
+            "raw_reply": reply_text,
+            "repair_applied": repaired,
+            "error": error,
+        }
+        line = json.dumps(entry, ensure_ascii=False) + "\n"
+        with _AUDIT_LOCK, open(cfg.audit_path, "a", encoding="utf-8") as fh:
+            fh.write(line)
     return ParseRecord(
         outcome=outcome,
         input_tokens=input_tokens,
@@ -528,16 +518,15 @@ class RulesBackend(Backend):
 
 
 class RemoteBackend(Backend):
-    def __init__(self, cfg: BackendConfig, mode: str | None = None):
+    def __init__(self, cfg: BackendConfig):
         if cfg.kind != "remote":
             raise ValueError("RemoteBackend needs a remote backend config")
         self.cfg = cfg
-        self.mode = mode or cfg.mode
         self.name = cfg.model or "remote"
         self._slots = threading.Semaphore(cfg.max_in_flight)
 
     def parse(self, text: str) -> ParseRecord:
-        bundle = build_prompt(text, mode=self.mode)
+        bundle = build_prompt(text, mode=self.cfg.mode)
         with self._slots:
             return parse_remote(self.cfg, bundle)
 

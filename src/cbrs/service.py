@@ -3,7 +3,9 @@
 Endpoints: POST /messages, POST /donors, POST /responses,
 GET /requests/{id}, GET /health. Bodies are JSON both ways; malformed or
 wrong-typed input gets a 400 with field diagnostics before any state
-changes, unknown ids a 404. Handlers share one
+changes, a body over `MAX_BODY_BYTES` a 413 before it is read, unknown
+ids a 404. Donors, cases and ledger entries are answered in the JSON form
+`dispatch.encode` gives them. Handlers share one
 lock so case/ledger mutations stay serialized. With a snapshot path set,
 every POST persists what it changed, under the lock, before it replies.
 """
@@ -14,22 +16,26 @@ import json
 import logging
 import threading
 from dataclasses import dataclass, fields
-from datetime import date
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .dispatch import DispatchError, RequestCase
-from .gateway import Gateway, InboundEvent
-from .schema import ParseOutcome, to_dict
+from .dispatch import DispatchError, FieldError, RequestCase, donor_input, encode
+from .gateway import Gateway, decode_event
 
 log = logging.getLogger(__name__)
+
+# A POST whose Content-Length exceeds this is answered 413 and not read.
+MAX_BODY_BYTES = 1 << 20
+
+# Config file value parsers, by field annotation.
+_CONFIG_TYPES = {"float": float, "int": int, "str": str, "float | None": float}
 
 
 @dataclass
 class ServiceConfig:
     """Flat key=value config file; every tunable constant lives here."""
 
-    threshold: float = 0.5
+    threshold: float | None = None  # None: the model's own threshold
     stage_size: int = 5
     stage_timeout_seconds: int = 600
     eligibility_days: int = 90
@@ -52,7 +58,7 @@ class ServiceConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             values[key.strip()] = value.strip()
-        converters = {f.name: type(getattr(cls, f.name)) for f in fields(cls)}
+        converters = {f.name: _CONFIG_TYPES[f.type] for f in fields(cls)}
         unknown = set(values) - set(converters)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -61,49 +67,13 @@ class ServiceConfig:
 
 
 def _case_payload(gateway: Gateway, case: RequestCase) -> dict:
-    ledger = [
-        {
-            "donor_id": e.donor_id,
-            "stage": e.stage,
-            "notified_at": e.notified_at,
-            "response": e.response,
-            "resolution_notified": e.resolution_notified,
-        }
-        for e in gateway.engine.case_entries(case.request_id)
-    ]
+    """The case's JSON form, its trace, and its ledger entries' forms by donor id."""
     trace = gateway.traces.get(case.message_id)
     return {
-        "request_id": case.request_id,
-        "message_id": case.message_id,
-        "status": case.status,
-        "created_at": case.created_at,
-        "needs_attention": case.needs_attention,
-        "request": to_dict(ParseOutcome.positive(case.request)),
+        **encode(case),
         "trace": trace.to_dict() if trace else None,
-        "ledger": ledger,
+        "ledger": [encode(e) for e in gateway.engine.case_entries(case.request_id)],
     }
-
-
-def _text(value: object) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected string, got {type(value).__name__}")
-    return value
-
-
-# The fields of each POST body that are read, with their conversions from
-# JSON; a value that does not convert is answered with a 400.
-_MESSAGE_FIELDS = {
-    **dict.fromkeys(("kind", "platform", "group_id", "sender", "message_id", "text"), _text),
-    "tick": int,
-}
-_RESPONSE_FIELDS = {"sender": _text, "message_id": _text, "text": _text, "tick": int}
-_DONOR_FIELDS = {
-    "platform_id": _text,
-    "blood_group": _text,
-    "latitude": float,
-    "longitude": float,
-    "last_donation_date": lambda v: date.fromisoformat(v) if v else None,
-}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -122,12 +92,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict | None:
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length < 0:
+        header = self.headers.get("Content-Length", "0").strip()
+        if not (header.isascii() and header.isdigit()):
             self._send(400, {"error": "invalid Content-Length", "fields": ["Content-Length"]})
+            return None
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self._send(413, {"error": f"body over {MAX_BODY_BYTES} bytes", "fields": ["Content-Length"]})
             return None
         raw = self.rfile.read(length)
         try:
@@ -168,44 +139,19 @@ class _Handler(BaseHTTPRequestHandler):
                 self._post_response(body)
             else:
                 self._send(404, {"error": f"unknown path {self.path}"})
+        except FieldError as exc:
+            self._send(400, {"error": exc.error, "fields": exc.fields})
         except (DispatchError, ValueError) as exc:
             self._send(400, {"error": str(exc)})
 
-    def _converted(self, body: dict, converters: dict) -> dict | None:
-        """The body's fields that `converters` names, converted; None, with a
-        400 sent, when one does not convert."""
-        values, wrong = {}, []
-        for key, convert in converters.items():
-            if key in body:
-                try:
-                    values[key] = convert(body[key])
-                except (TypeError, ValueError, OverflowError):
-                    wrong.append(key)
-        if wrong:
-            self._send(400, {"error": "wrong-typed fields", "fields": wrong})
-            return None
-        return values
-
     def _post_message(self, body: dict) -> None:
-        missing = [k for k in ("message_id", "text") if k not in body]
-        if missing:
-            self._send(400, {"error": "missing fields", "fields": missing})
-            return
-        values = self._converted(body, _MESSAGE_FIELDS)
-        if values is None:
-            return
-        ev = InboundEvent(**{"kind": "message", "platform": "api", "group_id": "api", **values})
+        ev = decode_event(body, ("message_id", "text"), kind="message", platform="api", group_id="api")
         with self.lock:
             action = self.gateway.handle_event(ev)
         self._send(200, action)
 
     def _post_donor(self, body: dict) -> None:
-        if "platform_id" not in body:
-            self._send(400, {"error": "missing fields", "fields": ["platform_id"]})
-            return
-        patch = self._converted(body, _DONOR_FIELDS)
-        if patch is None:
-            return
+        patch = donor_input(body)
         platform_id = patch.pop("platform_id")
         with self.lock:
             if all(k in patch for k in ("blood_group", "latitude", "longitude")):
@@ -213,29 +159,10 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 record = self.gateway.engine.update_donor(platform_id, patch)
             self.gateway.persist()
-        self._send(
-            200,
-            {
-                "donor_id": record.donor_id,
-                "platform_id": record.platform_id,
-                "blood_group": record.blood_group,
-                "latitude": record.latitude,
-                "longitude": record.longitude,
-                "last_donation_date": record.last_donation_date.isoformat()
-                if record.last_donation_date
-                else None,
-            },
-        )
+        self._send(200, encode(record))
 
     def _post_response(self, body: dict) -> None:
-        missing = [k for k in ("sender", "message_id", "text") if k not in body]
-        if missing:
-            self._send(400, {"error": "missing fields", "fields": missing})
-            return
-        values = self._converted(body, _RESPONSE_FIELDS)
-        if values is None:
-            return
-        ev = InboundEvent(kind="donor_response", **values)
+        ev = decode_event({**body, "kind": "donor_response"}, ("sender", "message_id", "text"))
         with self.lock:
             action = self.gateway.handle_event(ev)
         self._send(200, {"status": action["status"]})

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -142,3 +143,23 @@ def test_simulate_unknown_scenario_exits_2(capsys):
     rc = cli.main(["simulate", "--scenario", "no-such-scenario"])
     assert rc == 2
     assert "bundled" in capsys.readouterr().err
+
+
+def test_serve_uses_the_model_threshold_unless_the_config_sets_one(corpus_file, tmp_path, monkeypatch):
+    model = tmp_path / "clf.bin"
+    assert cli.main(["train", str(corpus_file), "-o", str(model), *FAST, "--threshold", "0.3"]) == 0
+    served = []
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    def fake_serve(gateway, port):
+        served.append(gateway)
+        return SimpleNamespace(port=port, thread=SimpleNamespace(join=interrupted), shutdown=lambda: None)
+
+    monkeypatch.setattr(cli, "serve", fake_serve)
+    conf = tmp_path / "cbrs.conf"
+    for text, threshold in (("", 0.3), ("threshold = 0.7\n", 0.7)):
+        conf.write_text(f"model_path = {model}\n{text}")
+        assert cli.main(["serve", "--config", str(conf)]) == 0
+        assert served.pop().threshold == threshold

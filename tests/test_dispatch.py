@@ -107,6 +107,19 @@ def test_register_rejects_bad_coordinates_and_group():
         eng.register_donor("u1", "", 0.0, 0.0)
 
 
+@pytest.mark.parametrize("field,value", [("latitude", 91.0), ("longitude", -181.0), ("blood_group", "Z+")])
+def test_register_and_update_reject_a_value_with_one_message(field, value):
+    eng = _engine()
+    eng.register_donor("u1", "O+", 23.8, 90.4)
+    good = {"blood_group": "O+", "latitude": 23.8, "longitude": 90.4}
+    with pytest.raises(DispatchError) as registered:
+        eng.register_donor("u2", **{**good, field: value})
+    with pytest.raises(DispatchError) as updated:
+        eng.update_donor("u1", {field: value})
+    assert str(registered.value) == str(updated.value)
+    assert field in str(updated.value)
+
+
 # -- matching --------------------------------------------------------------------
 
 

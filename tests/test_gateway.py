@@ -391,6 +391,21 @@ def test_scenario_rejects_malformed(tmp_path, scenario_model):
     assert ":2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "line,field",
+    [('{"tick": 1, "kind": "message", "message_id": "m1", "text": 5}', "text"),
+     ('{"tick": true, "kind": "edit", "message_id": "m1", "text": "x"}', "tick"),
+     ('{"tick": 1.5, "kind": "donor_response", "sender": "u1", "text": "yes"}', "tick")],
+    ids=["text", "tick-bool", "tick-float"],
+)
+def test_scenario_rejects_wrong_typed_event(tmp_path, scenario_model, line, field):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"tick": 0, "kind": "advance"}\n' + line + "\n")
+    with pytest.raises(gw.ScenarioError) as err:
+        simulate(bad, scenario_model, RulesBackend())
+    assert ":2:" in str(err.value) and repr(field) in str(err.value)
+
+
 def test_scenario_rejects_unordered(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(

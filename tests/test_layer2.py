@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib import resources
@@ -329,6 +330,36 @@ def test_remote_audit_log_preserves_raw_reply(tmp_path):
     entries = [json.loads(line) for line in audit.read_text().splitlines()]
     assert len(entries) == 1
     assert entries[0]["raw_reply"] == raw  # byte-equal wire payload
+
+
+def test_concurrent_audit_appends_stay_whole_lines(tmp_path):
+    # Replies longer than the 8 KiB write buffer, appended by parses on
+    # several threads: each call leaves exactly one parseable line.
+    audit = tmp_path / "audit.jsonl"
+    threads, calls = 6, 5
+    replies = [f"{i:03d}" + "x" * 20_000 for i in range(threads * calls)]
+    stub = StubLLM(replies)
+    cfg = _cfg(stub, audit_path=str(audit))
+    bundle = build_prompt("msg", mode="zero_shot")
+
+    def parse_some():
+        for _ in range(calls):
+            parse_remote(cfg, bundle)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=parse_some) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+        stub.close()
+    lines = audit.read_text(encoding="utf-8").splitlines()
+    assert sorted(json.loads(line)["raw_reply"] for line in lines) == replies
 
 
 def test_backend_config_validates_decoding():

@@ -5,11 +5,11 @@ import urllib.request
 
 import pytest
 
-from cbrs.dispatch import Clock, DispatchEngine
+from cbrs.dispatch import Clock, DispatchEngine, encode
 from cbrs.gateway import Gateway
 from cbrs.layer2 import Backend, RulesBackend
-from cbrs.schema import ParsedRequest
-from cbrs.service import ServiceConfig, _case_payload, serve
+from cbrs.schema import ParsedRequest, ParseOutcome, to_dict
+from cbrs.service import MAX_BODY_BYTES, ServiceConfig, _case_payload, serve
 
 REQUEST_TEXT = "Urgent! 2 bags O+ blood needed at Square Hospital, Dhaka. Call 01712345678 today."
 
@@ -62,6 +62,37 @@ def test_donor_post_get_roundtrip(service):
     for key, value in donor.items():
         assert body[key] == value
     assert body["donor_id"] == "d00001"
+
+
+def test_replies_carry_each_record_in_its_json_form(service):
+    # The donor reply and the case body hold every field of their records,
+    # the case's ledger every field of its entries; the keys these replies
+    # had before they did keep their values.
+    running, gateway = service
+    donor = {"platform_id": "alice", "blood_group": "O+", "latitude": 23.81, "longitude": 90.41,
+             "last_donation_date": "2024-09-01"}
+    _, body = _call(running.port, "POST", "/donors", donor)
+    assert body == {"donor_id": "d00001", **donor, "registered_at": 0}
+    _, action = _call(running.port, "POST", "/messages", {"message_id": "m1", "text": REQUEST_TEXT})
+    status, case = _call(running.port, "GET", "/requests/r00001")
+    assert status == 200
+    stored = gateway.engine.cases["r00001"]
+    assert case == {
+        "request_id": "r00001",
+        "message_id": "m1",
+        "request": to_dict(ParseOutcome.positive(stored.request)),
+        "status": "open",
+        "created_at": 0,
+        "deadline": 23 * 3600 + 59 * 60,  # "today": the end of the day
+        "anchor": list(stored.anchor),
+        "stages_fired": 1,
+        "next_stage_due": 600,
+        "needs_attention": False,
+        "trace": action["trace"],
+        "ledger": [{"request_id": "r00001", "donor_id": "d00001", "stage": 1, "notified_at": 0,
+                    "response": "none", "resolution_notified": False}],
+    }
+    assert case["request"]["blood_group"] == "O+" and stored.anchor is not None
 
 
 def test_donor_partial_update(service):
@@ -167,17 +198,7 @@ def test_case_payload_matches_full_ledger_scan(scenario_model):
     engine.advance_to(600)
     reordered = False
     for case in engine.cases.values():
-        scanned = [
-            {
-                "donor_id": e.donor_id,
-                "stage": e.stage,
-                "notified_at": e.notified_at,
-                "response": e.response,
-                "resolution_notified": e.resolution_notified,
-            }
-            for (rid, _), e in sorted(engine.ledger.items())
-            if rid == case.request_id
-        ]
+        scanned = [encode(e) for (rid, _), e in sorted(engine.ledger.items()) if rid == case.request_id]
         assert scanned
         assert json.dumps(_case_payload(gateway, case)["ledger"]) == json.dumps(scanned)
         alerted = [e.donor_id for e in engine.ledger.values() if e.request_id == case.request_id]
@@ -268,9 +289,17 @@ def _post_raw(port, path, data: bytes, length: str):
         ("/messages", {"message_id": "m2", "text": "hi"}, "12abc", ["Content-Length"]),
         ("/donors", {"platform_id": "alice"}, "-1", ["Content-Length"]),
         ("/messages", b'{"message_id": "m2", "text": "\xff"}', None, None),
+        ("/messages", {"message_id": "m2", "text": "hi", "tick": True}, None, ["tick"]),
+        ("/messages", {"message_id": "m2", "text": "hi", "tick": 2.9}, None, ["tick"]),
+        ("/responses", {"sender": "alice", "message_id": "m1", "text": "yes", "tick": "7"}, None, ["tick"]),
+        ("/donors", {"platform_id": "bob", "blood_group": "O+", "latitude": "23.8", "longitude": 90.4}, None, ["latitude"]),
+        ("/donors", {"platform_id": "alice", "latitude": True}, None, ["latitude"]),
+        ("/donors", {"platform_id": "alice", "longitude": 1e400}, None, None),
     ],
     ids=["latitude", "update-latitude", "last-donation-date", "text", "tick", "edit-text",
-         "response-text", "content-length", "negative-content-length", "not-utf8"],
+         "response-text", "content-length", "negative-content-length", "not-utf8",
+         "tick-bool", "tick-float", "response-tick-string", "latitude-string", "latitude-bool",
+         "longitude-infinite"],
 )
 def test_wrong_typed_input_400_changes_nothing(service, path, body, length, fields):
     running, gateway = service
@@ -288,6 +317,22 @@ def test_wrong_typed_input_400_changes_nothing(service, path, body, length, fiel
     assert status == 400
     assert reply.get("fields") == fields
     assert state() == before
+
+
+def test_oversized_body_413_before_it_is_read(service):
+    running, gateway = service
+    for length in (MAX_BODY_BYTES + 1, 10**15):
+        conn = http.client.HTTPConnection("127.0.0.1", running.port, timeout=5)
+        try:
+            conn.putrequest("POST", "/messages")
+            conn.putheader("Content-Length", str(length))
+            conn.endheaders()  # no body follows: the reply must not wait for one
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())["fields"]) == (413, ["Content-Length"])
+        finally:
+            conn.close()
+    assert gateway.traces == {}
+    assert _call(running.port, "GET", "/health") == (200, {"status": "ok"})
 
 
 def test_missing_fields_400(service):
