@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import layer1
-from .dispatch import Clock, DispatchEngine, FULFILLED, input_fields, parse_day, read_fields
+from .dispatch import Clock, DispatchEngine, FULFILLED, FieldError, donor_input, input_fields, read_fields
 from .layer1 import ClassifierModel
 from .layer2 import Backend
 from .schema import ParseOutcome
@@ -370,7 +370,39 @@ def bundled_scenarios() -> list[Path]:
     return sorted(root.glob("*.jsonl"))
 
 
+# The staging knobs a scenario `config` line may set, each an integer.
+_CONFIG_KNOBS = ("stage_size", "stage_timeout", "eligibility_days")
+
+
+def _check_ints(obj: dict, names: Iterable[str]) -> None:
+    """FieldError naming the fields among `names` that `obj` holds as
+    anything but a JSON integer (booleans included)."""
+    wrong = [
+        name for name in names
+        if name in obj and (isinstance(obj[name], bool) or not isinstance(obj[name], int))
+    ]
+    if wrong:
+        raise FieldError("wrong-typed fields", wrong)
+
+
+def _donor_line(obj: dict) -> dict:
+    """`DispatchEngine.register_donor`'s arguments from a scenario `donor`
+    line, whose `sender` is the platform id; FieldError names the fields
+    that are missing or wrong-typed."""
+    missing = [name for name in ("sender", "blood_group", "latitude", "longitude") if name not in obj]
+    if missing:
+        raise FieldError("missing fields", missing)
+    try:
+        return donor_input({**obj, "platform_id": obj["sender"]})
+    except FieldError as exc:
+        raise FieldError(exc.error, ["sender" if n == "platform_id" else n for n in exc.fields]) from None
+
+
 def load_scenario(path: str | Path) -> list[dict]:
+    """The lines of a scenario file, each checked: a JSON object with an
+    integer `tick` and a known `kind`; event and donor lines decodable,
+    config knobs integers. ScenarioError names the file and line of the
+    first bad one."""
     events = []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -378,14 +410,19 @@ def load_scenario(path: str | Path) -> list[dict]:
                 continue
             try:
                 obj = json.loads(line)
-                if "tick" not in obj or "kind" not in obj:
+                if not isinstance(obj, dict) or "tick" not in obj or "kind" not in obj:
                     raise ValueError("event needs 'tick' and 'kind'")
+                _check_ints(obj, ("tick",))
                 if obj["kind"] not in EVENT_KINDS + ("donor", "advance", "config"):
                     raise ValueError(f"unknown kind {obj['kind']!r}")
                 if obj["kind"] == "config" and events:
                     raise ValueError("config must be the first scenario line")
                 if obj["kind"] in EVENT_KINDS:
                     decode_event(obj)
+                elif obj["kind"] == "donor":
+                    _donor_line(obj)
+                elif obj["kind"] == "config":
+                    _check_ints(obj, _CONFIG_KNOBS)
             except (json.JSONDecodeError, ValueError) as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
             events.append(obj)
@@ -414,7 +451,7 @@ def simulate(
     clock = Clock()
     engine = DispatchEngine(
         clock=clock,
-        **{k: knobs[k] for k in ("stage_size", "stage_timeout", "eligibility_days") if k in knobs},
+        **{k: knobs[k] for k in _CONFIG_KNOBS if k in knobs},
     )
     gateway = Gateway(model=model, backend=backend, engine=engine, clock=clock, threshold=threshold)
     transcript: list[dict] = []
@@ -431,13 +468,7 @@ def simulate(
         if kind == "advance":
             action = {"action": "advance"}
         elif kind == "donor":
-            record = engine.register_donor(
-                platform_id=obj["sender"],
-                blood_group=obj["blood_group"],
-                latitude=obj["latitude"],
-                longitude=obj["longitude"],
-                last_donation_date=parse_day(obj.get("last_donation_date")),
-            )
+            record = engine.register_donor(**_donor_line(obj))
             action = {"action": "donor_registered", "donor_id": record.donor_id}
         else:
             action = gateway.handle_event(decode_event(obj))

@@ -137,7 +137,10 @@ class LabeledTree:
     children: tuple["LabeledTree", ...] = ()
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        count = 1
+        for child in self.children:
+            count += child.size() if child.children else 1
+        return count
 
 
 def _clean(value: str) -> str:

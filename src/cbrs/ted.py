@@ -1,80 +1,144 @@
 """Ordered-tree edit distance with unit costs, plus an exhaustive oracle.
 
-The fast path is the classic keyroot dynamic program over postorder-numbered
-trees (insert/delete/relabel, each cost 1). The oracle enumerates every
-order- and ancestor-preserving node mapping between the two trees and takes
-the cheapest; it exists purely to cross-check the dynamic program on small
-trees and shares no code with it.
+The fast path is Zhang and Shasha's keyroot dynamic program over
+postorder-numbered trees (insert/delete/relabel, each cost 1), made
+leaf-aware. A leaf x against a subtree T costs |T| - [label(x) in
+labels(T)]: x maps onto one node of T, free if that node carries x's label,
+and the rest of T is inserted. The same holds with the two sides swapped.
+So every subtree distance with a leaf on either side is filled in before
+the DP, from postorder sizes and per-subtree label sets (bit masks over
+integer label codes shared by the pair), and only pairs of non-leaf
+keyroots get a forest table. Schema trees are shallow and wide, so most of
+their keyroots are leaves; a single-node tree (the negative outcome) needs
+no table at all.
+
+The oracle enumerates every order- and ancestor-preserving node mapping
+between the two trees and takes the cheapest; it exists purely to
+cross-check the dynamic program on small trees and shares no code with it.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .schema import LabeledTree
 
 
-def _annotate(root: LabeledTree) -> tuple[list[LabeledTree], list[int]]:
-    """Postorder node list and leftmost-leaf-descendant index per node."""
-    nodes: list[LabeledTree] = []
+def _postorder(root: LabeledTree, codes: dict[str, int]) -> tuple[list[int], list[int], list[int]]:
+    """Per node in postorder: its label code, the index of its leftmost
+    leaf, and the bit set of the label codes in its subtree. `codes` gives
+    each label its code when first seen."""
+    code: list[int] = []
     lml: list[int] = []
+    labels: list[int] = []
 
-    def rec(node: LabeledTree) -> int:
-        first: int | None = None
+    def visit(node: LabeledTree) -> int:
+        first = len(code)  # a subtree's leftmost leaf is its first node in postorder
+        bits = 0
         for child in node.children:
-            ci = rec(child)
-            if first is None:
-                first = lml[ci]
-        idx = len(nodes)
-        nodes.append(node)
-        lml.append(first if first is not None else idx)
-        return idx
+            bits |= visit(child)
+        c = codes.setdefault(node.label, len(codes))
+        bits |= 1 << c
+        code.append(c)
+        lml.append(first)
+        labels.append(bits)
+        return bits
 
-    rec(root)
-    return nodes, lml
+    visit(root)
+    return code, lml, labels
 
 
-def _keyroots(lml: list[int]) -> list[int]:
+def _inner_keyroots(lml: list[int]) -> list[int]:
+    """The keyroots that are not leaves, ascending. A keyroot is the
+    highest node on its leftmost path."""
     highest: dict[int, int] = {}
-    for i, l in enumerate(lml):
-        highest[l] = i
-    return sorted(highest.values())
+    for x, l in enumerate(lml):
+        highest[l] = x
+    return sorted(x for x in highest.values() if lml[x] != x)
 
 
 def tree_edit_distance(a: LabeledTree, b: LabeledTree) -> int:
-    """Minimum number of unit-cost insertions, deletions, and relabelings."""
-    an, al = _annotate(a)
-    bn, bl = _annotate(b)
-    td = [[0] * len(bn) for _ in range(len(an))]
+    """Minimum number of unit-cost insertions, deletions, and relabelings.
 
-    for i in _keyroots(al):
-        for j in _keyroots(bl):
-            m = i - al[i] + 2
-            n = j - bl[j] + 2
-            ioff = al[i] - 1
-            joff = bl[j] - 1
-            fd = [[0] * n for _ in range(m)]
-            for x in range(1, m):
-                fd[x][0] = fd[x - 1][0] + 1
-            for y in range(1, n):
-                fd[0][y] = fd[0][y - 1] + 1
-            for x in range(1, m):
-                for y in range(1, n):
-                    if al[i] == al[x + ioff] and bl[j] == bl[y + joff]:
-                        relabel = 0 if an[x + ioff].label == bn[y + joff].label else 1
-                        fd[x][y] = min(
-                            fd[x - 1][y] + 1,
-                            fd[x][y - 1] + 1,
-                            fd[x - 1][y - 1] + relabel,
-                        )
-                        td[x + ioff][y + joff] = fd[x][y]
-                    else:
-                        p = al[x + ioff] - 1 - ioff
-                        q = bl[y + joff] - 1 - joff
-                        fd[x][y] = min(
-                            fd[x - 1][y] + 1,
-                            fd[x][y - 1] + 1,
-                            fd[p][q] + td[x + ioff][y + joff],
-                        )
-    return td[-1][-1]
+    Distances are kept shifted by the size of B's side: td[x][y] holds
+    d(A_x, B_y) - |B_y|, and a forest row holds fd[y] - y, where fd[y] is
+    the distance to B's forest of postorder nodes lj .. lj + y - 1. In
+    those terms inserting a node costs nothing and the closed form of a
+    leaf row is minus one where the leaf's label occurs in B_y.
+    """
+    codes: dict[str, int] = {}
+    ac, al, am = _postorder(a, codes)
+    bc, bl, bm = _postorder(b, codes)
+    td: list[list[int]] = []
+    for x, l in enumerate(al):
+        if l == x:
+            c = ac[x]
+            td.append([-(m >> c & 1) for m in bm])
+        else:
+            # Exact in the leaf columns; the forest tables below overwrite
+            # the others before any table reads them.
+            size, m = x - l + 1, am[x]
+            td.append([size - 1 - (m >> c & 1) for c in bc])
+
+    columns = []
+    for j in _inner_keyroots(bl):
+        lj = bl[j]
+        # Per forest column y >= 1: the column of the forest left of B_y,
+        # which is 0 exactly on j's leftmost path.
+        before = [bl[y] - lj for y in range(lj, j + 1)]
+        path = [y for y in range(lj + 1, j + 1) if bl[y] == lj]
+        columns.append((j, lj, before, path, bc[lj:j + 1]))
+
+    for i in _inner_keyroots(al):
+        li = al[i]
+        for j, lj, before, path, codes_j in columns:
+            # Row x is A's forest li .. li + x - 1 against B's forests. Each
+            # cell is the least of: delete (the cell above plus one), insert
+            # (the cell to the left; free when shifted) and a match. With
+            # integers, min(up + 1, v) is `up + 1 if up < v else v`.
+            prev = [0] * (j - lj + 2)  # the empty forest: y insertions
+            rows = [prev]
+            for ax in range(li, i + 1):
+                x = ax - li + 1
+                td_x = td[ax]
+                left = x  # x deletions against the empty forest
+                cur = [x]
+                append = cur.append
+                p = al[ax] - li  # the row of the forest left of A_ax
+                if p:
+                    # A_ax is a whole tree after forest row p: match it
+                    # with B_y after the forest left of B_y.
+                    row_p = rows[p]
+                    for up, q, t in zip(islice(prev, 1, None), before, td_x[lj:j + 1]):
+                        v = row_p[q] + t
+                        if up < v:
+                            v = up + 1
+                        if v < left:
+                            left = v
+                        append(left)
+                else:
+                    # ax is on i's leftmost path. Where y is on j's, both
+                    # forests are trees: match their roots, relabelling
+                    # ax unless the codes agree, after the diagonal cell.
+                    c = ac[ax]
+                    diag = x - 1
+                    for up, q, t, cy in zip(islice(prev, 1, None), before, td_x[lj:j + 1], codes_j):
+                        v = t if q else diag - (c == cy)
+                        diag = up
+                        if up < v:
+                            v = up + 1
+                        if v < left:
+                            left = v
+                        append(left)
+                    # On j's path |B_y| = y, so the shifted forest cell is
+                    # the shifted tree distance. Leaf rows keep their
+                    # closed form.
+                    if ax != li:
+                        for y in path:
+                            td_x[y] = cur[y - lj + 1]
+                rows.append(cur)
+                prev = cur
+    return td[-1][-1] + len(bl)
 
 
 def _preorder(root: LabeledTree) -> tuple[list[str], list[set[int]]]:

@@ -60,3 +60,5 @@ def test_durable_http_tiny_loses_no_mutation():
 def test_parse_eval_tiny_scores_through_the_schema():
     result = run_benchmark("--workload", "parse_eval", "--seconds", "0.5", "--trace", "1")
     assert result["metrics"]["evalkit.parsing_score_ms"]["value"] > 0
+    assert result["metrics"]["ted.distance_ms"]["value"] > 0
+    assert result["metrics"]["ted.nodes_per_pair"]["value"] > 0

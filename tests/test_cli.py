@@ -5,6 +5,7 @@ import pytest
 
 from cbrs import cli, schema
 from cbrs.corpus import save_corpus
+from cbrs.gateway import bundled_scenarios
 from cbrs.synth import goldset, separable_corpus
 
 FAST = [
@@ -143,6 +144,32 @@ def test_simulate_unknown_scenario_exits_2(capsys):
     rc = cli.main(["simulate", "--scenario", "no-such-scenario"])
     assert rc == 2
     assert "bundled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines,bad_line,field",
+    [(['{"tick": 0, "kind": "donor", "sender": "a1", "blood_group": "A+", "latitude": "23.8", "longitude": 90.4}'],
+      1, "latitude"),
+     (['{"tick": 0, "kind": "advance"}', '{"tick": "5", "kind": "advance"}'], 2, "tick")],
+    ids=["donor-latitude-string", "tick-string"],
+)
+def test_simulate_wrong_typed_scenario_line_exits_2(model_file, tmp_path, capsys, lines, bad_line, field):
+    scenario = tmp_path / "bad.jsonl"
+    scenario.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["simulate", "--scenario", str(scenario), "--model", str(model_file)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{scenario}:{bad_line}:" in err and repr(field) in err
+
+
+def test_simulate_wrong_typed_config_knob_exits_2(model_file, tmp_path, capsys):
+    basic = next(p for p in bundled_scenarios() if p.stem == "basic_fulfilled")
+    scenario = tmp_path / "bad.jsonl"
+    scenario.write_text('{"tick": 0, "kind": "config", "stage_size": "2"}\n' + basic.read_text())
+    rc = cli.main(["simulate", "--scenario", str(scenario), "--model", str(model_file)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{scenario}:1:" in err and "'stage_size'" in err
 
 
 def test_serve_uses_the_model_threshold_unless_the_config_sets_one(corpus_file, tmp_path, monkeypatch):

@@ -38,7 +38,8 @@ def _call(port, method, path, payload=None):
         with urllib.request.urlopen(req, timeout=5) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
-        return err.code, json.loads(err.read())
+        with err:  # the error holds the open response
+            return err.code, json.loads(err.read())
 
 
 def test_health(service):
@@ -261,7 +262,8 @@ def test_malformed_body_400(service):
     req = urllib.request.Request(url, data=b"{not json", method="POST")
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(req, timeout=5)
-    assert err.value.code == 400
+    with err.value:
+        assert err.value.code == 400
 
 
 def _post_raw(port, path, data: bytes, length: str):
