@@ -7,11 +7,13 @@ request's gazetteer anchor. Ranking reads per-blood-group numpy columns
 one vector compare finds the eligible donors, a vectorized distance term
 and `np.partition` pick the top-k candidates, and only those are re-sorted
 with the exact scalar key, so the order equals a full sort of every match.
-A group's columns are rebuilt on the first ranking after a registry change
-(registration, update, restore). Notifications go out in stages bounded by an
-urgency-derived depth; a per-request ledger guarantees nobody is notified
-twice, alerts stop at the first affirmative, and a managed/resolved edit
-fans out exactly one resolution notice per previously notified donor.
+Restore fills every group's columns; from then on they are updated in
+place (a registration appends a row, an update rewrites one, a change of
+group moves it), so no ranking rescans the registry.
+Notifications go out in stages bounded by an urgency-derived depth; a
+per-request ledger guarantees nobody is notified twice, alerts stop at the
+first affirmative, and a managed/resolved edit fans out exactly one
+resolution notice per previously notified donor.
 
 All time comes from an injected clock (logical in simulation, wall clock
 in service mode), so scenario runs are deterministic.
@@ -35,12 +37,15 @@ machine.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
+import operator
 import os
 import re
 import tempfile
+from collections.abc import Collection, Hashable
 from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from importlib import resources
@@ -299,26 +304,100 @@ def detect_managed_marker(text: str) -> bool:
 
 
 class _GroupIndex:
-    """Column view of one blood group's donors, in a fixed row order."""
+    """Columns of one blood group's donors, kept current in place.
+
+    Row i of `lat` and `lon` (radians) and `last` (last-donation day)
+    describes `members[i]`, the record object the engine's registry holds.
+    Row order carries no meaning: `nearest` re-sorts its candidates by the
+    exact scalar key and `newest` follows `recency`, a total order. A
+    registration appends a row, an update rewrites one, and a removal
+    moves the last row into the hole. The arrays grow geometrically, so n
+    appends cost O(n). `recency` (newest registration first, then donor
+    id) is computed with the columns and again on the first `newest` after
+    rows were added or removed; an update keeps a donor's registration
+    time and id, so it keeps the order.
+    """
 
     def __init__(self, members: list[DonorRecord]):
         self.members = members
-        self.lat = np.radians([d.latitude for d in members])
-        self.lon = np.radians([d.longitude for d in members])
-        self.last = np.array(
+        self._lat = np.radians([d.latitude for d in members])
+        self._lon = np.radians([d.longitude for d in members])
+        self._last = np.array(
             [
                 d.last_donation_date.toordinal() if d.last_donation_date else _NEVER_DONATED
                 for d in members
             ],
             dtype=np.int64,
         )
-        # Newest registration first, then donor id (lexsort's last key is primary).
-        self.recency = np.lexsort(
+        self._recency: np.ndarray | None = self._order()
+
+    @property
+    def lat(self) -> np.ndarray:
+        return self._lat[: len(self.members)]
+
+    @property
+    def lon(self) -> np.ndarray:
+        return self._lon[: len(self.members)]
+
+    @property
+    def last(self) -> np.ndarray:
+        return self._last[: len(self.members)]
+
+    @property
+    def recency(self) -> np.ndarray:
+        if self._recency is None:
+            self._recency = self._order()
+        return self._recency
+
+    def _order(self) -> np.ndarray:
+        # lexsort's last key is the primary one.
+        return np.lexsort(
             (
-                np.array([d.donor_id for d in members], dtype=str),
-                -np.array([d.registered_at for d in members], dtype=np.int64),
+                np.array([d.donor_id for d in self.members], dtype=str),
+                -np.array([d.registered_at for d in self.members], dtype=np.int64),
             )
         )
+
+    def _row(self, donor: DonorRecord) -> int:
+        """The row holding this very record object. Rows of its latitude
+        are tried first; the full scan after them only finds a latitude
+        that is not equal to itself (NaN, from a hand-edited snapshot)."""
+        same = np.flatnonzero(self.lat == np.radians(donor.latitude))
+        for row in itertools.chain(same, range(len(self.members))):
+            if self.members[row] is donor:
+                return int(row)
+        raise DispatchError(f"donor {donor.donor_id} is not in this group's columns")
+
+    def put(self, donor: DonorRecord, old: DonorRecord | None = None) -> None:
+        """Write `donor` into the row of `old`, the record it replaces, or
+        into a new row."""
+        if old is None:
+            row = len(self.members)
+            self.members.append(donor)
+            if row == len(self._lat):  # full: rows past len(members) are never read
+                size = 2 * row + 16
+                self._lat, self._lon, self._last = (
+                    np.resize(column, size) for column in (self._lat, self._lon, self._last)
+                )
+            self._recency = None
+        else:
+            row = self._row(old)
+            self.members[row] = donor
+        self._lat[row] = np.radians(donor.latitude)
+        self._lon[row] = np.radians(donor.longitude)
+        last = donor.last_donation_date
+        self._last[row] = last.toordinal() if last else _NEVER_DONATED
+
+    def remove(self, donor: DonorRecord) -> None:
+        """Drop the row of this record object; the last row moves into the hole."""
+        row = self._row(donor)
+        moved = self.members.pop()
+        end = len(self.members)
+        if row != end:
+            self.members[row] = moved
+            for column in (self._lat, self._lon, self._last):
+                column[row] = column[end]
+        self._recency = None
 
     def nearest(
         self, eligible: np.ndarray, anchor: tuple[float, float], k: int
@@ -348,8 +427,29 @@ class _GroupIndex:
 
     def newest(self, eligible: np.ndarray, k: int) -> list[DonorRecord]:
         """The first k eligible rows in recency order."""
-        order = self.recency[eligible[self.recency]][:k]
+        recency = self.recency
+        order = recency[eligible[recency]][:k]
         return [self.members[i] for i in order]
+
+
+def _group_columns(donors: Collection[DonorRecord]) -> dict[str, _GroupIndex]:
+    """Each blood group's columns: every group of `schema.BLOOD_GROUPS`,
+    empty or not, and any other group a restored donor holds."""
+    columns = {group: _GroupIndex(_select(donors, group)) for group in schema.BLOOD_GROUPS}
+    if sum(len(index.members) for index in columns.values()) < len(donors):  # a hand-edited snapshot
+        others = (d.blood_group for d in donors)
+        for group in dict.fromkeys(g for g in others if isinstance(g, Hashable) and g not in columns):
+            columns[group] = _GroupIndex(_select(donors, group))
+    return columns
+
+
+_BLOOD_GROUP = operator.attrgetter("blood_group")
+
+
+def _select(donors: Collection[DonorRecord], group: str) -> list[DonorRecord]:
+    """The donors of `group`, in their order, selected without a Python-level loop."""
+    same = map(operator.eq, map(_BLOOD_GROUP, donors), itertools.repeat(group))
+    return list(itertools.compress(donors, same))
 
 
 class DispatchEngine:
@@ -378,8 +478,9 @@ class DispatchEngine:
         self.ledger: dict[tuple[str, str], LedgerEntry] = {}
         # request_id -> donor_id -> the entry also held in `ledger`
         self._entries: dict[str, dict[str, LedgerEntry]] = {}
-        # blood group -> columns; dropped on a registry change, rebuilt on use
-        self._groups: dict[str, _GroupIndex] = {}
+        # blood group -> columns of its donors: filled by restore, then kept
+        # current by every registration and update (`_store`)
+        self._groups: dict[str, _GroupIndex] = _group_columns(())
         self.outbound: list[dict] = []
         self._donor_seq = 0
         self._case_seq = 0
@@ -421,10 +522,7 @@ class DispatchEngine:
                 longitude=longitude,
                 last_donation_date=last_donation_date,
             )
-            self._groups.pop(existing.blood_group, None)
-        self.donors[platform_id] = record
-        self._dirty_donors.add(platform_id)
-        self._groups.pop(blood_group, None)
+        self._store(record)
         return record
 
     def update_donor(self, platform_id: str, patch: dict) -> DonorRecord:
@@ -438,23 +536,24 @@ class DispatchEngine:
             raise DispatchError(f"unknown donor fields: {sorted(unknown)}")
         merged = replace(existing, **patch)
         _check_donor(merged.blood_group, merged.latitude, merged.longitude)
-        self.donors[platform_id] = merged
-        self._dirty_donors.add(platform_id)
-        self._groups.pop(existing.blood_group, None)
-        self._groups.pop(merged.blood_group, None)
+        self._store(merged)
         return merged
+
+    def _store(self, donor: DonorRecord) -> None:
+        """Put `donor` in the registry and in its group's columns, moving
+        its row when its blood group changed."""
+        old = self.donors.get(donor.platform_id)
+        if old is not None and old.blood_group != donor.blood_group:
+            self._groups[old.blood_group].remove(old)
+            old = None
+        self._groups[donor.blood_group].put(donor, old)
+        self.donors[donor.platform_id] = donor
+        self._dirty_donors.add(donor.platform_id)
 
     def donor_by_platform(self, platform_id: str) -> DonorRecord | None:
         return self.donors.get(platform_id)
 
     # -- matching ---------------------------------------------------------
-
-    def _group_index(self, group: str) -> _GroupIndex:
-        index = self._groups.get(group)
-        if index is None:
-            members = [d for d in self.donors.values() if d.blood_group == group]
-            index = self._groups[group] = _GroupIndex(members)
-        return index
 
     def eligible_donors(self, case: RequestCase) -> list[DonorRecord]:
         """The ranked prefix the case's next stage draws from.
@@ -471,7 +570,9 @@ class DispatchEngine:
         if not group:
             log.warning("case %s has no blood group; nobody can be matched", case.request_id)
             return []
-        index = self._group_index(group)
+        index = self._groups.get(group)
+        if index is None:  # no donor holds this group
+            return []
         cutoff = self.clock.today().toordinal() - self.eligibility_days
         eligible = index.last <= cutoff
         k = self.stage_size + len(self._entries.get(case.request_id, ()))
@@ -778,7 +879,7 @@ class DispatchEngine:
                         raise SnapshotError(f"corrupt snapshot {path}: {problem}")
                     continue
                 try:
-                    obj = json.loads(raw.decode("utf-8"))
+                    obj = _loads(raw)
                     section = obj.pop("section")
                     if section in _RECORDS:
                         if batch is None:
@@ -822,7 +923,7 @@ class DispatchEngine:
         self._entries = {}
         for entry in ledger.values():
             self._entries.setdefault(entry.request_id, {})[entry.donor_id] = entry
-        self._groups = {}
+        self._groups = _group_columns(donors.values())
         self.case_by_message = {c.message_id: c.request_id for c in cases.values()}
         self._donor_seq = meta["donor_seq"]
         self._case_seq = meta["case_seq"]
@@ -876,6 +977,24 @@ def _replace(path: Path, data: bytes) -> os.stat_result:
     return os.stat(path)
 
 
+_scan = json.JSONDecoder().scan_once
+
+
+def _loads(raw: bytes) -> object:
+    """`json.loads(raw.decode("utf-8"))`, quicker on the lines `persist`
+    writes: a line that starts with its value and ends right after it, or
+    after it and a newline, is scanned once; `json.loads` reads any other,
+    so the two accept and reject the same lines."""
+    text = raw.decode("utf-8")
+    try:
+        obj, end = _scan(text, 0)
+    except StopIteration:  # a value is missing; json.loads says where
+        return json.loads(text)
+    if end == len(text) or (end == len(text) - 1 and text[end] == "\n"):
+        return obj
+    return json.loads(text)
+
+
 def _is_end(raw: bytes) -> bool:
     try:
         obj = json.loads(raw)
@@ -886,7 +1005,7 @@ def _is_end(raw: bytes) -> bool:
 
 # Snapshot section -> the record type its lines hold.
 _RECORDS = {"donor": DonorRecord, "case": RequestCase, "ledger": LedgerEntry}
-_FIELD_COUNT = {cls: len(fields(cls)) for cls in _RECORDS.values()}
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _RECORDS.values()}
 _META_FIELDS = {"version", "donor_seq", "case_seq", "clock"}
 
 
@@ -944,10 +1063,13 @@ def decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry:
     """The record of type `cls` whose JSON form is `obj` (which it takes
     over): the inverse of `encode`. ValueError or TypeError unless the
     fields are exactly the record's."""
-    if len(obj) != _FIELD_COUNT[cls]:  # the constructor rejects unknown names
+    names = _FIELD_NAMES[cls]
+    if len(obj) != len(names):  # the constructor rejects unknown names
         raise ValueError(f"{cls.__name__} fields {sorted(obj)}")
     for name, (_, from_json) in _FORMS[cls].items():
         obj[name] = from_json(obj[name])
+    if tuple(obj) == names:  # the order `encode` writes: no keyword matching
+        return cls(*obj.values())
     return cls(**obj)
 
 

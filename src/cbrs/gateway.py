@@ -20,7 +20,10 @@ from pathlib import Path
 from typing import Iterable
 
 from . import layer1
-from .dispatch import Clock, DispatchEngine, FULFILLED, FieldError, donor_input, input_fields, read_fields
+from .dispatch import (
+    Clock, DispatchEngine, DispatchError, FULFILLED, FieldError, _check_donor, donor_input, input_fields,
+    read_fields,
+)
 from .layer1 import ClassifierModel
 from .layer2 import Backend
 from .schema import ParseOutcome
@@ -400,9 +403,9 @@ def _donor_line(obj: dict) -> dict:
 
 def load_scenario(path: str | Path) -> list[dict]:
     """The lines of a scenario file, each checked: a JSON object with an
-    integer `tick` and a known `kind`; event and donor lines decodable,
-    config knobs integers. ScenarioError names the file and line of the
-    first bad one."""
+    integer `tick` and a known `kind`; event lines decodable, donor lines
+    decodable into values the engine accepts, config knobs integers.
+    ScenarioError names the file and line of the first bad one."""
     events = []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -420,10 +423,11 @@ def load_scenario(path: str | Path) -> list[dict]:
                 if obj["kind"] in EVENT_KINDS:
                     decode_event(obj)
                 elif obj["kind"] == "donor":
-                    _donor_line(obj)
+                    donor = _donor_line(obj)
+                    _check_donor(donor["blood_group"], donor["latitude"], donor["longitude"])
                 elif obj["kind"] == "config":
                     _check_ints(obj, _CONFIG_KNOBS)
-            except (json.JSONDecodeError, ValueError) as exc:
+            except (json.JSONDecodeError, ValueError, DispatchError) as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
             events.append(obj)
     ticks = [e["tick"] for e in events]

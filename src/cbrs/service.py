@@ -153,11 +153,15 @@ class _Handler(BaseHTTPRequestHandler):
     def _post_donor(self, body: dict) -> None:
         patch = donor_input(body)
         platform_id = patch.pop("platform_id")
+        engine = self.gateway.engine
         with self.lock:
-            if all(k in patch for k in ("blood_group", "latitude", "longitude")):
-                record = self.gateway.engine.register_donor(platform_id, **patch)
+            # A known donor changes only the fields the body carries; an
+            # unknown one registers, which needs group and coordinates.
+            new = engine.donor_by_platform(platform_id) is None
+            if new and all(k in patch for k in ("blood_group", "latitude", "longitude")):
+                record = engine.register_donor(platform_id, **patch)
             else:
-                record = self.gateway.engine.update_donor(platform_id, patch)
+                record = engine.update_donor(platform_id, patch)
             self.gateway.persist()
         self._send(200, encode(record))
 

@@ -40,6 +40,9 @@ DISPATCH_SPANS = (
     "layer2.parse_us",
     "dispatch.handle_edit_us",
     "schema.canonicalize_us",
+    "dispatch.eligible_donors_ms",
+    "dispatch.open_case_ms",
+    "dispatch.restore_s",
 )
 
 

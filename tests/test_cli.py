@@ -162,6 +162,22 @@ def test_simulate_wrong_typed_scenario_line_exits_2(model_file, tmp_path, capsys
     assert f"{scenario}:{bad_line}:" in err and repr(field) in err
 
 
+@pytest.mark.parametrize(
+    "values,field",
+    [({"blood_group": "Z+"}, "blood_group"), ({"latitude": 95.0}, "latitude")],
+    ids=["blood-group", "latitude-out-of-range"],
+)
+def test_simulate_invalid_donor_value_exits_2(model_file, tmp_path, capsys, values, field):
+    donor = {"tick": 0, "kind": "donor", "sender": "a1", "blood_group": "A+", "latitude": 23.8,
+             "longitude": 90.4, **values}
+    scenario = tmp_path / "bad.jsonl"
+    scenario.write_text('{"tick": 0, "kind": "advance"}\n' + json.dumps(donor) + "\n")
+    rc = cli.main(["simulate", "--scenario", str(scenario), "--model", str(model_file)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{scenario}:2:" in err and field in err
+
+
 def test_simulate_wrong_typed_config_knob_exits_2(model_file, tmp_path, capsys):
     basic = next(p for p in bundled_scenarios() if p.stem == "basic_fulfilled")
     scenario = tmp_path / "bad.jsonl"

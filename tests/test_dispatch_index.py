@@ -6,8 +6,13 @@ The oracle is the ranking the engine's columns replace: scan every donor,
 keep the exact group outside the eligibility window, sort all matches by
 (`haversine_km`, registration, donor id), or by recency without an anchor.
 A stage is the first `stage_size` of those not yet notified for the case.
+
+The columns are filled by restore and then updated in place; they must
+always hold what a fresh build from the registry gives, in any row order.
 """
 
+import dataclasses
+import json
 import math
 import shutil
 import tempfile
@@ -15,13 +20,14 @@ from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from cbrs import dispatch as dp
 from cbrs.dispatch import Clock, DispatchEngine, haversine_km
-from cbrs.schema import ParsedRequest, ParseOutcome
+from cbrs.schema import BLOOD_GROUPS, ParsedRequest, ParseOutcome
 
 # -- the oracle --------------------------------------------------------------------
 
@@ -57,6 +63,38 @@ def oracle_batch(engine, case):
     already = {d for (rid, d) in engine.ledger if rid == case.request_id}
     fresh = [d for d in oracle_ranking(engine, case) if d.donor_id not in already]
     return [d.donor_id for d in fresh[: engine.stage_size]]
+
+
+def column_view(groups):
+    """Each non-empty group's columns as a set of rows (the record's fields
+    and its lat, lon and last values), with its recency order as donor ids."""
+    view = {}
+    for group, index in groups.items():
+        rows = set()
+        for i, donor in enumerate(index.members):
+            rows.add((*dataclasses.astuple(donor), index.lat[i], index.lon[i], index.last[i]))
+        if rows:
+            view[group] = (rows, [index.members[i].donor_id for i in index.recency])
+    return view
+
+
+def assert_columns_fresh(engine):
+    """The engine's columns hold exactly what a fresh build gives, and each
+    row the very record object the registry holds."""
+    assert column_view(engine._groups) == column_view(dp._group_columns(engine.donors.values()))
+    for index in engine._groups.values():
+        assert all(engine.donors[d.platform_id] is d for d in index.members)
+    assert sum(len(index.members) for index in engine._groups.values()) == len(engine.donors)
+
+
+def assert_rankings(engine, cases):
+    """Every case's ranked prefix, with its anchor and without, is the oracle's."""
+    for case in cases:
+        notified = sum(1 for (rid, _) in engine.ledger if rid == case.request_id)
+        for anchor in (case.anchor, None):
+            probe = dp.replace(case, anchor=anchor)
+            want = [d.donor_id for d in oracle_ranking(engine, probe)][: engine.stage_size + notified]
+            assert [d.donor_id for d in engine.eligible_donors(probe)] == want
 
 
 class CheckedEngine(DispatchEngine):
@@ -231,6 +269,140 @@ def test_restore_rebuilds_ledger_index(tmp_path):
     assert len(noticed) == 4
 
 
+def test_changes_after_restore_update_columns_without_a_rebuild(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    eng = DispatchEngine(clock=Clock(), stage_size=3)
+    for i in range(160):
+        lat, lon = _coordinate(rng, ANCHORS[0])
+        eng.register_donor(f"u{i}", BLOOD_GROUPS[i % 8], lat, lon, _last_donation(rng, eng))
+        eng.clock.advance(int(rng.integers(0, 3)))
+    eng.persist(tmp_path / "state.snap")
+    fresh = DispatchEngine(clock=Clock(), stage_size=3)
+    fresh.restore(tmp_path / "state.snap")
+    builds = []
+    build = dp._GroupIndex.__init__
+
+    def counted(self, *args):
+        builds.append(self)
+        build(self, *args)
+
+    monkeypatch.setattr(dp._GroupIndex, "__init__", counted)
+    cases = [fresh.open_case(f"m{g}", _request(g, "today", ("Dhaka",))) for g in BLOOD_GROUPS]
+    assert_rankings(fresh, cases)
+    before = fresh.donors["u4"]  # BLOOD_GROUPS[4] == "O+"
+    changes = [
+        lambda: fresh.register_donor("newcomer", "O+", *ANCHORS[0]),
+        lambda: fresh.update_donor("u4", {"latitude": 23.81, "longitude": 90.41}),
+        lambda: fresh.update_donor("u12", {"blood_group": "B-"}),
+        lambda: fresh.register_donor("u20", "AB+", *ANCHORS[0], None),
+    ]
+    for change in changes:
+        fresh.clock.advance(60)
+        change()
+        assert_rankings(fresh, cases)
+        assert builds == []
+    monkeypatch.undo()
+    assert_columns_fresh(fresh)
+    assert fresh.donors["u4"].donor_id == before.donor_id
+    assert fresh.donors["u12"].blood_group == "B-" and fresh.donors["u20"].blood_group == "AB+"
+
+
+def test_row_order_does_not_change_rankings():
+    rng = np.random.default_rng(5)
+    eng = DispatchEngine(clock=Clock(), stage_size=4)
+    for i in range(300):
+        lat, lon = _coordinate(rng, ANCHORS[0])
+        eng.register_donor(f"u{i}", "O+", lat, lon, _last_donation(rng, eng))
+        eng.clock.advance(int(rng.integers(0, 2)))  # many registration ties
+    index = eng._groups["O+"]
+    members = [index.members[i] for i in rng.permutation(len(index.members))]
+    shuffled = dp._GroupIndex(members)
+    cutoff = eng.clock.today().toordinal() - eng.eligibility_days
+    for k in (1, 4, 25, 300):
+        for anchor in (ANCHORS[0], ANCHORS[1], (23.81, 90.41)):
+            assert shuffled.nearest(shuffled.last <= cutoff, anchor, k) == index.nearest(
+                index.last <= cutoff, anchor, k)
+        assert shuffled.newest(shuffled.last <= cutoff, k) == index.newest(index.last <= cutoff, k)
+
+
+def test_hand_edited_snapshot_values_restore_and_update(tmp_path):
+    # Only a hand-edited snapshot holds a NaN latitude or a group outside
+    # schema.BLOOD_GROUPS: the row lookup, which compares latitudes first,
+    # still finds that donor, and the other group is indexed and ranked.
+    eng = DispatchEngine(clock=Clock())
+    for i in range(5):
+        eng.register_donor(f"u{i}", "O+", 23.8 + i * 0.01, 90.4)
+    eng.persist(tmp_path / "state.snap")
+    text = (tmp_path / "state.snap").read_text("utf-8")
+    text = text.replace('"latitude": 23.82', '"latitude": NaN')
+    text = text.replace('"platform_id": "u3", "blood_group": "O+"', '"platform_id": "u3", "blood_group": "ZZ"')
+    (tmp_path / "state.snap").write_text(text, "utf-8")
+    fresh = DispatchEngine(clock=Clock())
+    fresh.restore(tmp_path / "state.snap")
+    assert math.isnan(fresh.donors["u2"].latitude) and fresh.donors["u3"].blood_group == "ZZ"
+    fresh.update_donor("u2", {"latitude": 23.9})
+    assert_columns_fresh(fresh)
+    case = fresh.open_case("m1", _request("O+", "today", ("Dhaka",)))
+    other = dp.replace(case, request=dp.replace(case.request, blood_group="ZZ"))  # no parse yields it
+    assert_rankings(fresh, [case, other])
+    assert [d.donor_id for d in fresh.eligible_donors(other)] == ["d00004"]
+    fresh.update_donor("u3", {"blood_group": "B-"})
+    assert_columns_fresh(fresh)
+
+
+def test_registrations_grow_the_columns_geometrically():
+    eng = DispatchEngine(clock=Clock())
+    index = eng._groups["O+"]
+    arrays = set()
+    for i in range(2000):
+        eng.register_donor(f"u{i}", "O+", 23.8, 90.4)
+        arrays.add(id(index._lat))
+    assert len(index.members) == 2000 and len(index._lat) < 2 * 2000 + 16
+    assert len(arrays) <= 8  # reallocations: O(log n), so n appends cost O(n)
+    assert_columns_fresh(eng)
+
+
+# -- restore reads what json.loads reads ------------------------------------------------
+
+LINE_VARIANTS = [
+    '{"a": 1}\n', '{"a": 1}', ' {"a": 1}\n', '{"a": 1} \n', '{"a": 1}\r\n', '{"a": 1}\t\n',
+    '{"a": 1} {}\n', '{"a": 1}x\n', '{"a": 1}\n\n', '\n', '', ' \n', '\ufeff{"a": 1}\n',
+    '{"a": }\n', '{"a": 1\n', '[1]\n', '"s"\n', '7 \n', 'NaN\n', 'ঢাকা\n', '{"ঢাকা": "\\u09a2"}\n',
+]
+
+
+def _outcome(read, raw):
+    try:
+        return "value", repr(read(raw))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_snapshot_lines_read_as_json_loads_reads_them():
+    for text in LINE_VARIANTS:
+        raw = text.encode("utf-8")
+        assert _outcome(dp._loads, raw) == _outcome(lambda r: json.loads(r.decode("utf-8")), raw)
+
+
+def test_restore_accepts_padded_lines_and_any_key_order(tmp_path):
+    eng = DispatchEngine(clock=Clock(), stage_size=2)
+    for i in range(6):
+        eng.register_donor(f"u{i}", "O+", 23.8 + i * 0.01, 90.4)
+    eng.open_case("m1", _request("O+", "today", ("Dhaka",)))
+    eng.persist(tmp_path / "state.snap")
+    lines = (tmp_path / "state.snap").read_text("utf-8").splitlines()
+    reordered = [json.dumps(dict(reversed(json.loads(line).items()))) for line in lines]
+    (tmp_path / "odd.snap").write_text("".join(f" {line} \r\n" for line in reordered), "utf-8")
+    fresh = DispatchEngine()
+    fresh.restore(tmp_path / "odd.snap")
+    for table in ("donors", "cases", "ledger"):
+        assert getattr(fresh, table) == getattr(eng, table)
+    assert column_view(fresh._groups) == column_view(eng._groups)
+    (tmp_path / "extra.snap").write_text("\n".join(lines[:2] + [lines[2] + " {}"] + lines[3:]) + "\n")
+    with pytest.raises(dp.SnapshotError):
+        DispatchEngine().restore(tmp_path / "extra.snap")
+
+
 # -- ledger laws under random operations ------------------------------------------------
 
 PLATFORMS = [f"p{i}" for i in range(8)]
@@ -323,6 +495,7 @@ class LedgerMachine(RuleBasedStateMachine):
         for table in ("donors", "cases", "ledger", "case_by_message"):
             assert getattr(fresh, table) == getattr(self.engine, table)
         assert fresh.clock.now == self.engine.clock.now
+        assert column_view(fresh._groups) == column_view(self.engine._groups)
         self.engine = fresh
 
     def _drained(self):
@@ -346,6 +519,10 @@ class LedgerMachine(RuleBasedStateMachine):
     def first_answer_is_final(self):
         for key, answer in self.first_answer.items():
             assert self.engine.ledger[key].response == answer
+
+    @invariant()
+    def columns_match_a_fresh_build(self):
+        assert_columns_fresh(self.engine)
 
     @invariant()
     def one_resolution_notice_per_notified_donor(self):

@@ -112,6 +112,24 @@ def test_donor_partial_update(service):
     assert body["latitude"] == 23.81
 
 
+def test_donor_move_keeps_the_last_donation_date(service):
+    # A known donor's body changes only the fields it carries: a move with
+    # group and coordinates keeps the date, an explicit null clears it.
+    running, gateway = service
+    alice = {"platform_id": "alice", "blood_group": "O+", "latitude": 23.81, "longitude": 90.41,
+             "last_donation_date": "2026-01-01"}
+    _call(running.port, "POST", "/donors", alice)
+    move = {"platform_id": "alice", "blood_group": "O+", "latitude": 22.36, "longitude": 91.78}
+    status, body = _call(running.port, "POST", "/donors", move)
+    assert status == 200
+    assert body == {**alice, **move, "donor_id": "d00001", "registered_at": 0}
+    assert gateway.engine.donors["alice"].last_donation_date.isoformat() == "2026-01-01"
+    status, body = _call(running.port, "POST", "/donors", {**move, "last_donation_date": None})
+    assert status == 200 and body["last_donation_date"] is None
+    status, body = _call(running.port, "POST", "/donors", {**move, "platform_id": "bob"})
+    assert status == 200 and body["donor_id"] == "d00002" and body["last_donation_date"] is None
+
+
 def test_donor_validation_diagnostics(service):
     running, _ = service
     status, body = _call(
