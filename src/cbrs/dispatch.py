@@ -37,6 +37,7 @@ machine.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import logging
@@ -45,7 +46,7 @@ import operator
 import os
 import re
 import tempfile
-from collections.abc import Collection, Hashable
+from collections.abc import Collection
 from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from importlib import resources
@@ -285,7 +286,7 @@ def urgency_depth(case: RequestCase, epoch_date: date = date(2025, 1, 1)) -> int
     return 1
 
 
-def _check_donor(blood_group: str, latitude: float, longitude: float) -> None:
+def check_donor(blood_group: str, latitude: float, longitude: float) -> None:
     """DispatchError naming every value a donor record may not hold."""
     problems = []
     if not -90.0 <= latitude <= 90.0:
@@ -312,10 +313,10 @@ class _GroupIndex:
     exact scalar key and `newest` follows `recency`, a total order. A
     registration appends a row, an update rewrites one, and a removal
     moves the last row into the hole. The arrays grow geometrically, so n
-    appends cost O(n). `recency` (newest registration first, then donor
-    id) is computed with the columns and again on the first `newest` after
-    rows were added or removed; an update keeps a donor's registration
-    time and id, so it keeps the order.
+    appends cost O(n). `recency` orders the rows newest registration
+    first, then by donor id. An update keeps a donor's registration time
+    and id, so it keeps the order; appended rows wait in `_fresh` until the
+    next `newest` places them, and a removal drops its row from the order.
     """
 
     def __init__(self, members: list[DonorRecord]):
@@ -329,7 +330,8 @@ class _GroupIndex:
             ],
             dtype=np.int64,
         )
-        self._recency: np.ndarray | None = self._order()
+        self._recency = self._order()
+        self._fresh: list[int] = []  # rows appended since `_recency` was brought up to date
 
     @property
     def lat(self) -> np.ndarray:
@@ -345,9 +347,23 @@ class _GroupIndex:
 
     @property
     def recency(self) -> np.ndarray:
-        if self._recency is None:
-            self._recency = self._order()
+        """The rows in recency order. Rows appended since the last call are
+        sorted among themselves and bisected into the previous order,
+        about log n key reads each; past n / log n of them, one full sort
+        is cheaper."""
+        if self._fresh:
+            if len(self._fresh) * len(self._recency).bit_length() > len(self.members):
+                self._recency = self._order()
+            else:
+                fresh = sorted(self._fresh, key=self._key)
+                at = [bisect.bisect_left(self._recency, self._key(row), key=self._key) for row in fresh]
+                self._recency = np.insert(self._recency, at, fresh)
+            self._fresh = []
         return self._recency
+
+    def _key(self, row: int) -> tuple[int, str]:
+        donor = self.members[row]
+        return -donor.registered_at, donor.donor_id
 
     def _order(self) -> np.ndarray:
         # lexsort's last key is the primary one.
@@ -379,7 +395,7 @@ class _GroupIndex:
                 self._lat, self._lon, self._last = (
                     np.resize(column, size) for column in (self._lat, self._lon, self._last)
                 )
-            self._recency = None
+            self._fresh.append(row)
         else:
             row = self._row(old)
             self.members[row] = donor
@@ -391,13 +407,16 @@ class _GroupIndex:
     def remove(self, donor: DonorRecord) -> None:
         """Drop the row of this record object; the last row moves into the hole."""
         row = self._row(donor)
+        recency = self.recency  # every row placed, so the renaming below reaches all
+        recency = recency[recency != row]
         moved = self.members.pop()
         end = len(self.members)
         if row != end:
             self.members[row] = moved
             for column in (self._lat, self._lon, self._last):
                 column[row] = column[end]
-        self._recency = None
+            recency[recency == end] = row
+        self._recency = recency
 
     def nearest(
         self, eligible: np.ndarray, anchor: tuple[float, float], k: int
@@ -438,7 +457,7 @@ def _group_columns(donors: Collection[DonorRecord]) -> dict[str, _GroupIndex]:
     columns = {group: _GroupIndex(_select(donors, group)) for group in schema.BLOOD_GROUPS}
     if sum(len(index.members) for index in columns.values()) < len(donors):  # a hand-edited snapshot
         others = (d.blood_group for d in donors)
-        for group in dict.fromkeys(g for g in others if isinstance(g, Hashable) and g not in columns):
+        for group in dict.fromkeys(g for g in others if g not in columns):
             columns[group] = _GroupIndex(_select(donors, group))
     return columns
 
@@ -501,7 +520,7 @@ class DispatchEngine:
         last_donation_date: date | None = None,
     ) -> DonorRecord:
         """Upsert keyed by platform identity; re-registering keeps the id."""
-        _check_donor(blood_group, latitude, longitude)
+        check_donor(blood_group, latitude, longitude)
         existing = self.donors.get(platform_id)
         if existing is None:
             self._donor_seq += 1
@@ -535,7 +554,7 @@ class DispatchEngine:
         if unknown:
             raise DispatchError(f"unknown donor fields: {sorted(unknown)}")
         merged = replace(existing, **patch)
-        _check_donor(merged.blood_group, merged.latitude, merged.longitude)
+        check_donor(merged.blood_group, merged.latitude, merged.longitude)
         self._store(merged)
         return merged
 
@@ -855,7 +874,9 @@ class DispatchEngine:
         Batches apply in file order, each record replacing the one with
         its key. A trailing batch without its `end` line (a write cut
         short, never acknowledged) is dropped; a malformed line before the
-        last `end`, or a file with no complete batch, raises SnapshotError.
+        last `end`, or a file with no complete batch, raises SnapshotError,
+        as does a donor value the ranking columns cannot hold (a
+        non-numeric coordinate); the engine then keeps its state.
         """
         path = Path(path)
         try:
@@ -917,13 +938,17 @@ class DispatchEngine:
         if meta is None:
             why = problem or "no end line"
             raise SnapshotError(f"snapshot {path} is truncated or corrupt: {why}")
+        try:
+            groups = _group_columns(donors.values())
+        except (TypeError, ValueError) as exc:  # a hand-edited value no column can hold
+            raise SnapshotError(f"corrupt snapshot {path}: donor values: {exc!r}") from None
         self.donors = donors
         self.cases = cases
         self.ledger = ledger
         self._entries = {}
         for entry in ledger.values():
             self._entries.setdefault(entry.request_id, {})[entry.donor_id] = entry
-        self._groups = _group_columns(donors.values())
+        self._groups = groups
         self.case_by_message = {c.message_id: c.request_id for c in cases.values()}
         self._donor_seq = meta["donor_seq"]
         self._case_seq = meta["case_seq"]
@@ -1061,16 +1086,16 @@ def encode(record: DonorRecord | RequestCase | LedgerEntry) -> dict:
 
 def decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry:
     """The record of type `cls` whose JSON form is `obj` (which it takes
-    over): the inverse of `encode`. ValueError or TypeError unless the
-    fields are exactly the record's."""
+    over): the inverse of `encode`. ValueError or KeyError unless the
+    fields are exactly the record's. The values go to the constructor by
+    position, read in field order, which is quicker than matching every
+    line's own key strings against the parameter names."""
     names = _FIELD_NAMES[cls]
-    if len(obj) != len(names):  # the constructor rejects unknown names
+    if len(obj) != len(names):  # with as many fields, an unknown name leaves a known one missing
         raise ValueError(f"{cls.__name__} fields {sorted(obj)}")
     for name, (_, from_json) in _FORMS[cls].items():
         obj[name] = from_json(obj[name])
-    if tuple(obj) == names:  # the order `encode` writes: no keyword matching
-        return cls(*obj.values())
-    return cls(**obj)
+    return cls(*map(obj.__getitem__, names))
 
 
 def _json(kind: type, *also: type) -> Callable:

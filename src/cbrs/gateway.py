@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import layer1
 from .dispatch import (
-    Clock, DispatchEngine, DispatchError, FULFILLED, FieldError, _check_donor, donor_input, input_fields,
+    Clock, DispatchEngine, DispatchError, FULFILLED, FieldError, check_donor, donor_input, input_fields,
     read_fields,
 )
 from .layer1 import ClassifierModel
@@ -391,14 +391,20 @@ def _check_ints(obj: dict, names: Iterable[str]) -> None:
 def _donor_line(obj: dict) -> dict:
     """`DispatchEngine.register_donor`'s arguments from a scenario `donor`
     line, whose `sender` is the platform id; FieldError names the fields
-    that are missing or wrong-typed."""
+    that are missing or wrong-typed, ValueError the values the engine
+    refuses."""
     missing = [name for name in ("sender", "blood_group", "latitude", "longitude") if name not in obj]
     if missing:
         raise FieldError("missing fields", missing)
     try:
-        return donor_input({**obj, "platform_id": obj["sender"]})
+        donor = donor_input({**obj, "platform_id": obj["sender"]})
     except FieldError as exc:
         raise FieldError(exc.error, ["sender" if n == "platform_id" else n for n in exc.fields]) from None
+    try:
+        check_donor(donor["blood_group"], donor["latitude"], donor["longitude"])
+    except DispatchError as exc:
+        raise ValueError(str(exc)) from None
+    return donor
 
 
 def load_scenario(path: str | Path) -> list[dict]:
@@ -423,11 +429,10 @@ def load_scenario(path: str | Path) -> list[dict]:
                 if obj["kind"] in EVENT_KINDS:
                     decode_event(obj)
                 elif obj["kind"] == "donor":
-                    donor = _donor_line(obj)
-                    _check_donor(donor["blood_group"], donor["latitude"], donor["longitude"])
+                    _donor_line(obj)
                 elif obj["kind"] == "config":
                     _check_ints(obj, _CONFIG_KNOBS)
-            except (json.JSONDecodeError, ValueError, DispatchError) as exc:
+            except (json.JSONDecodeError, ValueError) as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
             events.append(obj)
     ticks = [e["tick"] for e in events]

@@ -307,6 +307,44 @@ def test_changes_after_restore_update_columns_without_a_rebuild(tmp_path, monkey
     assert fresh.donors["u12"].blood_group == "B-" and fresh.donors["u20"].blood_group == "AB+"
 
 
+def test_registrations_and_moves_place_rows_in_recency_without_a_full_sort(tmp_path, monkeypatch):
+    # Many donors share each registration tick, and the ids pass d99999,
+    # where string order stops being sequence order: v1, v2 and v3 register
+    # at one tick as d99999, d100000 and d100001.
+    rng = np.random.default_rng(11)
+    eng = DispatchEngine(clock=Clock(), stage_size=3)
+    eng._donor_seq = 99_917
+    for i in range(80):
+        lat, lon = _coordinate(rng, ANCHORS[0])
+        eng.register_donor(f"u{i}", BLOOD_GROUPS[i % 2], lat, lon, _last_donation(rng, eng))
+        eng.clock.advance(int(rng.integers(0, 2)) * 60)
+    eng.persist(tmp_path / "state.snap")
+    fresh = DispatchEngine(clock=Clock(), stage_size=3)
+    fresh.restore(tmp_path / "state.snap")
+    cases = [fresh.open_case(f"m{g}", _request(g, "today", ("Dhaka",))) for g in BLOOD_GROUPS[:2]]
+    sorts = []
+    order = dp._GroupIndex._order
+    monkeypatch.setattr(dp._GroupIndex, "_order", lambda self: sorts.append(self) or order(self))
+    changes = [
+        lambda: fresh.register_donor("v0", BLOOD_GROUPS[0], *ANCHORS[0]),  # at the newest rows' tick
+        lambda: [fresh.register_donor(f"v{i}", BLOOD_GROUPS[i % 2], *ANCHORS[0]) for i in range(1, 4)],
+        lambda: fresh.update_donor("u1", {"blood_group": BLOOD_GROUPS[0]}),  # moves a row
+        lambda: fresh.register_donor("u2", BLOOD_GROUPS[1], *ANCHORS[0], None),  # moves one back
+        lambda: fresh.update_donor("v0", {"latitude": 23.9}),
+    ]
+    for change in changes:
+        change()
+        assert_rankings(fresh, cases)
+        assert sorts == []
+        fresh.clock.advance(int(rng.integers(0, 2)) * 60)
+    for i in range(60):  # more new rows than bisecting pays for: one full sort
+        fresh.register_donor(f"w{i}", BLOOD_GROUPS[0], *ANCHORS[0])
+    assert_rankings(fresh, cases)
+    assert sorts == [fresh._groups[BLOOD_GROUPS[0]]]
+    monkeypatch.undo()
+    assert_columns_fresh(fresh)
+
+
 def test_row_order_does_not_change_rankings():
     rng = np.random.default_rng(5)
     eng = DispatchEngine(clock=Clock(), stage_size=4)
@@ -348,6 +386,30 @@ def test_hand_edited_snapshot_values_restore_and_update(tmp_path):
     assert [d.donor_id for d in fresh.eligible_donors(other)] == ["d00004"]
     fresh.update_donor("u3", {"blood_group": "B-"})
     assert_columns_fresh(fresh)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    ['"latitude": "23.8"', '"latitude": null', '"blood_group": ["O+"]'],
+    ids=["string-latitude", "null-latitude", "list-group"],
+)
+def test_restore_rejects_donor_values_no_column_holds(tmp_path, edit):
+    eng = DispatchEngine(clock=Clock())
+    eng.register_donor("u0", "O+", 23.8, 90.4)
+    eng.persist(tmp_path / "state.snap")
+    text = (tmp_path / "state.snap").read_text("utf-8")
+    field = edit.split(":")[0]
+    start = text.index(field)
+    end = text.index(",", start)
+    (tmp_path / "bad.snap").write_text(text[:start] + edit + text[end:], "utf-8")
+    served = DispatchEngine(clock=Clock())
+    served.restore(tmp_path / "state.snap")
+    donors, groups = served.donors, served._groups
+    with pytest.raises(dp.SnapshotError, match="donor values"):
+        served.restore(tmp_path / "bad.snap")
+    assert served.donors is donors and served._groups is groups  # nothing half-restored
+    served.update_donor("u0", {"latitude": 23.9})
+    assert_columns_fresh(served)
 
 
 def test_registrations_grow_the_columns_geometrically():
