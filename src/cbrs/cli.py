@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import evalkit, layer1, layer2
 from .corpus import CorpusError, load_corpus
-from .dispatch import Clock, DispatchEngine, SnapshotError
+from .dispatch import DispatchEngine, SnapshotError
 from .gateway import Gateway, bundled_scenarios, ScenarioError, simulate
 from .layer1 import Hyper, TrainingError
 from .layer2 import BackendConfig, make_backend
@@ -140,9 +140,7 @@ def cmd_serve(args) -> int:
     backend = make_backend(
         BackendConfig(kind=cfg.backend, endpoint=cfg.endpoint, model=cfg.backend_model, mode=cfg.prompt_mode)
     )
-    clock = Clock()
     engine = DispatchEngine(
-        clock=clock,
         stage_size=cfg.stage_size,
         stage_timeout=cfg.stage_timeout_seconds,
         eligibility_days=cfg.eligibility_days,
@@ -153,7 +151,6 @@ def cmd_serve(args) -> int:
         model=model,
         backend=backend,
         engine=engine,
-        clock=clock,
         snapshot_path=cfg.snapshot_path or None,
         threshold=cfg.threshold,
     )

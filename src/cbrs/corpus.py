@@ -15,7 +15,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -221,6 +221,3 @@ def split(
         for p, name in zip(parts, names)
     )  # type: ignore[return-value]
 
-
-def from_samples(samples: Iterable[LabeledSample], provenance: str = "") -> Corpus:
-    return Corpus(samples=tuple(samples), provenance=provenance)

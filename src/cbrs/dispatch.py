@@ -10,10 +10,16 @@ with the exact scalar key, so the order equals a full sort of every match.
 Restore fills every group's columns; from then on they are updated in
 place (a registration appends a row, an update rewrites one, a change of
 group moves it), so no ranking rescans the registry.
+A donor comes in by the HTTP service, a scenario line or a snapshot, and
+the same rules hold for all three: `put_donor` is the one write rule
+(an unknown id registers, a known one changes the fields given) and
+`check_donor` the one check of a record's values, so every row holds a
+group of `schema.BLOOD_GROUPS` and coordinates in range.
 Notifications go out in stages bounded by an urgency-derived depth; a
 per-request ledger guarantees nobody is notified twice, alerts stop at the
 first affirmative, and a managed/resolved edit fans out exactly one
-resolution notice per previously notified donor.
+resolution notice per previously notified donor. Every outbound event is
+queued by one emitter, stamped with the clock's tick.
 
 All time comes from an injected clock (logical in simulation, wall clock
 in service mode), so scenario runs are deterministic.
@@ -160,6 +166,33 @@ class LedgerEntry:
     notified_at: int
     response: str = "none"  # none | affirmative | negative
     resolution_notified: bool = False
+
+
+@dataclass
+class PipelineTrace:
+    """One message's way through the pipeline: the tick of each stage it
+    reached, Layer 1's probability and what Layer 2 made of it."""
+
+    message_id: str
+    t_arrival: int | None = None
+    t_parsed_stored: int | None = None
+    t_first_notification: int | None = None
+    t_first_response: int | None = None
+    layer1_prob: float | None = None
+    layer2_outcome: str = "skipped"  # skipped | request | negative | error
+    request_id: str | None = None
+
+    def timestamps(self) -> list[int]:
+        return [
+            t
+            for t in (
+                self.t_arrival,
+                self.t_parsed_stored,
+                self.t_first_notification,
+                self.t_first_response,
+            )
+            if t is not None
+        ]
 
 
 _NEVER_DONATED = np.iinfo(np.int64).min  # last-donation day of a donor who never gave
@@ -317,6 +350,8 @@ class _GroupIndex:
     first, then by donor id. An update keeps a donor's registration time
     and id, so it keeps the order; appended rows wait in `_fresh` until the
     next `newest` places them, and a removal drops its row from the order.
+    Every record passed `check_donor` on its way in, so its latitude equals
+    itself and `_row` finds it among the rows of that latitude.
     """
 
     def __init__(self, members: list[DonorRecord]):
@@ -375,11 +410,8 @@ class _GroupIndex:
         )
 
     def _row(self, donor: DonorRecord) -> int:
-        """The row holding this very record object. Rows of its latitude
-        are tried first; the full scan after them only finds a latitude
-        that is not equal to itself (NaN, from a hand-edited snapshot)."""
-        same = np.flatnonzero(self.lat == np.radians(donor.latitude))
-        for row in itertools.chain(same, range(len(self.members))):
+        """The row holding this very record object."""
+        for row in np.flatnonzero(self.lat == np.radians(donor.latitude)):
             if self.members[row] is donor:
                 return int(row)
         raise DispatchError(f"donor {donor.donor_id} is not in this group's columns")
@@ -452,14 +484,8 @@ class _GroupIndex:
 
 
 def _group_columns(donors: Collection[DonorRecord]) -> dict[str, _GroupIndex]:
-    """Each blood group's columns: every group of `schema.BLOOD_GROUPS`,
-    empty or not, and any other group a restored donor holds."""
-    columns = {group: _GroupIndex(_select(donors, group)) for group in schema.BLOOD_GROUPS}
-    if sum(len(index.members) for index in columns.values()) < len(donors):  # a hand-edited snapshot
-        others = (d.blood_group for d in donors)
-        for group in dict.fromkeys(g for g in others if g not in columns):
-            columns[group] = _GroupIndex(_select(donors, group))
-    return columns
+    """The columns of every group of `schema.BLOOD_GROUPS`, empty or not."""
+    return {group: _GroupIndex(_select(donors, group)) for group in schema.BLOOD_GROUPS}
 
 
 _BLOOD_GROUP = operator.attrgetter("blood_group")
@@ -519,28 +545,19 @@ class DispatchEngine:
         longitude: float,
         last_donation_date: date | None = None,
     ) -> DonorRecord:
-        """Upsert keyed by platform identity; re-registering keeps the id."""
+        """Upsert keyed by platform identity; re-registering keeps the id
+        and registration time and replaces every other field."""
+        values = {
+            "blood_group": blood_group,
+            "latitude": latitude,
+            "longitude": longitude,
+            "last_donation_date": last_donation_date,
+        }
+        if platform_id in self.donors:
+            return self.update_donor(platform_id, values)
         check_donor(blood_group, latitude, longitude)
-        existing = self.donors.get(platform_id)
-        if existing is None:
-            self._donor_seq += 1
-            record = DonorRecord(
-                donor_id=f"d{self._donor_seq:05d}",
-                platform_id=platform_id,
-                blood_group=blood_group,
-                latitude=latitude,
-                longitude=longitude,
-                last_donation_date=last_donation_date,
-                registered_at=self.clock.now,
-            )
-        else:
-            record = replace(
-                existing,
-                blood_group=blood_group,
-                latitude=latitude,
-                longitude=longitude,
-                last_donation_date=last_donation_date,
-            )
+        self._donor_seq += 1
+        record = DonorRecord(f"d{self._donor_seq:05d}", platform_id, registered_at=self.clock.now, **values)
         self._store(record)
         return record
 
@@ -549,14 +566,24 @@ class DispatchEngine:
         existing = self.donors.get(platform_id)
         if existing is None:
             raise DispatchError(f"no donor registered for platform id {platform_id!r}")
-        allowed = {"blood_group", "latitude", "longitude", "last_donation_date"}
-        unknown = set(patch) - allowed
+        unknown = patch.keys() - (_DONOR_INPUT.keys() - {"platform_id"})
         if unknown:
             raise DispatchError(f"unknown donor fields: {sorted(unknown)}")
         merged = replace(existing, **patch)
         check_donor(merged.blood_group, merged.latitude, merged.longitude)
         self._store(merged)
         return merged
+
+    def put_donor(self, platform_id: str, fields: dict) -> DonorRecord:
+        """The one write rule for donors, however they come in: an unknown
+        `platform_id` registers, and FieldError names what it lacks of
+        `_DONOR_REQUIRED`; a known one changes only the fields given."""
+        if platform_id in self.donors:
+            return self.update_donor(platform_id, fields)
+        missing = [name for name in _DONOR_REQUIRED if name not in fields]
+        if missing:
+            raise FieldError("missing fields", missing)
+        return self.register_donor(platform_id, **fields)
 
     def _store(self, donor: DonorRecord) -> None:
         """Put `donor` in the registry and in its group's columns, moving
@@ -589,9 +616,7 @@ class DispatchEngine:
         if not group:
             log.warning("case %s has no blood group; nobody can be matched", case.request_id)
             return []
-        index = self._groups.get(group)
-        if index is None:  # no donor holds this group
-            return []
+        index = self._groups[group]
         cutoff = self.clock.today().toordinal() - self.eligibility_days
         eligible = index.last <= cutoff
         k = self.stage_size + len(self._entries.get(case.request_id, ()))
@@ -645,14 +670,7 @@ class DispatchEngine:
         if not batch:
             case.needs_attention = True
             case.next_stage_due = None
-            self.outbound.append(
-                {
-                    "kind": "operator_attention",
-                    "request_id": case.request_id,
-                    "tick": self.clock.now,
-                    "detail": "no eligible donors to notify",
-                }
-            )
+            self._emit("operator_attention", case.request_id, detail="no eligible donors to notify")
             return []
         stage = case.stages_fired + 1
         entries = []
@@ -667,15 +685,7 @@ class DispatchEngine:
             self._dirty_ledger.add((case.request_id, donor.donor_id))
             already[donor.donor_id] = entry
             entries.append(entry)
-            self.outbound.append(
-                {
-                    "kind": "donor_alert",
-                    "request_id": case.request_id,
-                    "donor_id": donor.donor_id,
-                    "stage": stage,
-                    "tick": self.clock.now,
-                }
-            )
+            self._emit("donor_alert", case.request_id, donor_id=donor.donor_id, stage=stage)
         case.stages_fired = stage
         case.next_stage_due = self.clock.now + self.stage_timeout if stage < depth else None
         return entries
@@ -704,15 +714,7 @@ class DispatchEngine:
             case.status = FULFILLED
             self._dirty_cases.add(request_id)
             case.next_stage_due = None
-            self.outbound.append(
-                {
-                    "kind": "seeker_update",
-                    "request_id": request_id,
-                    "donor_id": donor_id,
-                    "tick": self.clock.now,
-                    "detail": "donor affirmative; request fulfilled",
-                }
-            )
+            self._emit("seeker_update", request_id, donor_id=donor_id, detail="donor affirmative; request fulfilled")
         else:
             current = self._stage_entries(request_id, case.stages_fired)
             if current and all(e.response == "negative" for e in current):
@@ -754,26 +756,15 @@ class DispatchEngine:
             return "updated"
         return "unchanged"
 
-    def _fan_out_resolution(self, case: RequestCase) -> int:
+    def _fan_out_resolution(self, case: RequestCase) -> None:
         """Exactly-once resolution notice per notified donor; idempotent."""
         if case.status not in _TERMINAL:
-            return 0
-        sent = 0
+            return
         for entry in self.case_entries(case.request_id):
-            if entry.resolution_notified:
-                continue
-            entry.resolution_notified = True
-            self._dirty_ledger.add((entry.request_id, entry.donor_id))
-            sent += 1
-            self.outbound.append(
-                {
-                    "kind": "resolution_notice",
-                    "request_id": entry.request_id,
-                    "donor_id": entry.donor_id,
-                    "tick": self.clock.now,
-                }
-            )
-        return sent
+            if not entry.resolution_notified:
+                entry.resolution_notified = True
+                self._dirty_ledger.add((entry.request_id, entry.donor_id))
+                self._emit("resolution_notice", entry.request_id, donor_id=entry.donor_id)
 
     def advance_to(self, tick: int) -> None:
         """Move the clock forward, firing due stages and expiring past-deadline
@@ -797,12 +788,14 @@ class DispatchEngine:
                 case.status = EXPIRED
                 case.next_stage_due = None
                 self._dirty_cases.add(request_id)
-                self.outbound.append(
-                    {"kind": "case_expired", "request_id": request_id, "tick": self.clock.now}
-                )
+                self._emit("case_expired", request_id)
             else:
                 self.notify_stage(case)
         self.clock.advance_to(max(self.clock.now, tick))
+
+    def _emit(self, kind: str, request_id: str, **detail) -> None:
+        """Queue one outbound event, stamped with the current tick."""
+        self.outbound.append({"kind": kind, "request_id": request_id, "tick": self.clock.now, **detail})
 
     def drain_outbound(self) -> list[dict]:
         events, self.outbound = self.outbound, []
@@ -874,9 +867,9 @@ class DispatchEngine:
         Batches apply in file order, each record replacing the one with
         its key. A trailing batch without its `end` line (a write cut
         short, never acknowledged) is dropped; a malformed line before the
-        last `end`, or a file with no complete batch, raises SnapshotError,
-        as does a donor value the ranking columns cannot hold (a
-        non-numeric coordinate); the engine then keeps its state.
+        last `end`, or a file with no complete batch, raises SnapshotError
+        naming the line, and the engine keeps its state. A donor line is
+        malformed if `check_donor` refuses it, as `register_donor` does.
         """
         path = Path(path)
         try:
@@ -905,7 +898,10 @@ class DispatchEngine:
                     if section in _RECORDS:
                         if batch is None:
                             raise ValueError(f"{section!r} line outside a batch")
-                        batch.append(decode(_RECORDS[section], obj))
+                        record = decode(_RECORDS[section], obj)
+                        if section == "donor":
+                            check_donor(record.blood_group, record.latitude, record.longitude)
+                        batch.append(record)
                     elif section == "meta":
                         if batch is not None:
                             raise ValueError("meta line inside a batch")
@@ -932,16 +928,13 @@ class DispatchEngine:
                         meta, batch = batch_meta, None
                         complete = offset if raw.endswith(b"\n") else -1
                         base = base or offset
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                except (AttributeError, KeyError, TypeError, ValueError, DispatchError) as exc:
                     if raw.strip():
                         problem = f"line {lineno}: {exc!r}"
         if meta is None:
             why = problem or "no end line"
             raise SnapshotError(f"snapshot {path} is truncated or corrupt: {why}")
-        try:
-            groups = _group_columns(donors.values())
-        except (TypeError, ValueError) as exc:  # a hand-edited value no column can hold
-            raise SnapshotError(f"corrupt snapshot {path}: donor values: {exc!r}") from None
+        groups = _group_columns(donors.values())
         self.donors = donors
         self.cases = cases
         self.ledger = ledger
@@ -1030,12 +1023,12 @@ def _is_end(raw: bytes) -> bool:
 
 # Snapshot section -> the record type its lines hold.
 _RECORDS = {"donor": DonorRecord, "case": RequestCase, "ledger": LedgerEntry}
-_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _RECORDS.values()}
 _META_FIELDS = {"version", "donor_seq", "case_seq", "clock"}
 
 
 # -- JSON forms -------------------------------------------------------------
-# One form per record type, shared by the snapshot and the HTTP service.
+# One form per record type, shared by the snapshot, the HTTP service and the
+# simulation transcript.
 
 
 class FieldError(ValueError):
@@ -1071,20 +1064,23 @@ _FORMS = {
         "anchor": (lambda a: list(a) if a else None, lambda a: tuple(a) if a else None),
     },
     LedgerEntry: {},
+    PipelineTrace: {"layer1_prob": (lambda p: None if p is None else round(p, 9), lambda p: p)},
 }
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _FORMS}
 
 
-def encode(record: DonorRecord | RequestCase | LedgerEntry) -> dict:
-    """The JSON form of a donor, case or ledger entry: every field, in
-    declared order; dates as ISO strings or null, the request as
-    `schema.to_dict`, the anchor as a list."""
+def encode(record: DonorRecord | RequestCase | LedgerEntry | PipelineTrace) -> dict:
+    """The JSON form of a donor, case, ledger entry or trace: every field,
+    in declared order; dates as ISO strings or null, the request as
+    `schema.to_dict`, the anchor as a list, Layer 1's probability rounded
+    to 9 digits."""
     obj = dict(vars(record))
     for name, (to_json, _) in _FORMS[type(record)].items():
         obj[name] = to_json(obj[name])
     return obj
 
 
-def decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry:
+def decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry | PipelineTrace:
     """The record of type `cls` whose JSON form is `obj` (which it takes
     over): the inverse of `encode`. ValueError or KeyError unless the
     fields are exactly the record's. The values go to the constructor by
@@ -1142,6 +1138,8 @@ def read_fields(obj: dict, converters: dict[str, Callable], required: Iterable[s
 
 # A donor registration or update: the fields the engine does not assign.
 _DONOR_INPUT = input_fields(DonorRecord, exclude=("donor_id", "registered_at"))
+# What a registration needs besides the platform id.
+_DONOR_REQUIRED = ("blood_group", "latitude", "longitude")
 
 
 def donor_input(obj: dict) -> dict:

@@ -32,6 +32,9 @@ TED_WEIGHT = 0.2
 
 MICRO = 1_000_000
 
+# The languages a gold set may tag its items with.
+GOLD_LANGUAGES = ("bn", "en", "tbn")
+
 
 @dataclass(frozen=True)
 class ParsingScore:
@@ -177,7 +180,7 @@ def evaluate_parser(
     The overall mean is sample-weighted, i.e. the plain mean over items.
     """
     for _, _, language in goldset:
-        if language not in ("bn", "en", "tbn"):
+        if language not in GOLD_LANGUAGES:
             raise ValueError(f"goldset language must be bn/en/tbn, got {language!r}")
     per_language: dict[str, LanguageStats] = {}
     weighted_total = 0.0
@@ -216,16 +219,24 @@ def evaluate_parser(
 
 
 def load_goldset(path: str | Path) -> list[tuple[str, ParseOutcome, str]]:
-    """Gold-set file: line-delimited {"text", "language", "gold"} objects."""
+    """Gold-set file: line-delimited {"text", "language", "gold"} objects;
+    ValueError names the file and line of the first malformed one."""
     items: list[tuple[str, ParseOutcome, str]] = []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            outcome = schema.validate(obj["gold"])
-            if not isinstance(outcome, ParseOutcome):
-                raise ValueError(f"{path}:{lineno}: gold object invalid: {outcome[0]}")
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+                    raise ValueError("not a JSON object with a string 'text'")
+                if obj.get("language") not in GOLD_LANGUAGES:
+                    raise ValueError(f"'language' is not one of {GOLD_LANGUAGES}")
+                outcome = schema.validate(obj.get("gold"))
+                if not isinstance(outcome, ParseOutcome):
+                    raise ValueError(f"gold object invalid: {outcome[0]}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             items.append((obj["text"], outcome, obj["language"]))
     return items
 

@@ -21,8 +21,7 @@ from typing import Iterable
 
 from . import layer1
 from .dispatch import (
-    Clock, DispatchEngine, DispatchError, FULFILLED, FieldError, check_donor, donor_input, input_fields,
-    read_fields,
+    Clock, DispatchEngine, DispatchError, FULFILLED, PipelineTrace, donor_input, encode, input_fields, read_fields,
 )
 from .layer1 import ClassifierModel
 from .layer2 import Backend
@@ -78,42 +77,6 @@ def decode_event(obj: dict, required: Iterable[str] = (), **defaults) -> Inbound
     return InboundEvent(**{**defaults, **read_fields(obj, _EVENT_FIELDS, required)})
 
 
-@dataclass
-class PipelineTrace:
-    message_id: str
-    t_arrival: int | None = None
-    t_parsed_stored: int | None = None
-    t_first_notification: int | None = None
-    t_first_response: int | None = None
-    layer1_prob: float | None = None
-    layer2_outcome: str = "skipped"  # skipped | request | negative | error
-    request_id: str | None = None
-
-    def timestamps(self) -> list[int]:
-        return [
-            t
-            for t in (
-                self.t_arrival,
-                self.t_parsed_stored,
-                self.t_first_notification,
-                self.t_first_response,
-            )
-            if t is not None
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "message_id": self.message_id,
-            "t_arrival": self.t_arrival,
-            "t_parsed_stored": self.t_parsed_stored,
-            "t_first_notification": self.t_first_notification,
-            "t_first_response": self.t_first_response,
-            "layer1_prob": round(self.layer1_prob, 9) if self.layer1_prob is not None else None,
-            "layer2_outcome": self.layer2_outcome,
-            "request_id": self.request_id,
-        }
-
-
 @dataclass(frozen=True)
 class Decision:
     """What the two layers made of one text."""
@@ -129,7 +92,11 @@ def intake_token(platform_id: str) -> str:
 
 
 class Gateway:
-    """Wires the classifier, the parser backend, and the dispatch engine."""
+    """Wires the classifier, the parser backend, and the dispatch engine.
+
+    The engine's clock is the one time source: `clock` only builds the
+    default engine, and a clock that is not the given engine's is refused.
+    """
 
     def __init__(
         self,
@@ -140,14 +107,11 @@ class Gateway:
         snapshot_path: str | Path | None = None,
         threshold: float | None = None,
     ):
-        if clock is not None:
-            self.clock = clock
-        elif engine is not None:
-            self.clock = engine.clock
-        else:
-            self.clock = Clock()
-        self.engine = engine or DispatchEngine(clock=self.clock)
-        self.engine.clock = self.clock
+        if engine is None:
+            engine = DispatchEngine(clock=clock)
+        elif clock is not None and clock is not engine.clock:
+            raise ValueError("clock is not the engine's: pass the engine alone")
+        self.engine = engine
         self.model = model
         self.backend = backend
         self.threshold = threshold if threshold is not None else model.hyper.threshold
@@ -157,6 +121,10 @@ class Gateway:
         self.dead_letters = 0
         self.layer2_calls = 0
         self._last_tick_per_group: dict[str, int] = {}
+
+    @property
+    def clock(self) -> Clock:
+        return self.engine.clock
 
     # -- command surface ----------------------------------------------------
 
@@ -294,7 +262,7 @@ class Gateway:
         if ev.kind == "command" or (ev.kind == "message" and ev.text.startswith("/")):
             action = {"action": "command_reply", "reply": self.handle_command(ev.text, ev.sender)}
         elif ev.kind == "message":
-            action = {"action": "ingested", "trace": self.ingest_message(ev).to_dict()}
+            action = {"action": "ingested", "trace": encode(self.ingest_message(ev))}
         elif ev.kind == "edit":
             action = {"action": "edit", "status": self.handle_edit_event(ev)}
         else:
@@ -373,46 +341,32 @@ def bundled_scenarios() -> list[Path]:
     return sorted(root.glob("*.jsonl"))
 
 
-# The staging knobs a scenario `config` line may set, each an integer.
-_CONFIG_KNOBS = ("stage_size", "stage_timeout", "eligibility_days")
+# Scenario fields outside the event form, read as an event's own are: every
+# line's `tick`, a donor line's `sender`, and the integer staging knobs a
+# `config` line may set.
+_TICK = {"tick": _EVENT_FIELDS["tick"]}
+_SENDER = {"sender": _EVENT_FIELDS["sender"]}
+_CONFIG_KNOBS = dict.fromkeys(("stage_size", "stage_timeout", "eligibility_days"), _EVENT_FIELDS["tick"])
 
 
-def _check_ints(obj: dict, names: Iterable[str]) -> None:
-    """FieldError naming the fields among `names` that `obj` holds as
-    anything but a JSON integer (booleans included)."""
-    wrong = [
-        name for name in names
-        if name in obj and (isinstance(obj[name], bool) or not isinstance(obj[name], int))
-    ]
-    if wrong:
-        raise FieldError("wrong-typed fields", wrong)
-
-
-def _donor_line(obj: dict) -> dict:
-    """`DispatchEngine.register_donor`'s arguments from a scenario `donor`
-    line, whose `sender` is the platform id; FieldError names the fields
-    that are missing or wrong-typed, ValueError the values the engine
-    refuses."""
-    missing = [name for name in ("sender", "blood_group", "latitude", "longitude") if name not in obj]
-    if missing:
-        raise FieldError("missing fields", missing)
-    try:
-        donor = donor_input({**obj, "platform_id": obj["sender"]})
-    except FieldError as exc:
-        raise FieldError(exc.error, ["sender" if n == "platform_id" else n for n in exc.fields]) from None
-    try:
-        check_donor(donor["blood_group"], donor["latitude"], donor["longitude"])
-    except DispatchError as exc:
-        raise ValueError(str(exc)) from None
-    return donor
+def _donor_line(obj: dict) -> tuple[str, dict]:
+    """`DispatchEngine.put_donor`'s arguments from a scenario `donor` line,
+    whose `sender` is the platform id; FieldError names the fields that are
+    missing or wrong-typed."""
+    sender = read_fields(obj, _SENDER, required=_SENDER)["sender"]
+    donor = donor_input({**obj, "platform_id": sender})
+    del donor["platform_id"]
+    return sender, donor
 
 
 def load_scenario(path: str | Path) -> list[dict]:
     """The lines of a scenario file, each checked: a JSON object with an
-    integer `tick` and a known `kind`; event lines decodable, donor lines
-    decodable into values the engine accepts, config knobs integers.
-    ScenarioError names the file and line of the first bad one."""
+    integer `tick` and a known `kind`; event lines decodable, config knobs
+    integers, and each donor line a write the engine accepts (the donor
+    lines are applied, in order, to a scratch registry). ScenarioError
+    names the file and line of the first bad one."""
     events = []
+    registry = DispatchEngine()
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip() or line.lstrip().startswith("#"):
@@ -421,7 +375,7 @@ def load_scenario(path: str | Path) -> list[dict]:
                 obj = json.loads(line)
                 if not isinstance(obj, dict) or "tick" not in obj or "kind" not in obj:
                     raise ValueError("event needs 'tick' and 'kind'")
-                _check_ints(obj, ("tick",))
+                read_fields(obj, _TICK)
                 if obj["kind"] not in EVENT_KINDS + ("donor", "advance", "config"):
                     raise ValueError(f"unknown kind {obj['kind']!r}")
                 if obj["kind"] == "config" and events:
@@ -429,10 +383,10 @@ def load_scenario(path: str | Path) -> list[dict]:
                 if obj["kind"] in EVENT_KINDS:
                     decode_event(obj)
                 elif obj["kind"] == "donor":
-                    _donor_line(obj)
+                    registry.put_donor(*_donor_line(obj))
                 elif obj["kind"] == "config":
-                    _check_ints(obj, _CONFIG_KNOBS)
-            except (json.JSONDecodeError, ValueError) as exc:
+                    read_fields(obj, _CONFIG_KNOBS)
+            except (ValueError, DispatchError) as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
             events.append(obj)
     ticks = [e["tick"] for e in events]
@@ -450,19 +404,15 @@ def simulate(
     """Replay a scripted event timeline under a logical clock.
 
     Scenario files are line-delimited JSON with a ``tick`` field. Besides
-    the four inbound kinds, ``donor`` lines register donors (standing in
-    for the out-of-scope intake form), ``advance`` lines only move time,
-    and an optional leading ``config`` line overrides the staging knobs.
-    Identical scenarios produce byte-identical transcripts.
+    the four inbound kinds, ``donor`` lines write donors as ``POST /donors``
+    does (standing in for the out-of-scope intake form), ``advance`` lines
+    only move time, and an optional leading ``config`` line overrides the
+    staging knobs. Identical scenarios produce byte-identical transcripts.
     """
     events = load_scenario(scenario_path)
-    knobs = events.pop(0) if events and events[0]["kind"] == "config" else {}
-    clock = Clock()
-    engine = DispatchEngine(
-        clock=clock,
-        **{k: knobs[k] for k in _CONFIG_KNOBS if k in knobs},
-    )
-    gateway = Gateway(model=model, backend=backend, engine=engine, clock=clock, threshold=threshold)
+    knobs = read_fields(events.pop(0), _CONFIG_KNOBS) if events and events[0]["kind"] == "config" else {}
+    engine = DispatchEngine(**knobs)
+    gateway = Gateway(model=model, backend=backend, engine=engine, threshold=threshold)
     transcript: list[dict] = []
 
     def flush_outbound(tick: int) -> None:
@@ -477,7 +427,7 @@ def simulate(
         if kind == "advance":
             action = {"action": "advance"}
         elif kind == "donor":
-            record = engine.register_donor(**_donor_line(obj))
+            record = engine.put_donor(*_donor_line(obj))
             action = {"action": "donor_registered", "donor_id": record.donor_id}
         else:
             action = gateway.handle_event(decode_event(obj))

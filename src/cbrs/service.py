@@ -4,8 +4,9 @@ Endpoints: POST /messages, POST /donors, POST /responses,
 GET /requests/{id}, GET /health. Bodies are JSON both ways; malformed or
 wrong-typed input gets a 400 with field diagnostics before any state
 changes, a body over `MAX_BODY_BYTES` a 413 before it is read, unknown
-ids a 404. Donors, cases and ledger entries are answered in the JSON form
-`dispatch.encode` gives them. Handlers share one
+ids a 404. POST /donors writes by `DispatchEngine.put_donor`'s rule, as a
+scenario `donor` line does. Donors, cases, ledger entries and traces are
+answered in the JSON form `dispatch.encode` gives them. Handlers share one
 lock so case/ledger mutations stay serialized. With a snapshot path set,
 every POST persists what it changed, under the lock, before it replies.
 """
@@ -71,7 +72,7 @@ def _case_payload(gateway: Gateway, case: RequestCase) -> dict:
     trace = gateway.traces.get(case.message_id)
     return {
         **encode(case),
-        "trace": trace.to_dict() if trace else None,
+        "trace": encode(trace) if trace else None,
         "ledger": [encode(e) for e in gateway.engine.case_entries(case.request_id)],
     }
 
@@ -151,17 +152,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, action)
 
     def _post_donor(self, body: dict) -> None:
-        patch = donor_input(body)
-        platform_id = patch.pop("platform_id")
-        engine = self.gateway.engine
+        donor = donor_input(body)
+        platform_id = donor.pop("platform_id")
         with self.lock:
-            # A known donor changes only the fields the body carries; an
-            # unknown one registers, which needs group and coordinates.
-            new = engine.donor_by_platform(platform_id) is None
-            if new and all(k in patch for k in ("blood_group", "latitude", "longitude")):
-                record = engine.register_donor(platform_id, **patch)
-            else:
-                record = engine.update_donor(platform_id, patch)
+            record = self.gateway.engine.put_donor(platform_id, donor)
             self.gateway.persist()
         self._send(200, encode(record))
 

@@ -100,6 +100,23 @@ def test_eval_parse_rules_backend(tmp_path, capsys):
     assert report["count"] == 18
 
 
+@pytest.mark.parametrize(
+    "line",
+    ['{"text": $TEXT, "gold": $GOLD}', "[1]", '{"text": $TEXT, language: "en", "gold": $GOLD}',
+     '{"text": $TEXT, "language": "fr", "gold": $GOLD}'],
+    ids=["no-language", "not-an-object", "bad-json", "unknown-language"],
+)
+def test_eval_parse_malformed_goldset_line_exits_2(tmp_path, capsys, line):
+    # Line 1 is a valid item; line 2 is malformed and otherwise valid.
+    (text, gold, lang), = goldset(1, seed=17)
+    gold, text = schema.serialize(gold), json.dumps(text, ensure_ascii=False)
+    good = f'{{"text": {text}, "language": "{lang}", "gold": {gold}}}'
+    gold_path = tmp_path / "gold.jsonl"
+    gold_path.write_text(good + "\n" + line.replace("$GOLD", gold).replace("$TEXT", text) + "\n", encoding="utf-8")
+    assert cli.main(["eval-parse", str(gold_path)]) == 2
+    assert f"{gold_path}:2:" in capsys.readouterr().err
+
+
 def test_eval_classify(corpus_file, capsys):
     rc = cli.main(["eval-classify", str(corpus_file), *FAST])
     assert rc == 0

@@ -147,6 +147,16 @@ def test_backend_failure_queues_retry(scenario_model):
     assert len(g.retry_queue) == 1
 
 
+def test_gateway_refuses_a_clock_other_than_its_engines(scenario_model):
+    # The engine's clock is the one time source; a second one is an error,
+    # not a silent replacement.
+    engine = DispatchEngine(clock=Clock())
+    with pytest.raises(ValueError, match="clock"):
+        Gateway(model=scenario_model, backend=RulesBackend(), engine=engine, clock=Clock())
+    g = Gateway(model=scenario_model, backend=RulesBackend(), engine=engine, clock=engine.clock)
+    assert g.clock is engine.clock
+
+
 def test_retry_queue_keeps_the_newest_events(scenario_model, caplog):
     from cbrs.gateway import RETRY_LIMIT
 

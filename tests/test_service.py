@@ -6,7 +6,7 @@ import urllib.request
 import pytest
 
 from cbrs.dispatch import Clock, DispatchEngine, encode
-from cbrs.gateway import Gateway
+from cbrs.gateway import Gateway, simulate
 from cbrs.layer2 import Backend, RulesBackend
 from cbrs.schema import ParsedRequest, ParseOutcome, to_dict
 from cbrs.service import MAX_BODY_BYTES, ServiceConfig, _case_payload, serve
@@ -128,6 +128,36 @@ def test_donor_move_keeps_the_last_donation_date(service):
     assert status == 200 and body["last_donation_date"] is None
     status, body = _call(running.port, "POST", "/donors", {**move, "platform_id": "bob"})
     assert status == 200 and body["donor_id"] == "d00002" and body["last_donation_date"] is None
+
+
+def test_donor_post_for_an_unknown_id_names_the_missing_fields(service):
+    running, gateway = service
+    status, body = _call(running.port, "POST", "/donors", {"platform_id": "carol", "latitude": 23.8, "longitude": 90.4})
+    assert status == 400
+    assert body["fields"] == ["blood_group"]
+    assert gateway.engine.donors == {}
+
+
+def test_scenario_donor_lines_write_as_post_donors_does(service, scenario_model, tmp_path):
+    # The same donor writes, through the service and through a scenario,
+    # leave equal registries; a re-registration without a date keeps it.
+    running, gateway = service
+    writes = [
+        ("alice", {"blood_group": "O+", "latitude": 23.81, "longitude": 90.41, "last_donation_date": "2024-12-20"}),
+        ("bob", {"blood_group": "A-", "latitude": 22.36, "longitude": 91.78}),
+        ("alice", {"blood_group": "O+", "latitude": 23.9, "longitude": 90.4}),
+        ("bob", {"blood_group": "B+"}),
+        ("bob", {"last_donation_date": "2025-01-02"}),
+    ]
+    for sender, fields in writes:
+        assert _call(running.port, "POST", "/donors", {"platform_id": sender, **fields})[0] == 200
+    scenario = tmp_path / "donors.jsonl"
+    scenario.write_text("".join(
+        json.dumps({"tick": 0, "kind": "donor", "sender": sender, **fields}) + "\n" for sender, fields in writes
+    ))
+    result = simulate(scenario, scenario_model, RulesBackend())
+    assert result.engine.donors == gateway.engine.donors
+    assert result.engine.donors["alice"].last_donation_date.isoformat() == "2024-12-20"
 
 
 def test_donor_validation_diagnostics(service):
@@ -328,7 +358,7 @@ def test_wrong_typed_input_400_changes_nothing(service, path, body, length, fiel
     _call(running.port, "POST", "/messages", {"message_id": "m1", "text": "good morning everyone", "tick": 5})
 
     def state():
-        traces = {k: (id(t), t.to_dict()) for k, t in gateway.traces.items()}
+        traces = {k: (id(t), encode(t)) for k, t in gateway.traces.items()}
         return traces, dict(gateway._last_tick_per_group), dict(engine.donors), dict(engine.cases), dict(engine.ledger)
 
     before = state()
