@@ -44,6 +44,7 @@ machine.
 from __future__ import annotations
 
 import bisect
+import gc
 import itertools
 import json
 import logging
@@ -870,8 +871,21 @@ class DispatchEngine:
         last `end`, or a file with no complete batch, raises SnapshotError
         naming the line, and the engine keeps its state. A donor line is
         malformed if `check_donor` refuses it, as `register_donor` does.
+        Any line is malformed if a field declared an integer or a boolean
+        holds another JSON type; the meta counters and the end line's
+        count are integers too. The cyclic garbage collector is paused
+        while the records are built: they hold no reference cycles, so its
+        passes over a large registry's new objects would free nothing.
         """
-        path = Path(path)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._restore(Path(path))
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _restore(self, path: Path) -> None:
         try:
             fh = path.open("rb")
         except FileNotFoundError:
@@ -907,12 +921,14 @@ class DispatchEngine:
                             raise ValueError("meta line inside a batch")
                         if obj.keys() != _META_FIELDS or obj["version"] != SNAPSHOT_VERSION:
                             raise ValueError(f"unsupported snapshot meta {obj}")
+                        _check_types("meta", obj, _META_TYPES)
                         batch_meta, batch = obj, []
                     elif section != "end":
                         raise ValueError(f"unknown section {section!r}")
                     elif batch is None or obj.keys() != {"records"}:
                         raise ValueError(f"end line {obj} outside a batch or malformed")
                     else:
+                        _check_types("end", obj, _END_TYPES)
                         if obj["records"] != len(batch) + 1:
                             raise SnapshotError(
                                 f"corrupt snapshot {path}: line {lineno}: batch of "
@@ -1024,6 +1040,8 @@ def _is_end(raw: bytes) -> bool:
 # Snapshot section -> the record type its lines hold.
 _RECORDS = {"donor": DonorRecord, "case": RequestCase, "ledger": LedgerEntry}
 _META_FIELDS = {"version", "donor_seq", "case_seq", "clock"}
+_META_TYPES = tuple((name, (int,)) for name in sorted(_META_FIELDS))
+_END_TYPES = (("records", (int,)),)
 
 
 # -- JSON forms -------------------------------------------------------------
@@ -1067,6 +1085,20 @@ _FORMS = {
     PipelineTrace: {"layer1_prob": (lambda p: None if p is None else round(p, 9), lambda p: p)},
 }
 _FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _FORMS}
+# The fields declared an integer or a boolean -> the types their JSON value
+# may have. JSON's true and false are no integers here, nor 1 and 0 booleans.
+_EXACT = {"int": (int,), "int | None": (int, type(None)), "bool": (bool,)}
+_TYPED_FIELDS = {
+    cls: tuple((f.name, _EXACT[f.type]) for f in fields(cls) if f.type in _EXACT) for cls in _FORMS
+}
+
+
+def _check_types(kind: str, obj: dict, typed: tuple[tuple[str, tuple[type, ...]], ...]) -> None:
+    """TypeError naming the first field of `obj` whose value's type is not
+    one `typed` allows for it."""
+    for name, allowed in typed:
+        if type(obj[name]) not in allowed:
+            raise TypeError(f"{kind} field {name!r} holds {obj[name]!r}")
 
 
 def encode(record: DonorRecord | RequestCase | LedgerEntry | PipelineTrace) -> dict:
@@ -1085,10 +1117,12 @@ def decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry | Pi
     over): the inverse of `encode`. ValueError or KeyError unless the
     fields are exactly the record's. The values go to the constructor by
     position, read in field order, which is quicker than matching every
-    line's own key strings against the parameter names."""
+    line's own key strings against the parameter names. TypeError if a
+    field declared an integer or a boolean holds another value."""
     names = _FIELD_NAMES[cls]
     if len(obj) != len(names):  # with as many fields, an unknown name leaves a known one missing
         raise ValueError(f"{cls.__name__} fields {sorted(obj)}")
+    _check_types(cls.__name__, obj, _TYPED_FIELDS[cls])
     for name, (_, from_json) in _FORMS[cls].items():
         obj[name] = from_json(obj[name])
     return cls(*map(obj.__getitem__, names))

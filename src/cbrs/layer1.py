@@ -7,11 +7,17 @@ missed request costs more than a false alarm; alpha defaults to 12.
 
 The model serializes to a single binary blob: magic ``CBRS1``, a version
 byte, a fixed hyperparameter block, then the E, W, b tensors as row-major
-little-endian float32.
+little-endian float32. A loaded model is for inference only: its table is
+the file's float32 bytes mapped read-only, so only the pages of the rows
+messages touch are resident, and `forward` casts just the gathered rows to
+float64 (exactly). `init_model` and `train` build float64 tables in RAM,
+which training and `gradient_check` write to.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -29,6 +35,7 @@ FORMAT_VERSION = 1
 _EPS = 1e-12
 
 _HYPER_STRUCT = struct.Struct("<7q4d")  # d, buckets, minn, maxn, word_n, epochs, seed, alpha, lr, threshold, pad
+_HEADER_SIZE = len(MAGIC) + 1 + _HYPER_STRUCT.size
 
 
 class TrainingError(Exception):
@@ -292,45 +299,74 @@ def classification_report(
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:
-    """Write the binary model blob (float32 tensors, little-endian)."""
+    """Write the binary model blob (float32 tensors, little-endian).
+
+    The blob goes to a new file in the target directory that then replaces
+    `path`, so a model loaded (mapped) from `path` keeps reading the old
+    file's pages.
+    """
     h = model.hyper
-    blob = bytearray()
-    blob += MAGIC
-    blob += bytes([FORMAT_VERSION])
-    blob += _HYPER_STRUCT.pack(
-        h.dim, h.buckets, h.minn, h.maxn, h.word_n, h.epochs, h.seed,
-        h.alpha, h.lr, h.threshold, 0.0,
-    )
-    for tensor in (model.embeddings, model.weights, model.bias):
-        blob += np.ascontiguousarray(tensor, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC + bytes([FORMAT_VERSION]))
+            fh.write(
+                _HYPER_STRUCT.pack(
+                    h.dim, h.buckets, h.minn, h.maxn, h.word_n, h.epochs, h.seed,
+                    h.alpha, h.lr, h.threshold, 0.0,
+                )
+            )
+            for tensor in (model.embeddings, model.weights, model.bias):
+                fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path: str | Path) -> ClassifierModel:
-    raw = Path(path).read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"not a classifier model file: {path}")
-    if raw[len(MAGIC)] != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {raw[len(MAGIC)]}")
-    offset = len(MAGIC) + 1
-    fields = _HYPER_STRUCT.unpack_from(raw, offset)
-    offset += _HYPER_STRUCT.size
-    dim, buckets, minn, maxn, word_n, epochs, seed = fields[:7]
-    alpha, lr, threshold = fields[7:10]
-    hyper = Hyper(
-        dim=dim, buckets=buckets, minn=minn, maxn=maxn, word_n=word_n,
-        epochs=epochs, seed=seed, alpha=alpha, lr=lr, threshold=threshold,
-    )
+    """The model saved at `path`, for inference only.
+
+    W and b are read into float64 arrays. The embedding table is not read:
+    it is a read-only float32 view of the file mapped into memory, so only
+    the pages of the rows `forward` gathers become resident, and a write
+    to it raises ValueError. ValueError too if the file is not a model
+    file or its size is not the one its header implies.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER_SIZE)
+        if head[: len(MAGIC)] != MAGIC:
+            raise ValueError(f"not a classifier model file: {path}")
+        if len(head) != _HEADER_SIZE:
+            raise ValueError(f"model file {path} ends inside its header")
+        if head[len(MAGIC)] != FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {head[len(MAGIC)]}")
+        fields = _HYPER_STRUCT.unpack_from(head, len(MAGIC) + 1)
+        dim, buckets, minn, maxn, word_n, epochs, seed = fields[:7]
+        alpha, lr, threshold = fields[7:10]
+        hyper = Hyper(
+            dim=dim, buckets=buckets, minn=minn, maxn=maxn, word_n=word_n,
+            epochs=epochs, seed=seed, alpha=alpha, lr=lr, threshold=threshold,
+        )
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER_SIZE + 4 * (buckets * dim + 2 * dim + 2)  # E, W and b as float32
+        if size != expected:
+            raise ValueError(
+                f"model file {path} is {size} bytes; its header ({buckets} x {dim}) "
+                f"needs {expected}"
+            )
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    offset = _HEADER_SIZE
+
     def take(shape: tuple[int, ...]) -> np.ndarray:
         nonlocal offset
         count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+        arr = np.frombuffer(mapped, dtype="<f4", count=count, offset=offset)
         offset += count * 4
-        return arr.reshape(shape).astype(np.float64)
+        return arr.reshape(shape)
 
     embeddings = take((buckets, dim))
-    weights = take((2, dim))
-    bias = take((2,))
-    if offset != len(raw):
-        raise ValueError("trailing bytes in model file")
+    weights = take((2, dim)).astype(np.float64)
+    bias = take((2,)).astype(np.float64)
     return ClassifierModel(embeddings=embeddings, weights=weights, bias=bias, hyper=hyper)

@@ -95,6 +95,13 @@ def fnv1a_32(data: str) -> int:
     return h
 
 
+def _fnv1a_feed(h: int, data: bytes) -> int:
+    """The FNV-1a state `h` after it reads on through `data`."""
+    for byte in data:
+        h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
+    return h
+
+
 def hash_features(units: list[str] | tuple[str, ...], buckets: int) -> list[int]:
     """Map each unit string to a bucket id in [0, buckets)."""
     if buckets <= 0:
@@ -103,8 +110,24 @@ def hash_features(units: list[str] | tuple[str, ...], buckets: int) -> list[int]
 
 
 @lru_cache(maxsize=65536)
-def _word_bucket_ids(word: str, minn: int, maxn: int, buckets: int) -> tuple[int, ...]:
-    return tuple(hash_features(subword_units(word, minn, maxn), buckets))
+def _word_parts(word: str, minn: int, maxn: int, buckets: int) -> tuple[tuple[int, ...], int, bytes]:
+    """A word's subword bucket ids, its FNV-1a state as a unigram, and the
+    bytes it adds to a word n-gram that it ends."""
+    ids = tuple(hash_features(subword_units(word, minn, maxn), buckets))
+    return ids, fnv1a_32(word), (NGRAM_SEP + word).encode("utf-8")
+
+
+def _ngram_states(parts: list[tuple[tuple[int, ...], int, bytes]], n: int) -> list[int]:
+    """The FNV-1a hashes of the word n-grams of orders 2..n, in the order
+    of `word_ngrams`, from the `_word_parts` of the words. FNV-1a reads
+    bytes left to right, so the k-gram at i hashes on from the state of
+    the (k-1)-gram at i by the separator and word i+k-1 alone."""
+    states = [state for _, state, _ in parts]
+    out: list[int] = []
+    for k in range(2, n + 1):
+        states = [_fnv1a_feed(h, tail) for h, (_, _, tail) in zip(states, parts[k - 1 :])]
+        out += states
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,31 +148,36 @@ class MessageFeatures:
         return self.rows.size == 0
 
     def pool(self, table: np.ndarray) -> np.ndarray:
-        """The message vector over embedding table `table`; zero when empty."""
+        """The float64 message vector over embedding table `table`; zero
+        when empty. Only the message's rows are gathered and cast, and the
+        cast from float32 is exact, so a float32 table (a mapped model
+        file) pools as its float64 copy would."""
         if self.empty:
-            return np.zeros(table.shape[1], dtype=table.dtype)
-        return self.coeffs @ table[self.rows]
+            return np.zeros(table.shape[1])
+        # Fancy indexing, not `np.take`: a mapped table starts at file
+        # offset 94, unaligned, and `take` copies unaligned rows very slowly.
+        return self.coeffs @ table[self.rows].astype(np.float64, copy=False)
 
 
 def message_features(
     words: list[str], minn: int, maxn: int, word_n: int, buckets: int
 ) -> MessageFeatures:
     """Aggregate subword and word-n-gram bucket ids into row coefficients."""
-    grams = word_ngrams(words, word_n) if word_n > 1 else []
-    total = len(words) + len(grams)
+    parts = [_word_parts(word, minn, maxn, buckets) for word in words]
+    grams = _ngram_states(parts, word_n)
+    total = len(parts) + len(grams)
     if total == 0:
         return MessageFeatures(
             rows=np.empty(0, dtype=np.int64), coeffs=np.empty(0, dtype=np.float64), word_count=0
         )
     weights: dict[int, float] = {}
     outer = 1.0 / total
-    for word in words:
-        ids = _word_bucket_ids(word, minn, maxn, buckets)
+    for ids, _, _ in parts:
         inner = outer / len(ids)
         for bucket in ids:
             weights[bucket] = weights.get(bucket, 0.0) + inner
-    for gram in grams:
-        bucket = fnv1a_32(gram) % buckets
+    for state in grams:
+        bucket = state % buckets
         weights[bucket] = weights.get(bucket, 0.0) + outer
     rows = np.fromiter(weights.keys(), dtype=np.int64, count=len(weights))
     coeffs = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))

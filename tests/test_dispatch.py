@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -490,6 +491,80 @@ def test_crash_between_writes_keeps_last_complete(tmp_path):
 def test_restore_missing_file(tmp_path):
     with pytest.raises(SnapshotError):
         DispatchEngine(clock=Clock()).restore(tmp_path / "absent.snap")
+
+
+def _one_donor_one_case(tmp_path):
+    eng = _engine()
+    eng.register_donor("u1", "O+", 23.8, 90.4)
+    eng.open_case("m1", _request(day="today"))
+    assert eng.ledger  # the donor was alerted
+    path = tmp_path / "state.snap"
+    eng.persist(path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("donor", "registered_at", "x"),
+        ("donor", "registered_at", True),
+        ("case", "created_at", "x"),
+        ("case", "created_at", 0.0),
+        ("case", "stages_fired", 1.5),
+        ("case", "deadline", "x"),
+        ("case", "next_stage_due", False),
+        ("case", "needs_attention", 0),
+        ("ledger", "stage", True),
+        ("ledger", "notified_at", None),
+        ("ledger", "resolution_notified", "no"),
+        ("meta", "clock", "x"),
+        ("meta", "donor_seq", True),
+        ("meta", "case_seq", 1.0),
+        ("end", "records", True),
+    ],
+)
+def test_restore_refuses_wrong_typed_integer_and_boolean_fields(tmp_path, section, field, value):
+    path = _one_donor_one_case(tmp_path)
+    lines = path.read_text("utf-8").splitlines()
+    [lineno] = [i for i, line in enumerate(lines, 1) if json.loads(line)["section"] == section]
+    obj = json.loads(lines[lineno - 1])
+    obj[field] = value
+    lines[lineno - 1] = json.dumps(obj, ensure_ascii=False)
+    bad = tmp_path / "bad.snap"
+    bad.write_text("\n".join(lines) + "\n", "utf-8")
+    served = _engine()
+    served.restore(path)
+    before = _state(served)
+    donors, cases = served.donors, served.cases
+    with pytest.raises(SnapshotError, match=f"line {lineno}: .*{field}"):
+        served.restore(bad)
+    assert served.donors is donors and served.cases is cases  # nothing loaded
+    assert _state(served) == before
+    with pytest.raises(SnapshotError, match=f"line {lineno}: "):
+        _engine().restore(bad)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("good", [True, False], ids=["restores", "raises"])
+def test_restore_pauses_the_gc_and_leaves_it_as_it_found_it(tmp_path, monkeypatch, enabled, good):
+    path = _one_donor_one_case(tmp_path)
+    if not good:
+        path.write_text(path.read_text("utf-8")[:-20], "utf-8")  # the end line cut short
+    seen = []
+    decode = dp.decode
+    monkeypatch.setattr(dp, "decode", lambda cls, obj: seen.append(gc.isenabled()) or decode(cls, obj))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if good:
+            _engine().restore(path)
+        else:
+            with pytest.raises(SnapshotError):
+                _engine().restore(path)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)  # every record was built with the collector paused
 
 
 # -- the appended journal --------------------------------------------------------------

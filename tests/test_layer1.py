@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -210,3 +215,99 @@ def test_classification_report_constant_positive_model():
     report = l1.classification_report(model, Corpus(samples=samples), timing_calls=10)
     assert report.per_class[1]["recall"] == pytest.approx(1.0)
     assert report.per_class[1]["precision"] == pytest.approx(0.5)
+
+
+# -- model files: a mapped, read-only float32 table ------------------------------------
+
+TEXTS = ("rokto dorkar dhaka", "urgent O- blood needed today", "lunch at 2?", "", "রক্ত লাগবে ঢাকা")
+
+
+def _trained(seed):
+    hyper = l1.Hyper(dim=8, buckets=1 << 12, epochs=2, lr=0.4, seed=seed)
+    return l1.train(separable_corpus(60, seed=seed), hyper)
+
+
+def test_loaded_table_is_a_read_only_float32_mapping(tmp_path):
+    path = tmp_path / "model.bin"
+    l1.save_model(_trained(3), path)
+    loaded = l1.load_model(path)
+    assert loaded.embeddings.dtype == np.float32 and loaded.embeddings.shape == (1 << 12, 8)
+    assert loaded.weights.dtype == np.float64 and loaded.bias.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.embeddings[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        l1.gradient_check(loaded, "rokto dorkar", 1)
+
+
+def test_mapped_forward_equals_the_float64_table_exactly(tmp_path):
+    path = tmp_path / "model.bin"
+    l1.save_model(_trained(4), path)
+    mapped = l1.load_model(path)
+    in_ram = l1.ClassifierModel(
+        mapped.embeddings.astype(np.float64), mapped.weights, mapped.bias, mapped.hyper
+    )
+    corpus = separable_corpus(40, seed=8)
+    for text in TEXTS + tuple(s.text for s in corpus):
+        assert l1.forward(mapped, text) == l1.forward(in_ram, text)
+
+
+def test_saving_over_a_loaded_model_leaves_it_unchanged(tmp_path):
+    path = tmp_path / "model.bin"
+    l1.save_model(_trained(5), path)
+    a = l1.load_model(path)
+    before = [l1.forward(a, t) for t in TEXTS]
+    b = _trained(6)
+    l1.save_model(b, path)
+    assert [l1.forward(a, t) for t in TEXTS] == before
+    fresh = l1.load_model(path)
+    assert np.array_equal(fresh.embeddings, b.embeddings.astype(np.float32))
+    assert np.array_equal(fresh.weights, b.weights.astype(np.float32))
+    assert [l1.forward(fresh, t) for t in TEXTS] != before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]  # no temp file left
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["one-byte-short", "one-byte-long"])
+def test_load_refuses_a_file_whose_size_the_header_does_not_give(tmp_path, change):
+    path = tmp_path / "model.bin"
+    l1.save_model(_trained(7), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1] if change < 0 else raw + b"\0")
+    with pytest.raises(ValueError, match=f"{len(raw) + change} bytes.*needs {len(raw)}"):
+        l1.load_model(path)
+
+
+DEPLOYED_RSS_CODE = """
+import resource, sys
+from cbrs import layer1
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+model = layer1.load_model(sys.argv[1])
+for text in ("rokto dorkar dhaka", "urgent O- blood needed today", "lunch at 2?"):
+    layer1.forward(model, text)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_a_deployed_shape_model_loads_and_runs_in_little_memory(tmp_path):
+    """A `Hyper()`-shape file (2^21 x 100, 0.84 GB) whose table is a hole:
+    only the pages of the rows a few messages touch may become resident."""
+    hyper = l1.Hyper()
+    path = tmp_path / "deployed.bin"
+    rng = np.random.default_rng(2)
+    with open(path, "wb") as fh:
+        fh.write(l1.MAGIC + bytes([l1.FORMAT_VERSION]))
+        fh.write(
+            l1._HYPER_STRUCT.pack(
+                hyper.dim, hyper.buckets, hyper.minn, hyper.maxn, hyper.word_n, hyper.epochs,
+                hyper.seed, hyper.alpha, hyper.lr, hyper.threshold, 0.0,
+            )
+        )
+        fh.seek(4 * hyper.buckets * hyper.dim, os.SEEK_CUR)  # the table: never written
+        fh.write(rng.normal(size=2 * hyper.dim + 2).astype("<f4").tobytes())
+    src = str(Path(l1.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", DEPLOYED_RSS_CODE, str(path)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    grew_kb = int(out.stdout.strip())  # ru_maxrss is in KB on Linux
+    assert grew_kb < 100 * 1024

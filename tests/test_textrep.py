@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cbrs import textrep as tr
-from cbrs.corpus import Corpus, LabeledSample
+from cbrs.corpus import Corpus, LabeledSample, normalize_text
+from cbrs.synth import imbalanced_bilingual_corpus
 
 
 # -- tokenize ---------------------------------------------------------------
@@ -141,6 +144,69 @@ def test_hash_features_pure_across_processes():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == str(tr.hash_features(units, 1 << 21))
+
+
+# -- word n-grams hashed from their prefixes ---------------------------------------
+
+# Bengali script, with its vowel signs and virama, next to any other
+# character UTF-8 can encode.
+WORDS = st.lists(
+    st.text(
+        st.one_of(st.characters(min_codepoint=0x980, max_codepoint=0x9FF), st.characters(codec="utf-8")),
+        max_size=8,
+    ),
+    max_size=7,
+)
+
+
+@given(words=WORDS, n=st.integers(1, 4), buckets=st.sampled_from([1, 97, 1 << 18, 1 << 21]))
+def test_ngram_states_hash_each_gram_as_fnv1a_of_its_joined_text(words, n, buckets):
+    parts = [tr._word_parts(w, 3, 6, buckets) for w in words]
+    states = tr._ngram_states(parts, n)
+    grams = [words[i : i + k] for k in range(2, n + 1) for i in range(len(words) - k + 1)]
+    assert [h % buckets for h in states] == [
+        tr.fnv1a_32(tr.NGRAM_SEP.join(gram)) % buckets for gram in grams
+    ]
+    assert states == [tr.fnv1a_32(g) for g in tr.word_ngrams(words, n)]
+
+
+def byte_by_byte_message_features(words, minn, maxn, word_n, buckets):
+    """`message_features` as it was before word n-grams were hashed from
+    their prefixes: every gram joined and hashed byte by byte."""
+    grams = tr.word_ngrams(words, word_n) if word_n > 1 else []
+    total = len(words) + len(grams)
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    weights = {}
+    outer = 1.0 / total
+    for word in words:
+        ids = tr.hash_features(tr.subword_units(word, minn, maxn), buckets)
+        inner = outer / len(ids)
+        for bucket in ids:
+            weights[bucket] = weights.get(bucket, 0.0) + inner
+    for gram in grams:
+        bucket = tr.fnv1a_32(gram) % buckets
+        weights[bucket] = weights.get(bucket, 0.0) + outer
+    return np.array(list(weights), dtype=np.int64), np.array(list(weights.values()))
+
+
+def _same_features(words, minn, maxn, word_n, buckets):
+    feats = tr.message_features(words, minn, maxn, word_n, buckets)
+    rows, coeffs = byte_by_byte_message_features(words, minn, maxn, word_n, buckets)
+    assert np.array_equal(feats.rows, rows) and np.array_equal(feats.coeffs, coeffs)
+    assert feats.word_count == len(words)
+
+
+@given(words=WORDS, word_n=st.integers(0, 4))
+def test_message_features_equal_the_byte_by_byte_loop(words, word_n):
+    _same_features(words, 3, 6, word_n, 1 << 18)
+
+
+def test_message_features_of_bilingual_messages_equal_the_byte_by_byte_loop():
+    for sample in imbalanced_bilingual_corpus(300, seed=17):
+        words = tr.tokenize(tr.mask_digit_runs(normalize_text(sample.text)))
+        _same_features(words, 3, 6, 3, 1 << 18)
+        _same_features(words, 2, 4, 4, 1 << 21)
 
 
 # -- embedding bag ------------------------------------------------------------
