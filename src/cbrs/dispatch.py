@@ -3,13 +3,18 @@
 Donors are matched to a request by exact blood group and an eligibility
 window since their last donation, ranked by great-circle distance to the
 request's gazetteer anchor. Ranking reads per-blood-group numpy columns
-(coordinates in radians, last-donation day, a precomputed recency order):
-one vector compare finds the eligible donors, a vectorized distance term
-and `np.partition` pick the top-k candidates, and only those are re-sorted
-with the exact scalar key, so the order equals a full sort of every match.
-Restore fills every group's columns; from then on they are updated in
-place (a registration appends a row, an update rewrites one, a change of
-group moves it), so no ranking rescans the registry.
+(coordinates in radians, the cosine of the latitude, last-donation day)
+and two orders of their rows, by recency and by latitude. With an anchor,
+only a band of the latitude order around it is read: the band grows until
+no row outside it, being at least its latitude gap away, can come within
+the k-th nearest eligible row inside it. A vectorized distance term and
+`np.partition` pick the band's top-k candidates, and only those are
+re-sorted with the exact scalar key, so the order equals a full sort of
+every match. Without an anchor, growing prefixes of the recency order are
+read until they hold k eligible rows. Restore fills every group's columns
+and orders; from then on they are updated in place (a registration
+appends a row, an update rewrites one, a change of group moves it), so no
+ranking rescans the registry.
 A donor comes in by the HTTP service, a scenario line or a snapshot, and
 the same rules hold for all three: `put_donor` is the one write rule
 (an unknown id registers, a known one changes the fields given) and
@@ -210,6 +215,10 @@ _SQRT_MARGIN = 1e-12
 _ABS_MARGIN = 1e-24
 
 
+def _margin(term: float) -> float:
+    return _REL_MARGIN * term + _SQRT_MARGIN * math.sqrt(term) + _ABS_MARGIN
+
+
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in km on a sphere of radius 6371.0 km."""
     p1, p2 = math.radians(lat1), math.radians(lat2)
@@ -333,6 +342,23 @@ def check_donor(blood_group: str, latitude: float, longitude: float) -> None:
         raise DispatchError("; ".join(problems))
 
 
+def check_staging(stage_size: int, stage_timeout: int, eligibility_days: int) -> None:
+    """ValueError naming every staging knob below its least value: a stage
+    alerts at least one donor and waits at least one second before the
+    next, and the eligibility window is not negative."""
+    low = [
+        f"{name} must be at least {least}, got {value}"
+        for name, value, least in (
+            ("stage_size", stage_size, 1),
+            ("stage_timeout", stage_timeout, 1),
+            ("eligibility_days", eligibility_days, 0),
+        )
+        if value < least
+    ]
+    if low:
+        raise ValueError("; ".join(low))
+
+
 def detect_managed_marker(text: str) -> bool:
     lowered = text.casefold()
     return any(marker in lowered for marker in MANAGED_MARKERS)
@@ -341,24 +367,32 @@ def detect_managed_marker(text: str) -> bool:
 class _GroupIndex:
     """Columns of one blood group's donors, kept current in place.
 
-    Row i of `lat` and `lon` (radians) and `last` (last-donation day)
-    describes `members[i]`, the record object the engine's registry holds.
-    Row order carries no meaning: `nearest` re-sorts its candidates by the
-    exact scalar key and `newest` follows `recency`, a total order. A
-    registration appends a row, an update rewrites one, and a removal
-    moves the last row into the hole. The arrays grow geometrically, so n
-    appends cost O(n). `recency` orders the rows newest registration
-    first, then by donor id. An update keeps a donor's registration time
-    and id, so it keeps the order; appended rows wait in `_fresh` until the
-    next `newest` places them, and a removal drops its row from the order.
-    Every record passed `check_donor` on its way in, so its latitude equals
-    itself and `_row` finds it among the rows of that latitude.
+    Row i of `_lat` and `_lon` (radians), `_cos` (the cosine of `_lat`)
+    and `_last` (last-donation day) describes `members[i]`, the record
+    object the engine's registry holds; rows from `len(members)` on are
+    spare. Row order carries no meaning: `nearest` re-sorts its
+    candidates by the exact scalar key and `newest` follows `recency`, a
+    total order. A registration appends a row, an update rewrites one, and
+    a removal moves the last row into the hole. The arrays grow
+    geometrically, so n appends cost O(n).
+
+    Two orders of the rows are kept as well. `recency` orders them newest
+    registration first, then by donor id; `_by_lat` orders them by
+    latitude, with `_lat_sorted` the latitudes in that order (ties in any
+    order). Appended rows wait past `_placed` until the next ranking
+    places them in both (`_settle`), and a removal drops its row from
+    both. An update keeps a donor's registration time and id, so it keeps
+    the recency order; an update that changes the latitude of a placed row
+    moves it in the latitude order. Every record passed `check_donor` on
+    its way in, so its latitude equals itself and `_row` finds it among
+    the rows of that latitude.
     """
 
     def __init__(self, members: list[DonorRecord]):
         self.members = members
         self._lat = np.radians([d.latitude for d in members])
         self._lon = np.radians([d.longitude for d in members])
+        self._cos = np.cos(self._lat)
         self._last = np.array(
             [
                 d.last_donation_date.toordinal() if d.last_donation_date else _NEVER_DONATED
@@ -367,35 +401,34 @@ class _GroupIndex:
             dtype=np.int64,
         )
         self._recency = self._order()
-        self._fresh: list[int] = []  # rows appended since `_recency` was brought up to date
-
-    @property
-    def lat(self) -> np.ndarray:
-        return self._lat[: len(self.members)]
-
-    @property
-    def lon(self) -> np.ndarray:
-        return self._lon[: len(self.members)]
-
-    @property
-    def last(self) -> np.ndarray:
-        return self._last[: len(self.members)]
+        self._by_lat = np.argsort(self._lat)
+        self._lat_sorted = self._lat[self._by_lat]
+        self._placed = len(members)  # rows below this are in both orders; the rest wait
 
     @property
     def recency(self) -> np.ndarray:
-        """The rows in recency order. Rows appended since the last call are
-        sorted among themselves and bisected into the previous order,
-        about log n key reads each; past n / log n of them, one full sort
-        is cheaper."""
-        if self._fresh:
-            if len(self._fresh) * len(self._recency).bit_length() > len(self.members):
-                self._recency = self._order()
-            else:
-                fresh = sorted(self._fresh, key=self._key)
-                at = [bisect.bisect_left(self._recency, self._key(row), key=self._key) for row in fresh]
-                self._recency = np.insert(self._recency, at, fresh)
-            self._fresh = []
+        """The rows in recency order."""
+        self._settle()
         return self._recency
+
+    def _settle(self) -> None:
+        """Place the rows appended since the last call in both orders. In
+        recency they are sorted among themselves and bisected into the
+        previous order, about log n key reads each; past n / log n of
+        them, one full sort is cheaper. In latitude order they are sorted
+        and placed by `np.searchsorted`."""
+        n = len(self.members)
+        if self._placed == n:
+            return
+        fresh = range(self._placed, n)
+        if len(fresh) * len(self._recency).bit_length() > n:
+            self._recency = self._order()
+        else:
+            rows = sorted(fresh, key=self._key)
+            at = [bisect.bisect_left(self._recency, self._key(row), key=self._key) for row in rows]
+            self._recency = np.insert(self._recency, at, rows)
+        self._place_lat(np.arange(self._placed, n))
+        self._placed = n
 
     def _key(self, row: int) -> tuple[int, str]:
         donor = self.members[row]
@@ -412,61 +445,123 @@ class _GroupIndex:
 
     def _row(self, donor: DonorRecord) -> int:
         """The row holding this very record object."""
-        for row in np.flatnonzero(self.lat == np.radians(donor.latitude)):
+        for row in np.flatnonzero(self._lat[: len(self.members)] == np.radians(donor.latitude)):
             if self.members[row] is donor:
                 return int(row)
         raise DispatchError(f"donor {donor.donor_id} is not in this group's columns")
 
+    def _place_lat(self, rows: np.ndarray) -> None:
+        """Insert rows missing from the latitude order, at their `_lat`."""
+        lats = self._lat[rows]
+        order = np.argsort(lats)
+        at = self._lat_sorted.searchsorted(lats[order])
+        self._by_lat = np.insert(self._by_lat, at, rows[order])
+        self._lat_sorted = np.insert(self._lat_sorted, at, lats[order])
+
+    def _unplace_lat(self, row: int) -> None:
+        """Drop a placed row from the latitude order."""
+        lo = int(self._lat_sorted.searchsorted(self._lat[row], side="left"))
+        hi = int(self._lat_sorted.searchsorted(self._lat[row], side="right"))
+        at = lo + int(np.flatnonzero(self._by_lat[lo:hi] == row)[0])
+        self._by_lat = np.delete(self._by_lat, at)
+        self._lat_sorted = np.delete(self._lat_sorted, at)
+
     def put(self, donor: DonorRecord, old: DonorRecord | None = None) -> None:
         """Write `donor` into the row of `old`, the record it replaces, or
         into a new row."""
+        lat = np.radians(donor.latitude)
+        moved = False  # a placed row whose latitude changes
         if old is None:
             row = len(self.members)
             self.members.append(donor)
             if row == len(self._lat):  # full: rows past len(members) are never read
                 size = 2 * row + 16
-                self._lat, self._lon, self._last = (
-                    np.resize(column, size) for column in (self._lat, self._lon, self._last)
+                self._lat, self._lon, self._cos, self._last = (
+                    np.resize(column, size) for column in (self._lat, self._lon, self._cos, self._last)
                 )
-            self._fresh.append(row)
         else:
             row = self._row(old)
             self.members[row] = donor
-        self._lat[row] = np.radians(donor.latitude)
+            moved = row < self._placed and lat != self._lat[row]
+            if moved:
+                self._unplace_lat(row)
+        self._lat[row] = lat
         self._lon[row] = np.radians(donor.longitude)
+        self._cos[row] = np.cos(lat)
         last = donor.last_donation_date
         self._last[row] = last.toordinal() if last else _NEVER_DONATED
+        if moved:
+            self._place_lat(np.array([row]))
 
     def remove(self, donor: DonorRecord) -> None:
         """Drop the row of this record object; the last row moves into the hole."""
         row = self._row(donor)
-        recency = self.recency  # every row placed, so the renaming below reaches all
-        recency = recency[recency != row]
+        self._settle()  # every row placed, so the renaming below reaches all
+        self._unplace_lat(row)
+        recency = self._recency[self._recency != row]
         moved = self.members.pop()
         end = len(self.members)
         if row != end:
             self.members[row] = moved
-            for column in (self._lat, self._lon, self._last):
+            for column in (self._lat, self._lon, self._cos, self._last):
                 column[row] = column[end]
             recency[recency == end] = row
+            self._by_lat[self._by_lat == end] = row
         self._recency = recency
+        self._placed = end
 
-    def nearest(
-        self, eligible: np.ndarray, anchor: tuple[float, float], k: int
-    ) -> list[DonorRecord]:
-        """The k eligible rows nearest `anchor`, ordered by the exact scalar
-        key (distance, registration, donor id)."""
-        rows = np.flatnonzero(eligible)
+    def _term(self, rows: np.ndarray, p: float, q: float) -> np.ndarray:
+        """The haversine term of `rows` to the point at radians (p, q)."""
+        return (
+            np.sin((self._lat[rows] - p) / 2) ** 2
+            + math.cos(p) * self._cos[rows] * np.sin((self._lon[rows] - q) / 2) ** 2
+        )
+
+    def nearest(self, cutoff: int, anchor: tuple[float, float], k: int) -> list[DonorRecord]:
+        """The k (at least 1) rows last donating on or before day `cutoff`
+        nearest `anchor`, ordered by the exact scalar key (distance,
+        registration, donor id).
+
+        Only a band of the latitude order around the anchor is read, at
+        first the k rows either side of its latitude. No row outside the
+        band has a term below sin²(gap / 2), gap being the latitude
+        distance to the nearest of them. Once the band holds k eligible
+        rows whose k-th smallest term, plus its margin, lies below that
+        bound less the same margin, every row outside lies past the k-th
+        term's margin, so the candidates are the ones a scan of the whole
+        group keeps. Until then the band's half-width grows to twice the
+        gap, or further: the k-th term also gives a reach, the latitude
+        distance past which no row can be a candidate, and when the reach
+        is wider than twice the gap, the half-width is the geometric mean
+        of the two. A band that grows to the whole group is that scan.
+        """
+        self._settle()
         lat, lon = anchor
         p, q = math.radians(lat), math.radians(lon)
-        term = (
-            np.sin((self.lat[rows] - p) / 2) ** 2
-            + math.cos(p) * np.cos(self.lat[rows]) * np.sin((self.lon[rows] - q) / 2) ** 2
-        )
-        if 0 < k < len(rows):
-            kth = np.partition(term, k - 1)[k - 1]
-            margin = _REL_MARGIN * kth + _SQRT_MARGIN * math.sqrt(kth) + _ABS_MARGIN
-            rows = rows[term <= kth + margin]
+        lats = self._lat_sorted
+        n = len(lats)
+        mid = int(lats.searchsorted(p))
+        lo, hi = max(mid - k, 0), min(mid + k, n)
+        while True:
+            rows = self._by_lat[lo:hi]
+            rows = rows[self._last[rows] <= cutoff]
+            gap = min(p - lats[lo - 1] if lo else math.inf, lats[hi] - p if hi < n else math.inf)
+            if len(rows) >= k:
+                term = self._term(rows, p, q)
+                kth = np.partition(term, k - 1)[k - 1]
+                limit = kth + _margin(kth)
+                floor = math.sin(min(gap, math.pi) / 2) ** 2
+                if gap == math.inf or limit < floor - _margin(floor):
+                    rows = rows[term <= limit]
+                    break
+                reach = 2 * math.asin(math.sqrt(min(limit, 1.0)))
+                width = max(2 * gap, math.sqrt(2 * gap * reach))
+            elif gap == math.inf:
+                break
+            else:
+                width = 2 * gap
+            lo = int(lats.searchsorted(p - width))
+            hi = int(lats.searchsorted(p + width, side="right"))
         candidates = [self.members[i] for i in rows]
         candidates.sort(
             key=lambda d: (
@@ -477,11 +572,18 @@ class _GroupIndex:
         )
         return candidates[:k]
 
-    def newest(self, eligible: np.ndarray, k: int) -> list[DonorRecord]:
-        """The first k eligible rows in recency order."""
+    def newest(self, cutoff: int, k: int) -> list[DonorRecord]:
+        """The first k rows in recency order last donating on or before day
+        `cutoff`, read from prefixes of the order that double until they
+        hold k of them."""
         recency = self.recency
-        order = recency[eligible[recency]][:k]
-        return [self.members[i] for i in order]
+        end = k
+        while True:
+            head = recency[:end]
+            head = head[self._last[head] <= cutoff]
+            if len(head) >= k or end >= len(recency):
+                return [self.members[i] for i in head[:k]]
+            end *= 2
 
 
 def _group_columns(donors: Collection[DonorRecord]) -> dict[str, _GroupIndex]:
@@ -514,6 +616,7 @@ class DispatchEngine:
         stage_timeout: int = 600,
         eligibility_days: int = 90,
     ):
+        check_staging(stage_size, stage_timeout, eligibility_days)
         self.clock = clock or Clock()
         self.stage_size = stage_size
         self.stage_timeout = stage_timeout
@@ -619,11 +722,10 @@ class DispatchEngine:
             return []
         index = self._groups[group]
         cutoff = self.clock.today().toordinal() - self.eligibility_days
-        eligible = index.last <= cutoff
         k = self.stage_size + len(self._entries.get(case.request_id, ()))
         if case.anchor is None:
-            return index.newest(eligible, k)
-        return index.nearest(eligible, case.anchor, k)
+            return index.newest(cutoff, k)
+        return index.nearest(cutoff, case.anchor, k)
 
     # -- case lifecycle ----------------------------------------------------
 

@@ -362,9 +362,10 @@ def _donor_line(obj: dict) -> tuple[str, dict]:
 def load_scenario(path: str | Path) -> list[dict]:
     """The lines of a scenario file, each checked: a JSON object with an
     integer `tick` and a known `kind`; event lines decodable, config knobs
-    integers, and each donor line a write the engine accepts (the donor
-    lines are applied, in order, to a scratch registry). ScenarioError
-    names the file and line of the first bad one."""
+    integers the engine accepts (`check_staging`), and each donor line a
+    write the engine accepts (the donor lines are applied, in order, to a
+    scratch registry built with the config's knobs). ScenarioError names
+    the file and line of the first bad one."""
     events = []
     registry = DispatchEngine()
     with Path(path).open(encoding="utf-8") as fh:
@@ -385,7 +386,7 @@ def load_scenario(path: str | Path) -> list[dict]:
                 elif obj["kind"] == "donor":
                     registry.put_donor(*_donor_line(obj))
                 elif obj["kind"] == "config":
-                    read_fields(obj, _CONFIG_KNOBS)
+                    registry = DispatchEngine(**read_fields(obj, _CONFIG_KNOBS))
             except (ValueError, DispatchError) as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
             events.append(obj)

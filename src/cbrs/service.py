@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .dispatch import DispatchError, FieldError, RequestCase, donor_input, encode
+from .dispatch import DispatchError, FieldError, RequestCase, check_staging, donor_input, encode
 from .gateway import Gateway, decode_event
 
 log = logging.getLogger(__name__)
@@ -63,8 +63,12 @@ class ServiceConfig:
         unknown = set(values) - set(converters)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {name: converters[name](raw) for name, raw in values.items()}
-        return cls(**kwargs)
+        config = cls(**{name: converters[name](raw) for name, raw in values.items()})
+        try:
+            check_staging(config.stage_size, config.stage_timeout_seconds, config.eligibility_days)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return config
 
 
 def _case_payload(gateway: Gateway, case: RequestCase) -> dict:

@@ -205,6 +205,27 @@ def test_simulate_wrong_typed_config_knob_exits_2(model_file, tmp_path, capsys):
     assert f"{scenario}:1:" in err and "'stage_size'" in err
 
 
+@pytest.mark.parametrize("knob,value", [("stage_size", -3), ("stage_timeout", 0), ("eligibility_days", -1)])
+def test_simulate_config_knob_below_its_least_exits_2(model_file, tmp_path, capsys, knob, value):
+    basic = next(p for p in bundled_scenarios() if p.stem == "basic_fulfilled")
+    scenario = tmp_path / "bad.jsonl"
+    config = {"tick": 0, "kind": "config", knob: value}
+    scenario.write_text(json.dumps(config) + "\n" + basic.read_text())
+    rc = cli.main(["simulate", "--scenario", str(scenario), "--model", str(model_file)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"{scenario}:1:" in captured.err and f"{knob} must be at least" in captured.err
+    assert "donor_alert" not in captured.out
+
+
+def test_serve_config_knob_below_its_least_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "serve", lambda gateway, port: pytest.fail("served"))
+    conf = tmp_path / "cbrs.conf"
+    conf.write_text("stage_size = 0\n")
+    assert cli.main(["serve", "--config", str(conf)]) == 2
+    assert "stage_size must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_serve_uses_the_model_threshold_unless_the_config_sets_one(corpus_file, tmp_path, monkeypatch):
     model = tmp_path / "clf.bin"
     assert cli.main(["train", str(corpus_file), "-o", str(model), *FAST, "--threshold", "0.3"]) == 0

@@ -221,6 +221,21 @@ def _populate(eng, n, group="O+"):
         eng.register_donor(f"u{i}", group, 23.8 + i * 0.01, 90.4)
 
 
+@pytest.mark.parametrize(
+    "knob,value",
+    [("stage_size", -3), ("stage_size", 0), ("stage_timeout", 0), ("eligibility_days", -1)],
+)
+def test_engine_refuses_staging_knobs_below_their_least(knob, value):
+    # stage_size=-3 once alerted 14 of 20 donors in one stage (the slice
+    # [:k] took all but the last three), and stage_size=0 alerted nobody.
+    with pytest.raises(ValueError, match=f"^{knob} must be at least"):
+        _engine(**{knob: value})
+    eng = _engine(**{knob: value + 1 if knob == "eligibility_days" else 1})
+    _populate(eng, 20)
+    eng.open_case("m1", _request(day="today"))
+    assert len([e for e in eng.outbound if e["kind"] == "donor_alert"]) == eng.stage_size
+
+
 def test_stages_five_five_two():
     eng = _engine(stage_size=5, stage_timeout=600)
     _populate(eng, 12)

@@ -9,6 +9,8 @@ A stage is the first `stage_size` of those not yet notified for the case.
 
 The columns are filled by restore and then updated in place; they must
 always hold what a fresh build from the registry gives, in any row order.
+A ranking with an anchor reads only a latitude band around it; the band
+cases below put rows where the band's stopping rule is tightest.
 """
 
 import dataclasses
@@ -67,23 +69,29 @@ def oracle_batch(engine, case):
 
 def column_view(groups):
     """Each non-empty group's columns as a set of rows (the record's fields
-    and its lat, lon and last values), with its recency order as donor ids."""
+    and its lat, lon, cos and last values), with its recency order as donor
+    ids and its latitude order as the sorted latitudes (rows of one
+    latitude may come in any order)."""
     view = {}
     for group, index in groups.items():
         rows = set()
         for i, donor in enumerate(index.members):
-            rows.add((*dataclasses.astuple(donor), index.lat[i], index.lon[i], index.last[i]))
+            rows.add((*dataclasses.astuple(donor), index._lat[i], index._lon[i], index._cos[i], index._last[i]))
         if rows:
-            view[group] = (rows, [index.members[i].donor_id for i in index.recency])
+            recency = [index.members[i].donor_id for i in index.recency]
+            view[group] = (rows, recency, index._lat_sorted.tolist())
     return view
 
 
 def assert_columns_fresh(engine):
     """The engine's columns hold exactly what a fresh build gives, and each
-    row the very record object the registry holds."""
+    row the very record object the registry holds; the latitude order holds
+    every row once, at its latitude."""
     assert column_view(engine._groups) == column_view(dp._group_columns(engine.donors.values()))
     for index in engine._groups.values():
         assert all(engine.donors[d.platform_id] is d for d in index.members)
+        assert sorted(index._by_lat.tolist()) == list(range(len(index.members)))
+        assert np.array_equal(index._lat_sorted, index._lat[index._by_lat])
     assert sum(len(index.members) for index in engine._groups.values()) == len(engine.donors)
 
 
@@ -358,9 +366,158 @@ def test_row_order_does_not_change_rankings():
     cutoff = eng.clock.today().toordinal() - eng.eligibility_days
     for k in (1, 4, 25, 300):
         for anchor in (ANCHORS[0], ANCHORS[1], (23.81, 90.41)):
-            assert shuffled.nearest(shuffled.last <= cutoff, anchor, k) == index.nearest(
-                index.last <= cutoff, anchor, k)
-        assert shuffled.newest(shuffled.last <= cutoff, k) == index.newest(index.last <= cutoff, k)
+            assert shuffled.nearest(cutoff, anchor, k) == index.nearest(
+                cutoff, anchor, k)
+        assert shuffled.newest(cutoff, k) == index.newest(cutoff, k)
+
+
+# -- the latitude band against the oracle ----------------------------------------------
+
+
+def _registry(points, days=None, group="O+", ticks=None):
+    """An engine holding one donor per point, restored from its snapshot
+    so the columns and both orders are built by restore."""
+    eng = DispatchEngine(clock=Clock())
+    for i, (lat, lon) in enumerate(points):
+        if ticks is not None:
+            eng.clock.now = ticks[i]
+        last = None if days is None or days[i] is None else eng.clock.today() - timedelta(days=days[i])
+        eng.register_donor(f"u{i}", group, lat, lon, last)
+    path = Path(tempfile.mkdtemp(prefix="band-")) / "state.snap"
+    try:
+        eng.persist(path)
+        fresh = DispatchEngine(clock=Clock())
+        fresh.restore(path)
+    finally:
+        shutil.rmtree(path.parent)
+    return fresh
+
+
+def assert_band_rankings(engine, anchors, ks=(1, 2, 3, 5, 10, 40, 10_000), group="O+"):
+    """Each k-prefix of the ranking at each anchor is the oracle's."""
+    for anchor in anchors:
+        case = dp.RequestCase("r-probe", "m-probe", _request(group, "", ()), anchor=anchor)
+        want = [d.donor_id for d in oracle_ranking(engine, case)]
+        for k in ks:
+            engine.stage_size = k
+            assert [d.donor_id for d in engine.eligible_donors(case)] == want[:k], (anchor, k)
+
+
+def test_band_on_a_clustered_registry():
+    # Every donor within 0.05 degrees of Dhaka: the band soon holds all rows.
+    rng = np.random.default_rng(21)
+    lat, lon = ANCHORS[0]
+    points = [(lat + float(dy), lon + float(dx)) for dy, dx in rng.uniform(-0.05, 0.05, (400, 2))]
+    days = [None if rng.random() < 0.3 else int(rng.integers(0, 200)) for _ in points]
+    eng = _registry(points, days)
+    assert_band_rankings(eng, [ANCHORS[0], points[7], (lat + 0.05, lon), (lat, lon - 0.2), ANCHORS[1]])
+
+
+def test_band_on_one_parallel_degenerates_to_the_whole_group():
+    # The band's gap to the next row stays 0, so it widens to every row.
+    lat = 23.8
+    points = [(lat, 88.0 + i * 0.01) for i in range(200)]
+    eng = _registry(points, [int(d) for d in np.arange(200) % 120])
+    assert_band_rankings(eng, [(lat, 89.0), (lat, 87.5), (lat + 0.3, 89.0), (lat - 1e-9, 88.0)])
+
+
+def test_band_with_the_anchor_north_or_south_of_every_row():
+    rng = np.random.default_rng(22)
+    points = [(float(a), float(b)) for a, b in zip(rng.uniform(22, 26, 300), rng.uniform(88, 92, 300))]
+    eng = _registry(points)
+    assert_band_rankings(eng, [(40.0, 90.0), (26.0001, 90.0), (-10.0, 90.0), (21.9999, 88.5), (90.0, 0.0)])
+
+
+def test_band_keeps_rows_exactly_at_its_stopping_latitude():
+    # Due north and due east of the anchor at the same angle, the distance
+    # term is the same, sin^2(d/2), and so is the lower bound the band puts
+    # on rows a latitude gap d away. The north donor registered first and
+    # wins the tie, so a band that stops with it outside ranks wrong.
+    points = [(0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)]
+    points += [(0.0, 3.0 + i * 0.01) for i in range(40)]  # on the anchor's parallel, far east
+    points += [(sign * (0.6 + i * 0.02), 0.0) for i in range(40) for sign in (1, -1)]  # farther north and south
+    ticks = [0, 5, 1, 6] + [10] * (len(points) - 4)
+    eng = _registry(points, ticks=ticks)
+    assert [d.platform_id for d in oracle_ranking(eng, dp.RequestCase(
+        "r-probe", "m-probe", _request("O+", "", ()), anchor=(0.0, 0.0)))][:4] == ["u0", "u2", "u1", "u3"]
+    assert_band_rankings(eng, [(0.0, 0.0)], ks=(1, 2, 3, 4, 5))
+
+
+def test_band_ties_on_identical_coordinates_break_on_registration_then_id(tmp_path):
+    # Ids pass d99999, where string order stops being sequence order.
+    eng = DispatchEngine(clock=Clock())
+    eng._donor_seq = 99_990
+    for i in range(30):
+        eng.clock.now = (i * 7) % 4  # registration ties too
+        eng.register_donor(f"u{i}", "O+", *ANCHORS[0])
+        eng.register_donor(f"v{i}", "O+", ANCHORS[0][0] + 0.5, ANCHORS[0][1])
+    anchors = [ANCHORS[0], (ANCHORS[0][0] + 0.25, ANCHORS[0][1])]
+    assert_band_rankings(eng, anchors)  # rows placed by `_settle`
+    eng.persist(tmp_path / "state.snap")
+    fresh = DispatchEngine(clock=Clock())
+    fresh.restore(tmp_path / "state.snap")
+    assert_band_rankings(fresh, anchors)  # rows placed by restore
+
+
+def test_band_near_the_antimeridian():
+    rng = np.random.default_rng(23)
+    lons = np.concatenate([rng.uniform(179.9, 180.0, 100), rng.uniform(-180.0, -179.9, 100), [180.0, -180.0]])
+    lats = np.concatenate([rng.uniform(-0.1, 0.1, 200), [0.0, 0.0]])
+    eng = _registry([(float(a), float(b)) for a, b in zip(lats, lons)])
+    assert_band_rankings(eng, [(0.0, 180.0), (0.0, -180.0), (0.05, 179.99), (-0.02, -179.95), (0.0, 0.0)])
+
+
+def test_band_when_k_reaches_the_eligible_count():
+    days = [None, 10, 200, 95, 89, 300, None, 90, 1, 120]
+    eng = _registry([(23.8 + i * 0.1, 90.4 - i * 0.1) for i in range(10)], days)
+    eligible = sum(1 for d in eng.donors.values() if oracle_is_eligible(eng, d))
+    assert eligible == 7
+    assert_band_rankings(eng, [ANCHORS[0], (30.0, 90.0)], ks=(6, 7, 8, 100))
+
+
+def test_band_on_an_empty_group_and_a_group_nobody_may_give_in():
+    eng = _registry([(23.8, 90.4), (23.9, 90.5)], days=[10, 20])
+    assert_band_rankings(eng, [ANCHORS[0]], group="AB-")  # no donor of the group
+    assert_band_rankings(eng, [ANCHORS[0]])  # none eligible
+    assert eng._groups["AB-"].nearest(0, ANCHORS[0], 3) == []
+
+
+def test_band_on_random_registries_of_every_spread():
+    rng = np.random.default_rng(24)
+    for trial in range(24):
+        n = int(rng.integers(1, 400))
+        spread = [0.001, 0.5, 5.0, 90.0][trial % 4]
+        lats = np.clip(rng.normal(23.8, spread, n), -90, 90)
+        lons = (rng.normal(90.4, spread * 2, n) + 180) % 360 - 180
+        points = [(float(a), float(b)) for a, b in zip(lats, lons)]
+        days = [None if rng.random() < 0.2 else int(rng.integers(0, 180)) for _ in points]
+        eng = _registry(points, days)
+        anchors = [points[int(rng.integers(0, n))], ANCHORS[int(rng.integers(0, len(ANCHORS)))],
+                   (float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))]
+        assert_band_rankings(eng, anchors, ks=(1, int(rng.integers(1, 60)), n))
+
+
+def test_band_follows_registrations_moves_regroups_and_removals():
+    rng = np.random.default_rng(25)
+    points = [(float(a), float(b)) for a, b in zip(rng.uniform(22, 26, 200), rng.uniform(88, 92, 200))]
+    eng = _registry(points)
+    anchors = [ANCHORS[0], ANCHORS[1], (24.0, 90.0)]
+    steps = [
+        lambda: eng.register_donor("n0", "O+", 23.81, 90.41),  # waits to be placed
+        lambda: eng.register_donor("n1", "O+", 23.0, 89.0),
+        lambda: eng.update_donor("n1", {"latitude": 25.5}),  # moved before it is placed
+        lambda: eng.update_donor("u3", {"latitude": 23.8103, "longitude": 90.4125}),  # a placed row moves
+        lambda: eng.update_donor("u4", {"longitude": 90.0}),  # same latitude: stays put
+        lambda: eng.update_donor("u5", {"blood_group": "A+"}),  # removed from O+
+        lambda: eng.update_donor("u5", {"blood_group": "O+", "latitude": 23.9}),  # and back, elsewhere
+        lambda: [eng.register_donor(f"m{i}", "O+", 23.8 + i * 1e-4, 90.4) for i in range(50)],
+        lambda: eng.update_donor("u199", {"blood_group": "B-"}),  # the last row leaves
+        lambda: eng.update_donor("m0", {"latitude": 26.5}),
+    ]
+    for step in steps:
+        step()
+        assert_band_rankings(eng, anchors, ks=(1, 5, 30))
+        assert_columns_fresh(eng)
 
 
 @pytest.mark.parametrize(
@@ -479,6 +636,8 @@ class LedgerMachine(RuleBasedStateMachine):
         if point is not None:
             patch["latitude"], patch["longitude"] = point
         self.engine.update_donor(platform, patch)
+        if point is not None:  # the row may have moved in the latitude order
+            assert_rankings(self.engine, self.engine.cases.values())
 
     @rule(group=st.sampled_from(GROUPS), day=st.sampled_from(["today", "tomorrow", ""]),
           markers=st.sampled_from([("Dhaka",), ("Nowhere-ville",), ()]))

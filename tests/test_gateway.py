@@ -416,6 +416,14 @@ def test_scenario_rejects_wrong_typed_event(tmp_path, scenario_model, line, fiel
     assert ":2:" in str(err.value) and repr(field) in str(err.value)
 
 
+def test_scenario_rejects_staging_knob_below_its_least(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"tick": 0, "kind": "config", "stage_size": 2, "stage_timeout": 0}\n'
+                   '{"tick": 0, "kind": "advance"}\n')
+    with pytest.raises(gw.ScenarioError, match=r":1: stage_timeout must be at least 1, got 0"):
+        load_scenario(bad)
+
+
 def test_scenario_rejects_unordered(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(
