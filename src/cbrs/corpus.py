@@ -7,6 +7,7 @@ required keys ``text`` (string) and ``label`` (0 or 1) and optional keys
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -139,20 +140,11 @@ def deduplicate(corpus: Corpus) -> Corpus:
     return replace(corpus, samples=tuple(kept))
 
 
-def _load_romanized_lexicon() -> frozenset[str]:
+@functools.cache
+def romanized_lexicon() -> frozenset[str]:
     data = resources.files("cbrs.data").joinpath("romanized_bn.txt").read_text("utf-8")
     words = {w.strip().casefold() for w in data.splitlines()}
     return frozenset(w for w in words if w and not w.startswith("#"))
-
-
-_ROMANIZED_LEXICON: frozenset[str] | None = None
-
-
-def romanized_lexicon() -> frozenset[str]:
-    global _ROMANIZED_LEXICON
-    if _ROMANIZED_LEXICON is None:
-        _ROMANIZED_LEXICON = _load_romanized_lexicon()
-    return _ROMANIZED_LEXICON
 
 
 def tag_language(text: str) -> str:

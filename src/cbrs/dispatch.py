@@ -29,28 +29,30 @@ queued by one emitter, stamped with the clock's tick.
 All time comes from an injected clock (logical in simulation, wall clock
 in service mode), so scenario runs are deterministic.
 
-State is saved to a snapshot file of JSON lines. A batch is a `meta` line
-(format version, id counters, clock), one line per donor, case or ledger
-entry (its section and `encode` form, which the HTTP service answers too),
-and an `end` line counting the batch's lines. A full snapshot is
-one batch of every record, written to a temporary file and renamed over
-the old one. The engine notes the keys each mutation touches;
-`persist` then appends one batch of just those records to the file it
-last wrote or restored, in one write. Restore reads the batches in order,
-each record replacing the one with its key. A batch with no `end` line is
-a write cut short by a crash: it was never acknowledged, and restore
-drops it. Once the appended batches would outgrow the full snapshot at
-the head of the file, `persist` rewrites the file in full (compaction).
-A change counts as acknowledged once the `persist` after it returns; the
-file is not fsynced, so it survives a crash of the process, not of the
-machine.
+State is saved to a snapshot file of JSON lines. Each line is a section
+name and a record's `encode` form, which the HTTP service answers too. A
+batch is a `meta` line (format version, id counters, clock), one line per
+donor, case or ledger entry, and an `end` line counting the batch's lines.
+`_SECTIONS` names the record type of each section, `meta` and `end`
+included, and `_TABLES` the engine table and key of each journalled one.
+A full snapshot is one batch of every record, written to a temporary file
+and renamed over the old one. The engine notes the keys each mutation
+touches (`_touch`); `persist` then appends one batch of just those
+records to the file it last wrote or restored, in one write. Restore
+reads the batches in order, each record replacing the one with its key.
+A batch with no `end` line is a write cut short by a crash: it was never
+acknowledged, and restore drops it. Once the appended batches would
+outgrow the full snapshot at the head of the file, `persist` rewrites the
+file in full (compaction). A change counts as acknowledged once the
+`persist` after it returns; the file is not fsynced, so it survives a
+crash of the process, not of the machine.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import gc
-import itertools
 import json
 import logging
 import math
@@ -58,7 +60,6 @@ import operator
 import os
 import re
 import tempfile
-from collections.abc import Collection
 from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from importlib import resources
@@ -228,22 +229,17 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
 
 
-_GAZETTEER: dict[str, tuple[float, float]] | None = None
-
-
+@functools.cache
 def gazetteer() -> dict[str, tuple[float, float]]:
     """Bundled marker -> (lat, lon) table; keys are casefolded."""
-    global _GAZETTEER
-    if _GAZETTEER is None:
-        table: dict[str, tuple[float, float]] = {}
-        text = resources.files("cbrs.data").joinpath("gazetteer.tsv").read_text("utf-8")
-        for line in text.splitlines():
-            if not line.strip() or line.startswith("#"):
-                continue
-            name, lat, lon = line.split("\t")
-            table[name.casefold()] = (float(lat), float(lon))
-        _GAZETTEER = table
-    return _GAZETTEER
+    table: dict[str, tuple[float, float]] = {}
+    text = resources.files("cbrs.data").joinpath("gazetteer.tsv").read_text("utf-8")
+    for line in text.splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        name, lat, lon = line.split("\t")
+        table[name.casefold()] = (float(lat), float(lon))
+    return table
 
 
 def geocode_markers(markers: Iterable[str]) -> tuple[float, float] | None:
@@ -586,18 +582,13 @@ class _GroupIndex:
             end *= 2
 
 
-def _group_columns(donors: Collection[DonorRecord]) -> dict[str, _GroupIndex]:
-    """The columns of every group of `schema.BLOOD_GROUPS`, empty or not."""
-    return {group: _GroupIndex(_select(donors, group)) for group in schema.BLOOD_GROUPS}
-
-
-_BLOOD_GROUP = operator.attrgetter("blood_group")
-
-
-def _select(donors: Collection[DonorRecord], group: str) -> list[DonorRecord]:
-    """The donors of `group`, in their order, selected without a Python-level loop."""
-    same = map(operator.eq, map(_BLOOD_GROUP, donors), itertools.repeat(group))
-    return list(itertools.compress(donors, same))
+def _group_columns(donors: Iterable[DonorRecord]) -> dict[str, _GroupIndex]:
+    """The columns of every group of `schema.BLOOD_GROUPS`, empty or not,
+    their rows in the order of `donors`."""
+    members: dict[str, list[DonorRecord]] = {group: [] for group in schema.BLOOD_GROUPS}
+    for donor in donors:
+        members[donor.blood_group].append(donor)
+    return {group: _GroupIndex(rows) for group, rows in members.items()}
 
 
 class DispatchEngine:
@@ -633,10 +624,9 @@ class DispatchEngine:
         self.outbound: list[dict] = []
         self._donor_seq = 0
         self._case_seq = 0
-        # Keys of the records changed since the last persist or restore.
-        self._dirty_donors: set[str] = set()
-        self._dirty_cases: set[str] = set()
-        self._dirty_ledger: set[tuple[str, str]] = set()
+        # Record section -> keys of its records changed since the last
+        # persist or restore (`_touch`).
+        self._dirty: dict[str, set] = {section: set() for section in _TABLES}
         self._journal: _Journal | None = None
 
     # -- registry ---------------------------------------------------------
@@ -698,7 +688,7 @@ class DispatchEngine:
             old = None
         self._groups[donor.blood_group].put(donor, old)
         self.donors[donor.platform_id] = donor
-        self._dirty_donors.add(donor.platform_id)
+        self._touch(donor)
 
     def donor_by_platform(self, platform_id: str) -> DonorRecord | None:
         return self.donors.get(platform_id)
@@ -762,7 +752,7 @@ class DispatchEngine:
         """
         if case.status != OPEN:
             return []
-        self._dirty_cases.add(case.request_id)
+        self._touch(case)
         depth = urgency_depth(case, self.clock.epoch_date)
         if case.stages_fired >= depth:
             case.next_stage_due = None
@@ -785,7 +775,7 @@ class DispatchEngine:
                 notified_at=self.clock.now,
             )
             self.ledger[(case.request_id, donor.donor_id)] = entry
-            self._dirty_ledger.add((case.request_id, donor.donor_id))
+            self._touch(entry)
             already[donor.donor_id] = entry
             entries.append(entry)
             self._emit("donor_alert", case.request_id, donor_id=donor.donor_id, stage=stage)
@@ -810,12 +800,12 @@ class DispatchEngine:
         if entry.response != "none":
             return case.status  # the first answer is final
         entry.response = "affirmative" if affirmative else "negative"
-        self._dirty_ledger.add((request_id, donor_id))
+        self._touch(entry)
         if case.status != OPEN:
             return case.status
         if affirmative:
             case.status = FULFILLED
-            self._dirty_cases.add(request_id)
+            self._touch(case)
             case.next_stage_due = None
             self._emit("seeker_update", request_id, donor_id=donor_id, detail="donor affirmative; request fulfilled")
         else:
@@ -846,7 +836,7 @@ class DispatchEngine:
             if case.status == OPEN:
                 case.status = RESOLVED_EXTERNALLY
                 case.next_stage_due = None
-                self._dirty_cases.add(request_id)
+                self._touch(case)
             self._fan_out_resolution(case)
             return case.status
         outcome = classify(new_text)
@@ -855,7 +845,7 @@ class DispatchEngine:
         if not outcome.is_negative:
             case.request = schema.canonicalize(outcome.request)
             case.anchor = geocode_markers(case.request.location_markers)
-            self._dirty_cases.add(request_id)
+            self._touch(case)
             return "updated"
         return "unchanged"
 
@@ -866,7 +856,7 @@ class DispatchEngine:
         for entry in self.case_entries(case.request_id):
             if not entry.resolution_notified:
                 entry.resolution_notified = True
-                self._dirty_ledger.add((entry.request_id, entry.donor_id))
+                self._touch(entry)
                 self._emit("resolution_notice", entry.request_id, donor_id=entry.donor_id)
 
     def advance_to(self, tick: int) -> None:
@@ -890,7 +880,7 @@ class DispatchEngine:
             if kind == "expire":
                 case.status = EXPIRED
                 case.next_stage_due = None
-                self._dirty_cases.add(request_id)
+                self._touch(case)
                 self._emit("case_expired", request_id)
             else:
                 self.notify_stage(case)
@@ -906,39 +896,28 @@ class DispatchEngine:
 
     # -- persistence --------------------------------------------------------
 
-    def _meta(self) -> tuple[int, int, int]:
-        return (self._donor_seq, self._case_seq, self.clock.now)
+    def _touch(self, record: DonorRecord | RequestCase | LedgerEntry) -> None:
+        """Mark `record` as changed, for the next `persist` to write."""
+        section = _SECTION_OF[type(record)]
+        self._dirty[section].add(_TABLES[section][1](record))
 
-    def _batch(
-        self, donors: Iterable[str], cases: Iterable[str], ledger: Iterable[tuple[str, str]]
-    ) -> bytes:
-        """A `meta` line, the named records in key order, and an `end` line."""
-        lines = [
-            json.dumps(
-                {
-                    "section": "meta",
-                    "version": SNAPSHOT_VERSION,
-                    "donor_seq": self._donor_seq,
-                    "case_seq": self._case_seq,
-                    "clock": self.clock.now,
-                }
-            )
-        ]
-        for section, records, keys in (
-            ("donor", self.donors, donors), ("case", self.cases, cases), ("ledger", self.ledger, ledger)
-        ):
-            lines += [
-                json.dumps({"section": section, **encode(records[k])}, ensure_ascii=False)
-                for k in sorted(keys)
-            ]
-        lines.append(json.dumps({"section": "end", "records": len(lines)}))
+    def _meta(self) -> _Meta:
+        return _Meta(SNAPSHOT_VERSION, self._donor_seq, self._case_seq, self.clock.now)
+
+    def _batch(self, meta: _Meta, keys: dict[str, Iterable]) -> bytes:
+        """A `meta` line, the records `keys` names by section in key order,
+        and an `end` line."""
+        lines = [_line("meta", meta)]
+        for section, (table, _) in _TABLES.items():
+            records = getattr(self, table)
+            lines += [_line(section, records[k]) for k in sorted(keys[section])]
+        lines.append(_line("end", _End(len(lines))))
         return ("\n".join(lines) + "\n").encode("utf-8")
 
-    def _wrote(self, st: os.stat_result, base: int) -> None:
-        self._journal = _Journal(_identity(st), base, self._meta())
-        self._dirty_donors.clear()
-        self._dirty_cases.clear()
-        self._dirty_ledger.clear()
+    def _wrote(self, st: os.stat_result, base: int, meta: _Meta) -> None:
+        self._journal = _Journal(_identity(st), base, meta)
+        for keys in self._dirty.values():
+            keys.clear()
 
     def persist(self, path: str | Path) -> None:
         """Save the engine's state to `path` before a change is acknowledged.
@@ -951,18 +930,19 @@ class DispatchEngine:
         snapshot they follow, the whole state is rewritten atomically.
         """
         path = Path(path)
+        meta = self._meta()
         journal, self._journal = self._journal, None  # a failed write leaves None
         if journal is not None and _identity_at(path) == journal.stat:
-            changed = self._dirty_donors or self._dirty_cases or self._dirty_ledger
-            if not changed and journal.meta == self._meta():
+            if not any(self._dirty.values()) and journal.meta == meta:
                 self._journal = journal
                 return
-            batch = self._batch(self._dirty_donors, self._dirty_cases, self._dirty_ledger)
+            batch = self._batch(meta, self._dirty)
             if journal.stat[2] + len(batch) - journal.base <= _TAIL_LIMIT * journal.base:
-                self._wrote(_append(path, batch), journal.base)
+                self._wrote(_append(path, batch), journal.base, meta)
                 return
-        st = _replace(path, self._batch(self.donors, self.cases, self.ledger))
-        self._wrote(st, st.st_size)
+        every = {section: getattr(self, table) for section, (table, _) in _TABLES.items()}
+        st = _replace(path, self._batch(meta, every))
+        self._wrote(st, st.st_size, meta)
 
     def restore(self, path: str | Path) -> None:
         """Load a snapshot and its complete appended batches, or nothing.
@@ -992,11 +972,9 @@ class DispatchEngine:
             fh = path.open("rb")
         except FileNotFoundError:
             raise SnapshotError(f"snapshot not found: {path}") from None
-        donors: dict[str, DonorRecord] = {}
-        cases: dict[str, RequestCase] = {}
-        ledger: dict[tuple[str, str], LedgerEntry] = {}
-        meta: dict | None = None
-        batch_meta: dict | None = None
+        tables: dict[str, dict] = {section: {} for section in _TABLES}
+        meta: _Meta | None = None
+        batch_meta: _Meta | None = None
         batch: list | None = None  # records of the batch being read
         problem = ""  # the first malformed line; fatal if a batch completes after it
         offset = base = complete = 0  # bytes read; of the first batch; up to the last `end`
@@ -1011,38 +989,30 @@ class DispatchEngine:
                 try:
                     obj = _loads(raw)
                     section = obj.pop("section")
-                    if section in _RECORDS:
-                        if batch is None:
-                            raise ValueError(f"{section!r} line outside a batch")
-                        record = decode(_RECORDS[section], obj)
+                    if section not in _SECTIONS:
+                        raise ValueError(f"unknown section {section!r}")
+                    if section == "meta" and batch is not None:
+                        raise ValueError("meta line inside a batch")
+                    if section != "meta" and batch is None:
+                        raise ValueError(f"{section!r} line outside a batch")
+                    record = decode(_SECTIONS[section], obj)
+                    if section == "meta":
+                        if record.version != SNAPSHOT_VERSION:
+                            raise ValueError(f"unsupported snapshot version {record.version}")
+                        batch_meta, batch = record, []
+                    elif section != "end":
                         if section == "donor":
                             check_donor(record.blood_group, record.latitude, record.longitude)
                         batch.append(record)
-                    elif section == "meta":
-                        if batch is not None:
-                            raise ValueError("meta line inside a batch")
-                        if obj.keys() != _META_FIELDS or obj["version"] != SNAPSHOT_VERSION:
-                            raise ValueError(f"unsupported snapshot meta {obj}")
-                        _check_types("meta", obj, _META_TYPES)
-                        batch_meta, batch = obj, []
-                    elif section != "end":
-                        raise ValueError(f"unknown section {section!r}")
-                    elif batch is None or obj.keys() != {"records"}:
-                        raise ValueError(f"end line {obj} outside a batch or malformed")
+                    elif record.records != len(batch) + 1:
+                        raise SnapshotError(
+                            f"corrupt snapshot {path}: line {lineno}: batch of "
+                            f"{len(batch) + 1} lines ends claiming {record.records}"
+                        )
                     else:
-                        _check_types("end", obj, _END_TYPES)
-                        if obj["records"] != len(batch) + 1:
-                            raise SnapshotError(
-                                f"corrupt snapshot {path}: line {lineno}: batch of "
-                                f"{len(batch) + 1} lines ends claiming {obj['records']}"
-                            )
                         for record in batch:
-                            if isinstance(record, DonorRecord):
-                                donors[record.platform_id] = record
-                            elif isinstance(record, RequestCase):
-                                cases[record.request_id] = record
-                            else:
-                                ledger[(record.request_id, record.donor_id)] = record
+                            section = _SECTION_OF[type(record)]
+                            tables[section][_TABLES[section][1](record)] = record
                         meta, batch = batch_meta, None
                         complete = offset if raw.endswith(b"\n") else -1
                         base = base or offset
@@ -1052,19 +1022,18 @@ class DispatchEngine:
         if meta is None:
             why = problem or "no end line"
             raise SnapshotError(f"snapshot {path} is truncated or corrupt: {why}")
-        groups = _group_columns(donors.values())
-        self.donors = donors
-        self.cases = cases
-        self.ledger = ledger
+        groups = _group_columns(tables["donor"].values())
+        for section, (table, _) in _TABLES.items():
+            setattr(self, table, tables[section])
         self._entries = {}
-        for entry in ledger.values():
+        for entry in self.ledger.values():
             self._entries.setdefault(entry.request_id, {})[entry.donor_id] = entry
         self._groups = groups
-        self.case_by_message = {c.message_id: c.request_id for c in cases.values()}
-        self._donor_seq = meta["donor_seq"]
-        self._case_seq = meta["case_seq"]
-        self.clock.now = meta["clock"]
-        self._wrote(st, base)
+        self.case_by_message = {c.message_id: c.request_id for c in self.cases.values()}
+        self._donor_seq = meta.donor_seq
+        self._case_seq = meta.case_seq
+        self.clock.now = meta.clock
+        self._wrote(st, base, meta)
         if complete != offset or offset != st.st_size:
             self._journal = None  # a dropped tail: the next persist rewrites the file
 
@@ -1075,7 +1044,7 @@ class _Journal:
 
     stat: tuple[int, int, int, int]  # device, inode, size, mtime in ns
     base: int  # bytes of the full snapshot the appended batches follow
-    meta: tuple[int, int, int]  # donor_seq, case_seq and clock the file holds
+    meta: _Meta  # the meta line of the file's last batch
 
 
 def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
@@ -1139,11 +1108,40 @@ def _is_end(raw: bytes) -> bool:
     return isinstance(obj, dict) and obj.get("section") == "end"
 
 
-# Snapshot section -> the record type its lines hold.
-_RECORDS = {"donor": DonorRecord, "case": RequestCase, "ledger": LedgerEntry}
-_META_FIELDS = {"version", "donor_seq", "case_seq", "clock"}
-_META_TYPES = tuple((name, (int,)) for name in sorted(_META_FIELDS))
-_END_TYPES = (("records", (int,)),)
+@dataclass(frozen=True)
+class _Meta:
+    """The first line of a snapshot batch."""
+
+    version: int
+    donor_seq: int
+    case_seq: int
+    clock: int
+
+
+@dataclass(frozen=True)
+class _End:
+    """The last line of a snapshot batch: how many lines the batch holds."""
+
+    records: int
+
+
+# Snapshot section -> the type its lines hold.
+_SECTIONS = {"meta": _Meta, "donor": DonorRecord, "case": RequestCase, "ledger": LedgerEntry, "end": _End}
+_SECTION_OF = {cls: section for section, cls in _SECTIONS.items()}
+# Record section -> the engine table holding its records, and their key there.
+_TABLES = {
+    "donor": ("donors", operator.attrgetter("platform_id")),
+    "case": ("cases", operator.attrgetter("request_id")),
+    "ledger": ("ledger", operator.attrgetter("request_id", "donor_id")),
+}
+# One encoder for every line: `json.dumps(..., ensure_ascii=False)` would
+# build a new one per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def _line(section: str, record: object) -> str:
+    """One snapshot line: the section, then the record's JSON form."""
+    return _ENCODER.encode({"section": section, **encode(record)})
 
 
 # -- JSON forms -------------------------------------------------------------
@@ -1184,6 +1182,8 @@ _FORMS = {
         "anchor": (lambda a: list(a) if a else None, lambda a: tuple(a) if a else None),
     },
     LedgerEntry: {},
+    _Meta: {},
+    _End: {},
     PipelineTrace: {"layer1_prob": (lambda p: None if p is None else round(p, 9), lambda p: p)},
 }
 _FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _FORMS}
@@ -1193,14 +1193,6 @@ _EXACT = {"int": (int,), "int | None": (int, type(None)), "bool": (bool,)}
 _TYPED_FIELDS = {
     cls: tuple((f.name, _EXACT[f.type]) for f in fields(cls) if f.type in _EXACT) for cls in _FORMS
 }
-
-
-def _check_types(kind: str, obj: dict, typed: tuple[tuple[str, tuple[type, ...]], ...]) -> None:
-    """TypeError naming the first field of `obj` whose value's type is not
-    one `typed` allows for it."""
-    for name, allowed in typed:
-        if type(obj[name]) not in allowed:
-            raise TypeError(f"{kind} field {name!r} holds {obj[name]!r}")
 
 
 def encode(record: DonorRecord | RequestCase | LedgerEntry | PipelineTrace) -> dict:
@@ -1224,7 +1216,9 @@ def decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry | Pi
     names = _FIELD_NAMES[cls]
     if len(obj) != len(names):  # with as many fields, an unknown name leaves a known one missing
         raise ValueError(f"{cls.__name__} fields {sorted(obj)}")
-    _check_types(cls.__name__, obj, _TYPED_FIELDS[cls])
+    for name, allowed in _TYPED_FIELDS[cls]:
+        if type(obj[name]) not in allowed:
+            raise TypeError(f"{cls.__name__} field {name!r} holds {obj[name]!r}")
     for name, (_, from_json) in _FORMS[cls].items():
         obj[name] = from_json(obj[name])
     return cls(*map(obj.__getitem__, names))

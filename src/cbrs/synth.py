@@ -14,6 +14,7 @@ import numpy as np
 
 from .corpus import Corpus, LabeledSample
 from .schema import (
+    BLOOD_GROUPS,
     Compensation,
     Contact,
     ParsedRequest,
@@ -21,7 +22,7 @@ from .schema import (
     Patient,
 )
 
-GROUPS = ("A+", "A-", "B+", "B-", "O+", "O-", "AB+", "AB-")
+GROUPS = BLOOD_GROUPS
 
 _CITIES = ("Dhaka", "Chittagong", "Khulna", "Rajshahi", "Sylhet", "Rangpur", "Comilla")
 _HOSPITALS = (

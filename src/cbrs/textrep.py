@@ -88,11 +88,7 @@ def word_ngrams(words: list[str], n: int) -> list[str]:
 
 def fnv1a_32(data: str) -> int:
     """32-bit FNV-1a over the UTF-8 bytes; stable across runs and platforms."""
-    h = 0x811C9DC5
-    for byte in data.encode("utf-8"):
-        h ^= byte
-        h = (h * 0x01000193) & 0xFFFFFFFF
-    return h
+    return _fnv1a_feed(0x811C9DC5, data.encode("utf-8"))
 
 
 def _fnv1a_feed(h: int, data: bytes) -> int:

@@ -559,6 +559,53 @@ def test_restore_refuses_wrong_typed_integer_and_boolean_fields(tmp_path, sectio
         _engine().restore(bad)
 
 
+def _edit_line(line: str, **changes) -> str:
+    """The JSON line with `changes` made; a change to None drops the key."""
+    obj = json.loads(line)
+    obj.update(changes)
+    return json.dumps({k: v for k, v in obj.items() if v is not None}, ensure_ascii=False)
+
+
+# Each edit of the one-batch file (meta, donor, case, ledger, end) leaves its
+# bad line before the file's last `end` line, so restore must refuse it rather
+# than drop it as a torn tail: lines -> (bad lines, number of the bad line,
+# what the message names).
+STRUCTURAL_EDITS = {
+    "unknown-section": (lambda ls: ls[:4] + ['{"section": "trace", "message_id": "m1"}'] + ls[4:], 5,
+                        "unknown section 'trace'"),
+    "donor-before-meta": (lambda ls: [ls[1]] + ls, 1, "outside a batch"),
+    "case-before-meta": (lambda ls: [ls[2]] + ls, 1, "outside a batch"),
+    "ledger-before-meta": (lambda ls: [ls[3]] + ls, 1, "outside a batch"),
+    "end-before-meta": (lambda ls: ['{"section": "end", "records": 1}'] + ls, 1, "outside a batch"),
+    "meta-inside-batch": (lambda ls: ls[:2] + [ls[0]] + ls[2:], 3, "inside a batch"),
+    "meta-without-clock": (lambda ls: [_edit_line(ls[0], clock=None)] + ls[1:], 1, "[Mm]eta"),
+    "meta-extra-key": (lambda ls: [_edit_line(ls[0], extra=1)] + ls[1:], 1, "extra"),
+    "version-2": (lambda ls: [_edit_line(ls[0], version=2)] + ls[1:], 1, "version"),
+    "end-extra-key": (lambda ls: ls[:4] + [_edit_line(ls[4], extra=1)] + [ls[0], '{"section": "end", "records": 1}'],
+                      5, "extra"),
+}
+
+
+@pytest.mark.parametrize("edit", STRUCTURAL_EDITS, ids=list(STRUCTURAL_EDITS))
+def test_restore_refuses_lines_out_of_place_or_of_unknown_shape(tmp_path, edit):
+    path = _one_donor_one_case(tmp_path)
+    lines = path.read_text("utf-8").splitlines()
+    assert [json.loads(line)["section"] for line in lines] == ["meta", "donor", "case", "ledger", "end"]
+    change, lineno, named = STRUCTURAL_EDITS[edit]
+    bad = tmp_path / "bad.snap"
+    bad.write_text("\n".join(change(lines)) + "\n", "utf-8")
+    served = _engine()
+    served.restore(path)
+    before = _state(served)
+    donors, cases, ledger = served.donors, served.cases, served.ledger
+    with pytest.raises(SnapshotError, match=f"line {lineno}: .*{named}"):
+        served.restore(bad)
+    assert served.donors is donors and served.cases is cases and served.ledger is ledger
+    assert _state(served) == before  # nothing loaded
+    with pytest.raises(SnapshotError, match=f"line {lineno}: "):
+        _engine().restore(bad)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("good", [True, False], ids=["restores", "raises"])
 def test_restore_pauses_the_gc_and_leaves_it_as_it_found_it(tmp_path, monkeypatch, enabled, good):

@@ -99,3 +99,18 @@ def test_crash_after_every_event(path, scenario_model, tmp_path, monkeypatch, re
     assert text == (GOLDEN / f"{path.stem}.txt").read_text(encoding="utf-8")
     if appending and snapshot.exists():
         assert snapshot.read_text("utf-8").count('"section": "meta"') > 1  # batches were appended
+
+
+def test_snapshot_bytes_match_golden(scenario_model, tmp_path, monkeypatch):
+    """The bytes `persist` writes, pinned: the batches appended while
+    `three_requests` replays (donor, case and ledger lines among them), and
+    a full snapshot of the engine restored from them."""
+    monkeypatch.setattr(dispatch, "_TAIL_LIMIT", 10**9)
+    [path] = [p for p in bundled_scenarios() if p.stem == "three_requests"]
+    snapshot = tmp_path / "state.snap"
+    replay(path, scenario_model, snapshot, restart=False)
+    assert snapshot.read_bytes() == (GOLDEN / "three_requests.snap").read_bytes()
+    engine = DispatchEngine(clock=Clock())
+    engine.restore(snapshot)
+    engine.persist(tmp_path / "full.snap")
+    assert (tmp_path / "full.snap").read_bytes() == (GOLDEN / "three_requests.full.snap").read_bytes()
