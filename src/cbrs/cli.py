@@ -135,7 +135,7 @@ def cmd_cost(args) -> int:
 def cmd_serve(args) -> int:
     cfg = ServiceConfig.from_file(args.config)
     if not cfg.model_path:
-        print("no model_path in config; training a default on the bundled corpus", file=sys.stderr)
+        print("no model_path in config; training a default on a small synthetic corpus", file=sys.stderr)
     model = _model_or_default(cfg.model_path)
     backend = make_backend(
         BackendConfig(kind=cfg.backend, endpoint=cfg.endpoint, model=cfg.backend_model, mode=cfg.prompt_mode)

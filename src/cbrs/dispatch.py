@@ -19,7 +19,10 @@ A donor comes in by the HTTP service, a scenario line or a snapshot, and
 the same rules hold for all three: `put_donor` is the one write rule
 (an unknown id registers, a known one changes the fields given) and
 `check_donor` the one check of a record's values, so every row holds a
-group of `schema.BLOOD_GROUPS` and coordinates in range.
+group of `schema.BLOOD_GROUPS` and coordinates in range. All JSON input
+is checked by one table from a field's annotation to its JSON types,
+`_JSON`: `decode` reads snapshot lines, `read_fields` HTTP bodies and
+scenario lines, and both refuse by one FieldError naming the fields.
 Notifications go out in stages bounded by an urgency-derived depth; a
 per-request ledger guarantees nobody is notified twice, alerts stop at the
 first affirmative, and a managed/resolved edit fans out exactly one
@@ -53,6 +56,7 @@ from __future__ import annotations
 import bisect
 import functools
 import gc
+import itertools
 import json
 import logging
 import math
@@ -631,36 +635,19 @@ class DispatchEngine:
 
     # -- registry ---------------------------------------------------------
 
-    def register_donor(
-        self,
-        platform_id: str,
-        blood_group: str,
-        latitude: float,
-        longitude: float,
-        last_donation_date: date | None = None,
-    ) -> DonorRecord:
+    def register_donor(self, platform_id: str, blood_group: str, latitude: float, longitude: float,
+                       last_donation_date: date | None = None) -> DonorRecord:
         """Upsert keyed by platform identity; re-registering keeps the id
         and registration time and replaces every other field."""
-        values = {
-            "blood_group": blood_group,
-            "latitude": latitude,
-            "longitude": longitude,
-            "last_donation_date": last_donation_date,
-        }
-        if platform_id in self.donors:
-            return self.update_donor(platform_id, values)
-        check_donor(blood_group, latitude, longitude)
-        self._donor_seq += 1
-        record = DonorRecord(f"d{self._donor_seq:05d}", platform_id, registered_at=self.clock.now, **values)
-        self._store(record)
-        return record
+        values = (blood_group, latitude, longitude, last_donation_date)
+        return self.put_donor(platform_id, dict(zip(DONOR_FIELDS, values)))
 
     def update_donor(self, platform_id: str, patch: dict) -> DonorRecord:
         """Partial update; unspecified fields keep their values."""
         existing = self.donors.get(platform_id)
         if existing is None:
             raise DispatchError(f"no donor registered for platform id {platform_id!r}")
-        unknown = patch.keys() - (_DONOR_INPUT.keys() - {"platform_id"})
+        unknown = patch.keys() - DONOR_FIELDS
         if unknown:
             raise DispatchError(f"unknown donor fields: {sorted(unknown)}")
         merged = replace(existing, **patch)
@@ -671,13 +658,17 @@ class DispatchEngine:
     def put_donor(self, platform_id: str, fields: dict) -> DonorRecord:
         """The one write rule for donors, however they come in: an unknown
         `platform_id` registers, and FieldError names what it lacks of
-        `_DONOR_REQUIRED`; a known one changes only the fields given."""
+        group and coordinates; a known one changes only the fields given."""
         if platform_id in self.donors:
             return self.update_donor(platform_id, fields)
-        missing = [name for name in _DONOR_REQUIRED if name not in fields]
+        missing = [name for name in DONOR_FIELDS[:3] if name not in fields]
         if missing:
-            raise FieldError("missing fields", missing)
-        return self.register_donor(platform_id, **fields)
+            raise FieldError("DonorRecord", "missing fields", missing)
+        check_donor(fields["blood_group"], fields["latitude"], fields["longitude"])
+        self._donor_seq += 1
+        record = DonorRecord(f"d{self._donor_seq:05d}", platform_id, registered_at=self.clock.now, **fields)
+        self._store(record)
+        return record
 
     def _store(self, donor: DonorRecord) -> None:
         """Put `donor` in the registry and in its group's columns, moving
@@ -951,13 +942,11 @@ class DispatchEngine:
         its key. A trailing batch without its `end` line (a write cut
         short, never acknowledged) is dropped; a malformed line before the
         last `end`, or a file with no complete batch, raises SnapshotError
-        naming the line, and the engine keeps its state. A donor line is
-        malformed if `check_donor` refuses it, as `register_donor` does.
-        Any line is malformed if a field declared an integer or a boolean
-        holds another JSON type; the meta counters and the end line's
-        count are integers too. The cyclic garbage collector is paused
-        while the records are built: they hold no reference cycles, so its
-        passes over a large registry's new objects would free nothing.
+        naming the line, and the engine keeps its state. A line is
+        malformed if `decode` refuses it, or `check_donor` a donor's. The
+        cyclic garbage collector is paused while the records are built:
+        they hold no reference cycles, so its passes over a large
+        registry's new objects would free nothing.
         """
         enabled = gc.isenabled()
         gc.disable()
@@ -1150,21 +1139,11 @@ def _line(section: str, record: object) -> str:
 
 
 class FieldError(ValueError):
-    """A JSON object lacks required fields or holds wrong-typed values."""
+    """A JSON object lacks fields of its record type, holds unknown ones, or holds wrong-typed values."""
 
-    def __init__(self, error: str, names: list[str]):
-        super().__init__(f"{error}: {names}")
-        self.error = error
-        self.fields = names
-
-
-def parse_day(value: str | None) -> date | None:
-    """An ISO date; None for null or the empty string."""
-    return None if value is None or value == "" else date.fromisoformat(value)
-
-
-def _request_form(request: ParsedRequest) -> dict:
-    return schema.to_dict(ParseOutcome.positive(request))
+    def __init__(self, record: str, error: str, names: list[str]):
+        super().__init__(f"{record} {error}: {names}")
+        self.error, self.fields = error, names
 
 
 def _request(obj: dict) -> ParsedRequest:
@@ -1174,25 +1153,68 @@ def _request(obj: dict) -> ParsedRequest:
     return outcome.request
 
 
+def _anchor(value: list) -> tuple[float, float]:
+    if len(value) != 2 or not all(type(x) in _JSON["float"] for x in value):
+        raise ValueError(f"anchor {value!r} is not two numbers")
+    return float(value[0]), float(value[1])
+
+
 # The fields whose JSON form is not their value: name -> (to JSON, from JSON).
 _FORMS = {
-    DonorRecord: {"last_donation_date": (lambda d: d.isoformat() if d else None, parse_day)},
-    RequestCase: {
-        "request": (_request_form, _request),
-        "anchor": (lambda a: list(a) if a else None, lambda a: tuple(a) if a else None),
+    DonorRecord: {
+        "last_donation_date": (lambda d: d.isoformat() if d else None, lambda s: date.fromisoformat(s) if s else None)
     },
-    LedgerEntry: {},
-    _Meta: {},
-    _End: {},
+    RequestCase: {
+        "request": (lambda r: schema.to_dict(ParseOutcome.positive(r)), _request),
+        "anchor": (lambda a: list(a) if a else None, _anchor),
+    },
+    LedgerEntry: {}, _Meta: {}, _End: {},
     PipelineTrace: {"layer1_prob": (lambda p: None if p is None else round(p, 9), lambda p: p)},
 }
 _FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _FORMS}
-# The fields declared an integer or a boolean -> the types their JSON value
-# may have. JSON's true and false are no integers here, nor 1 and 0 booleans.
-_EXACT = {"int": (int,), "int | None": (int, type(None)), "bool": (bool,)}
-_TYPED_FIELDS = {
-    cls: tuple((f.name, _EXACT[f.type]) for f in fields(cls) if f.type in _EXACT) for cls in _FORMS
+_NULL = type(None)
+# A field's annotation -> the JSON types its value may hold (none, for one
+# missing here). JSON's true and false are no integers here, nor 1 and 0
+# booleans; an integer is a float.
+_JSON = {
+    "str": (str,), "str | None": (str, _NULL), "int": (int,), "int | None": (int, _NULL), "bool": (bool,),
+    "float": (float, int), "float | None": (float, int, _NULL), "date | None": (str, _NULL),
+    "ParsedRequest": (dict,), "tuple[float, float] | None": (list, _NULL),
 }
+
+
+def _conversion(cls: type, name: str, annotation: str, kind: type) -> Callable | None:
+    """What makes a JSON value of type `kind` the value of a field: its
+    `_FORMS` reader, `float` for an integer where a float goes, or None."""
+    if kind is _NULL:
+        return None
+    form = _FORMS.get(cls, {}).get(name)
+    if form:
+        return form[1]
+    return float if kind is int and float in _JSON[annotation] else None
+
+
+def _signatures(cls: type) -> dict[tuple[type, ...], tuple[tuple[int, Callable], ...]]:
+    """Every type signature of the JSON form of `cls` (the types of its
+    values, in field order) -> the conversions it needs, by position."""
+    fs = fields(cls)
+    return {
+        signature: tuple(
+            (i, convert)
+            for i, (f, kind) in enumerate(zip(fs, signature))
+            if (convert := _conversion(cls, f.name, f.type, kind)) is not None
+        )
+        for signature in itertools.product(*(_JSON[f.type] for f in fs))
+    }
+
+
+def _getter(names: tuple[str, ...]) -> Callable[[dict], tuple]:
+    get = operator.itemgetter(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
+
+
+_SIGNATURES = {cls: _signatures(cls) for cls in _FORMS}
+_GETTERS = {cls: _getter(names) for cls, names in _FIELD_NAMES.items()}
 
 
 def encode(record: DonorRecord | RequestCase | LedgerEntry | PipelineTrace) -> dict:
@@ -1207,72 +1229,55 @@ def encode(record: DonorRecord | RequestCase | LedgerEntry | PipelineTrace) -> d
 
 
 def decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry | PipelineTrace:
-    """The record of type `cls` whose JSON form is `obj` (which it takes
-    over): the inverse of `encode`. ValueError or KeyError unless the
-    fields are exactly the record's. The values go to the constructor by
-    position, read in field order, which is quicker than matching every
-    line's own key strings against the parameter names. TypeError if a
-    field declared an integer or a boolean holds another value."""
+    """The record of type `cls` whose JSON form is `obj`, which holds
+    exactly its fields: the inverse of `encode`. One lookup of the values'
+    type signature checks them all and yields the conversions they need;
+    only a form that fails is read again, for the FieldError."""
+    try:
+        values = _GETTERS[cls](obj)
+        conversions = _SIGNATURES[cls][tuple(map(type, values))]
+        if conversions:
+            values = list(values)
+            for i, from_json in conversions:
+                values[i] = from_json(values[i])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        values = None
     names = _FIELD_NAMES[cls]
-    if len(obj) != len(names):  # with as many fields, an unknown name leaves a known one missing
-        raise ValueError(f"{cls.__name__} fields {sorted(obj)}")
-    for name, allowed in _TYPED_FIELDS[cls]:
-        if type(obj[name]) not in allowed:
-            raise TypeError(f"{cls.__name__} field {name!r} holds {obj[name]!r}")
-    for name, (_, from_json) in _FORMS[cls].items():
-        obj[name] = from_json(obj[name])
-    return cls(*map(obj.__getitem__, names))
+    if values is None or len(obj) != len(names):
+        read_fields(cls, obj, required=names)
+        raise FieldError(cls.__name__, "unknown fields", sorted(obj.keys() - set(names)))
+    return cls(*values)
 
 
-def _json(kind: type, *also: type) -> Callable:
-    """A check that a JSON value is a `kind`, or one of `also`, and never a
-    boolean; it returns the value as a `kind`."""
-
-    def check(value: object):
-        if isinstance(value, bool) or not isinstance(value, (kind, *also)):
-            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
-        return kind(value)
-
-    return check
+@functools.cache
+def _annotations(cls: type) -> dict[str, str]:
+    return {name: kind for name, kind in cls.__init__.__annotations__.items() if name != "return"}
 
 
-# A field's check and conversion from JSON input, by its annotation.
-_INPUT = {"str": _json(str), "int": _json(int), "float": _json(float, int), "date | None": parse_day}
-
-
-def input_fields(cls: type, exclude: tuple[str, ...] = ()) -> dict[str, Callable]:
-    """Field name -> conversion from JSON input, for the dataclass `cls`."""
-    return {f.name: _INPUT[f.type] for f in fields(cls) if f.name not in exclude}
-
-
-def read_fields(obj: dict, converters: dict[str, Callable], required: Iterable[str] = ()) -> dict:
-    """The fields of `obj` that `converters` names, converted.
-
-    FieldError names the `required` fields `obj` lacks, else the values
-    that do not convert. Other keys are ignored.
-    """
+def read_fields(cls: type, obj: dict, names: Iterable[str] = (), required: Iterable[str] = ()) -> dict:
+    """The values `obj` holds for parameters of the constructor of `cls`
+    (only `names`, if given), checked and converted as `decode` does; other
+    keys are ignored. FieldError names the `required` fields `obj` lacks,
+    else the values of a JSON type `_JSON` refuses or that do not convert."""
     missing = [name for name in required if name not in obj]
     if missing:
-        raise FieldError("missing fields", missing)
+        raise FieldError(cls.__name__, "missing fields", missing)
+    annotations = _annotations(cls)
     values, wrong = {}, []
-    for name, convert in converters.items():
+    for name in names or annotations:
         if name in obj:
+            value, annotation = obj[name], annotations[name]
             try:
-                values[name] = convert(obj[name])
+                if type(value) not in _JSON.get(annotation, ()):
+                    raise TypeError(name)
+                convert = _conversion(cls, name, annotation, type(value))
+                values[name] = value if convert is None else convert(value)
             except (TypeError, ValueError, OverflowError):
                 wrong.append(name)
     if wrong:
-        raise FieldError("wrong-typed fields", wrong)
+        raise FieldError(cls.__name__, "wrong-typed fields", wrong)
     return values
 
 
-# A donor registration or update: the fields the engine does not assign.
-_DONOR_INPUT = input_fields(DonorRecord, exclude=("donor_id", "registered_at"))
-# What a registration needs besides the platform id.
-_DONOR_REQUIRED = ("blood_group", "latitude", "longitude")
-
-
-def donor_input(obj: dict) -> dict:
-    """The donor fields of a JSON object, `platform_id` required; FieldError
-    otherwise."""
-    return read_fields(obj, _DONOR_INPUT, required=("platform_id",))
+# What a donor write may change: the fields the engine does not assign.
+DONOR_FIELDS = ("blood_group", "latitude", "longitude", "last_donation_date")

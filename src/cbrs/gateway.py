@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import layer1
 from .dispatch import (
-    Clock, DispatchEngine, DispatchError, FULFILLED, PipelineTrace, donor_input, encode, input_fields, read_fields,
+    DONOR_FIELDS, Clock, DispatchEngine, DispatchError, DonorRecord, FULFILLED, PipelineTrace, encode, read_fields,
 )
 from .layer1 import ClassifierModel
 from .layer2 import Backend
@@ -63,18 +63,11 @@ class InboundEvent:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
 
-_EVENT_FIELDS = input_fields(InboundEvent)
-
-
 def decode_event(obj: dict, required: Iterable[str] = (), **defaults) -> InboundEvent:
-    """The event a JSON object describes; fields it lacks come from
-    `defaults`, then from `InboundEvent`'s own. Other keys are ignored.
-
-    `dispatch.FieldError` names the `required` fields `obj` lacks, else
-    the ones that are not strings (an integer for `tick`); ValueError for
-    an unknown kind.
-    """
-    return InboundEvent(**{**defaults, **read_fields(obj, _EVENT_FIELDS, required)})
+    """The event a JSON object describes, read by `dispatch.read_fields`;
+    fields it lacks come from `defaults`, then from `InboundEvent`'s own.
+    ValueError for an unknown kind."""
+    return InboundEvent(**{**defaults, **read_fields(InboundEvent, obj, required=required)})
 
 
 @dataclass(frozen=True)
@@ -341,32 +334,35 @@ def bundled_scenarios() -> list[Path]:
     return sorted(root.glob("*.jsonl"))
 
 
-# Scenario fields outside the event form, read as an event's own are: every
-# line's `tick`, a donor line's `sender`, and the integer staging knobs a
-# `config` line may set.
-_TICK = {"tick": _EVENT_FIELDS["tick"]}
-_SENDER = {"sender": _EVENT_FIELDS["sender"]}
-_CONFIG_KNOBS = dict.fromkeys(("stage_size", "stage_timeout", "eligibility_days"), _EVENT_FIELDS["tick"])
+def _decode_line(obj: object) -> InboundEvent | tuple[str, dict] | dict | None:
+    """What a scenario line decodes to: an event, a donor write (the
+    arguments of `DispatchEngine.put_donor`), a `config` line's staging
+    knobs, or nothing (`advance`). ValueError, or a FieldError naming the
+    fields, unless it has an integer `tick` and a `kind` whose fields decode."""
+    if not isinstance(obj, dict) or "tick" not in obj or "kind" not in obj:
+        raise ValueError("event needs 'tick' and 'kind'")
+    read_fields(InboundEvent, obj, ("tick",))
+    kind = obj["kind"]
+    if kind in EVENT_KINDS:
+        return decode_event(obj)
+    if kind == "donor":
+        sender = read_fields(InboundEvent, obj, ("sender",), required=("sender",))["sender"]
+        return sender, read_fields(DonorRecord, obj, DONOR_FIELDS)
+    if kind == "config":
+        return read_fields(DispatchEngine, obj)  # the staging knobs
+    if kind != "advance":
+        raise ValueError(f"unknown kind {kind!r}")
+    return None
 
 
-def _donor_line(obj: dict) -> tuple[str, dict]:
-    """`DispatchEngine.put_donor`'s arguments from a scenario `donor` line,
-    whose `sender` is the platform id; FieldError names the fields that are
-    missing or wrong-typed."""
-    sender = read_fields(obj, _SENDER, required=_SENDER)["sender"]
-    donor = donor_input({**obj, "platform_id": sender})
-    del donor["platform_id"]
-    return sender, donor
-
-
-def load_scenario(path: str | Path) -> list[dict]:
-    """The lines of a scenario file, each checked: a JSON object with an
-    integer `tick` and a known `kind`; event lines decodable, config knobs
-    integers the engine accepts (`check_staging`), and each donor line a
-    write the engine accepts (the donor lines are applied, in order, to a
-    scratch registry built with the config's knobs). ScenarioError names
-    the file and line of the first bad one."""
-    events = []
+def load_scenario(path: str | Path) -> list[tuple[dict, object]]:
+    """The lines of a scenario file, each with what it decodes to
+    (`_decode_line`). A `config` line comes first, with knobs the engine
+    accepts (`check_staging`), and each donor line is a write the engine
+    accepts (the donor lines are applied, in order, to a scratch registry
+    built with the config's knobs). ScenarioError names the file and line
+    of the first bad one."""
+    lines: list[tuple[dict, object]] = []
     registry = DispatchEngine()
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -374,26 +370,20 @@ def load_scenario(path: str | Path) -> list[dict]:
                 continue
             try:
                 obj = json.loads(line)
-                if not isinstance(obj, dict) or "tick" not in obj or "kind" not in obj:
-                    raise ValueError("event needs 'tick' and 'kind'")
-                read_fields(obj, _TICK)
-                if obj["kind"] not in EVENT_KINDS + ("donor", "advance", "config"):
-                    raise ValueError(f"unknown kind {obj['kind']!r}")
-                if obj["kind"] == "config" and events:
+                decoded = _decode_line(obj)
+                if obj["kind"] == "config" and lines:
                     raise ValueError("config must be the first scenario line")
-                if obj["kind"] in EVENT_KINDS:
-                    decode_event(obj)
-                elif obj["kind"] == "donor":
-                    registry.put_donor(*_donor_line(obj))
+                if obj["kind"] == "donor":
+                    registry.put_donor(*decoded)
                 elif obj["kind"] == "config":
-                    registry = DispatchEngine(**read_fields(obj, _CONFIG_KNOBS))
+                    registry = DispatchEngine(**decoded)
             except (ValueError, DispatchError) as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
-            events.append(obj)
-    ticks = [e["tick"] for e in events]
+            lines.append((obj, decoded))
+    ticks = [obj["tick"] for obj, _ in lines]
     if ticks != sorted(ticks):
         raise ScenarioError(f"{path}: events must be ordered by tick")
-    return events
+    return lines
 
 
 def simulate(
@@ -410,8 +400,8 @@ def simulate(
     only move time, and an optional leading ``config`` line overrides the
     staging knobs. Identical scenarios produce byte-identical transcripts.
     """
-    events = load_scenario(scenario_path)
-    knobs = read_fields(events.pop(0), _CONFIG_KNOBS) if events and events[0]["kind"] == "config" else {}
+    lines = load_scenario(scenario_path)
+    knobs = lines.pop(0)[1] if lines and lines[0][0]["kind"] == "config" else {}
     engine = DispatchEngine(**knobs)
     gateway = Gateway(model=model, backend=backend, engine=engine, threshold=threshold)
     transcript: list[dict] = []
@@ -420,7 +410,7 @@ def simulate(
         for event in engine.drain_outbound():
             transcript.append({"tick": tick, "event": {"kind": "outbound"}, "action": event})
 
-    for obj in events:
+    for obj, decoded in lines:
         tick = obj["tick"]
         engine.advance_to(tick)
         flush_outbound(tick)
@@ -428,10 +418,10 @@ def simulate(
         if kind == "advance":
             action = {"action": "advance"}
         elif kind == "donor":
-            record = engine.put_donor(*_donor_line(obj))
+            record = engine.put_donor(*decoded)
             action = {"action": "donor_registered", "donor_id": record.donor_id}
         else:
-            action = gateway.handle_event(decode_event(obj))
+            action = gateway.handle_event(decoded)
         transcript.append({"tick": tick, "event": obj, "action": action})
         flush_outbound(tick)
 

@@ -85,6 +85,8 @@ class BackendConfig:
             raise ValueError("temperature and top_p must lie in (0, 1]")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if self.max_in_flight < 1:  # a semaphore of 0 would hold every remote parse forever
+            raise ValueError("max_in_flight must be >= 1")
 
 
 @dataclass(frozen=True)

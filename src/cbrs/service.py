@@ -20,7 +20,9 @@ from dataclasses import dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .dispatch import DispatchError, FieldError, RequestCase, check_staging, donor_input, encode
+from .dispatch import (
+    DONOR_FIELDS, DispatchError, DonorRecord, FieldError, RequestCase, check_staging, encode, read_fields,
+)
 from .gateway import Gateway, decode_event
 
 log = logging.getLogger(__name__)
@@ -156,7 +158,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, action)
 
     def _post_donor(self, body: dict) -> None:
-        donor = donor_input(body)
+        donor = read_fields(DonorRecord, body, ("platform_id", *DONOR_FIELDS), required=("platform_id",))
         platform_id = donor.pop("platform_id")
         with self.lock:
             record = self.gateway.engine.put_donor(platform_id, donor)

@@ -56,7 +56,6 @@ def mask_digit_runs(text: str) -> str:
     return _DIGIT_RUN.sub(_NUM_SENTINEL, text)
 
 
-@lru_cache(maxsize=65536)
 def subword_units(word: str, minn: int, maxn: int) -> tuple[str, ...]:
     """Boundary-marked character n-grams of lengths minn..maxn plus the
     whole marked word, first occurrence kept on duplicates."""

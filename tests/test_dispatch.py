@@ -559,6 +559,93 @@ def test_restore_refuses_wrong_typed_integer_and_boolean_fields(tmp_path, sectio
         _engine().restore(bad)
 
 
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("donor", "platform_id", 5),
+        ("donor", "donor_id", ["x"]),
+        ("donor", "latitude", True),
+        ("donor", "longitude", None),
+        ("donor", "last_donation_date", "2025-13-01"),
+        ("case", "message_id", 5),
+        ("case", "status", None),
+        ("case", "anchor", ["a", "b"]),
+        ("case", "anchor", [23.8]),
+        ("case", "anchor", [23.8, 90.4, 0.0]),
+        ("case", "anchor", [True, 90.4]),
+        ("case", "anchor", []),
+        ("case", "anchor", "23.8,90.4"),
+        ("case", "request", "O+"),
+        ("ledger", "response", 1),
+        ("meta", "clock", _MISSING),
+        ("donor", "registered_at", _MISSING),
+    ],
+    ids=lambda v: "missing" if v is _MISSING else None,
+)
+def test_restore_refuses_a_field_of_a_json_type_it_does_not_hold(tmp_path, section, field, value):
+    # Every field of every line is checked, not only integers and booleans,
+    # and the refusal names the line and the field, missing ones included.
+    path = _one_donor_one_case(tmp_path)
+    lines = path.read_text("utf-8").splitlines()
+    [lineno] = [i for i, line in enumerate(lines, 1) if json.loads(line)["section"] == section]
+    obj = json.loads(lines[lineno - 1])
+    if value is _MISSING:
+        del obj[field]
+    else:
+        obj[field] = value
+    lines[lineno - 1] = json.dumps(obj, ensure_ascii=False)
+    bad = tmp_path / "bad.snap"
+    bad.write_text("\n".join(lines) + "\n", "utf-8")
+    served = _engine()
+    served.restore(path)
+    before = _state(served)
+    tables = served.donors, served.cases, served.ledger, served._groups
+    with pytest.raises(SnapshotError, match=f"line {lineno}: FieldError.*'{field}'"):
+        served.restore(bad)
+    assert all(a is b for a, b in zip((served.donors, served.cases, served.ledger, served._groups), tables))
+    assert _state(served) == before
+
+
+def test_restore_reads_integer_coordinates_as_floats(tmp_path):
+    path = _one_donor_one_case(tmp_path)
+    text = path.read_text("utf-8").replace('"latitude": 23.8,', '"latitude": 23,', 1)
+    assert '"latitude": 23,' in text
+    path.write_text(text, "utf-8")
+    eng = _engine()
+    eng.restore(path)
+    assert type(eng.donors["u1"].latitude) is float and eng.donors["u1"].latitude == 23.0
+
+
+@pytest.mark.parametrize(
+    "obj, error, names",
+    [
+        ({"version": 1, "donor_seq": 0, "case_seq": 0}, "missing fields", ["clock"]),
+        ({"version": 1, "donor_seq": 0, "case_seq": 0, "clock": 0, "extra": 1}, "unknown fields", ["extra"]),
+        ({"version": 1, "donor_seq": 0, "case_seq": 0, "clok": 0}, "missing fields", ["clock"]),
+        ({"version": 1, "donor_seq": "0", "case_seq": 0.0, "clock": 0}, "wrong-typed fields", ["donor_seq", "case_seq"]),
+    ],
+    ids=["missing", "unknown", "renamed", "wrong-typed"],
+)
+def test_decode_names_the_record_type_and_the_fields(obj, error, names):
+    with pytest.raises(dp.FieldError) as err:
+        dp.decode(dp._Meta, obj)
+    assert (err.value.error, err.value.fields) == (error, names)
+    assert str(err.value).startswith("_Meta ")
+
+
+def test_decode_inverts_encode_for_every_record_type():
+    eng = _engine()
+    eng.register_donor("u1", "O+", 23.8, 90.4, date(2024, 12, 1))
+    eng.register_donor("u2", "O+", 23.9, 90.5)
+    case = eng.open_case("m1", _request(day="today"))
+    trace = dp.PipelineTrace("m1", t_arrival=0, layer1_prob=0.5, layer2_outcome="request", request_id="r00001")
+    for record in (*eng.donors.values(), case, *eng.ledger.values(), trace, eng._meta(), dp._End(3)):
+        assert dp.decode(type(record), json.loads(json.dumps(dp.encode(record)))) == record
+
+
 def _edit_line(line: str, **changes) -> str:
     """The JSON line with `changes` made; a change to None drops the key."""
     obj = json.loads(line)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cbrs import gateway as gw
@@ -414,6 +416,39 @@ def test_scenario_rejects_wrong_typed_event(tmp_path, scenario_model, line, fiel
     with pytest.raises(gw.ScenarioError) as err:
         simulate(bad, scenario_model, RulesBackend())
     assert ":2:" in str(err.value) and repr(field) in str(err.value)
+
+
+def test_load_scenario_returns_each_line_with_what_it_decoded_to(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    lines = [
+        {"tick": 0, "kind": "config", "stage_size": 2},
+        {"tick": 0, "kind": "donor", "sender": "u1", "blood_group": "O+", "latitude": 23, "longitude": 90.4},
+        {"tick": 5, "kind": "message", "message_id": "m1", "text": "hello", "platform": "api"},
+        {"tick": 9, "kind": "advance"},
+    ]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    assert load_scenario(path) == [
+        (lines[0], {"stage_size": 2}),
+        (lines[1], ("u1", {"blood_group": "O+", "latitude": 23.0, "longitude": 90.4})),
+        (lines[2], InboundEvent(kind="message", platform="api", message_id="m1", text="hello", tick=5)),
+        (lines[3], None),
+    ]
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [('{"tick": 0, "kind": "config", "stage_size": "3"}', "stage_size"),
+     ('{"tick": 0, "kind": "config", "eligibility_days": true}', "eligibility_days"),
+     ('{"tick": 0, "kind": "donor", "blood_group": "O+", "latitude": 1.0, "longitude": 1.0}', "sender"),
+     ('{"tick": 0, "kind": "donor", "sender": 7, "blood_group": "O+", "latitude": 1.0, "longitude": 1.0}', "sender"),
+     ('{"tick": 0, "kind": "donor", "sender": "u1", "blood_group": "O+", "latitude": 1.0}', "longitude")],
+    ids=["knob-string", "knob-bool", "donor-without-sender", "donor-sender-int", "donor-without-longitude"],
+)
+def test_scenario_refuses_a_config_or_donor_line_naming_the_field(tmp_path, line, field):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    with pytest.raises(gw.ScenarioError, match=f":1: .*'{field}'"):
+        load_scenario(bad)
 
 
 def test_scenario_rejects_staging_knob_below_its_least(tmp_path):

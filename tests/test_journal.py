@@ -17,14 +17,13 @@ first write reaches the file through the records its mutation marked.
 
 import json
 from dataclasses import asdict
-from datetime import date
 from pathlib import Path
 
 import pytest
 
 from cbrs import dispatch
 from cbrs.dispatch import Clock, DispatchEngine
-from cbrs.gateway import Gateway, InboundEvent, bundled_scenarios, load_scenario
+from cbrs.gateway import Gateway, bundled_scenarios, load_scenario
 from cbrs.layer2 import RulesBackend
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,9 +41,8 @@ def engine_state(engine: DispatchEngine) -> dict:
 
 
 def replay(path: Path, model, snapshot: Path, restart: bool) -> str:
-    events = load_scenario(path)
-    knobs = events.pop(0) if events and events[0]["kind"] == "config" else {}
-    params = {k: knobs[k] for k in ("stage_size", "stage_timeout", "eligibility_days") if k in knobs}
+    lines = load_scenario(path)
+    params = lines.pop(0)[1] if lines and lines[0][0]["kind"] == "config" else {}
 
     clock = Clock()
     engine = DispatchEngine(clock=clock, **params)
@@ -55,27 +53,18 @@ def replay(path: Path, model, snapshot: Path, restart: bool) -> str:
         for event in gateway.engine.drain_outbound():
             transcript.append({"tick": tick, "event": {"kind": "outbound"}, "action": event})
 
-    for obj in events:
+    for obj, decoded in lines:
         tick, kind = obj["tick"], obj["kind"]
         gateway.engine.advance_to(tick)
         flush(tick)
         if kind in ("advance", "donor"):
             action = {"action": "advance"}
             if kind == "donor":
-                last = obj.get("last_donation_date")
-                record = gateway.engine.register_donor(
-                    obj["sender"], obj["blood_group"], obj["latitude"], obj["longitude"],
-                    date.fromisoformat(last) if last else None,
-                )
+                record = gateway.engine.put_donor(*decoded)
                 action = {"action": "donor_registered", "donor_id": record.donor_id}
             gateway.persist()
         else:
-            ev = InboundEvent(
-                kind=kind, platform=obj.get("platform", "sim"), group_id=obj.get("group_id", "g1"),
-                sender=obj.get("sender", ""), message_id=obj.get("message_id", ""),
-                text=obj.get("text", ""), tick=tick,
-            )
-            action = gateway.handle_event(ev)
+            action = gateway.handle_event(decoded)
         transcript.append({"tick": tick, "event": obj, "action": action})
         flush(tick)
 

@@ -369,3 +369,5 @@ def test_backend_config_validates_decoding():
         BackendConfig(top_p=1.5)
     with pytest.raises(ValueError):
         BackendConfig(retries=-1)
+    with pytest.raises(ValueError, match="max_in_flight"):
+        BackendConfig(max_in_flight=0)

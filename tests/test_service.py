@@ -5,8 +5,8 @@ import urllib.request
 
 import pytest
 
-from cbrs.dispatch import Clock, DispatchEngine, encode
-from cbrs.gateway import Gateway, simulate
+from cbrs.dispatch import Clock, DispatchEngine, SnapshotError, encode
+from cbrs.gateway import Gateway, ScenarioError, load_scenario, simulate
 from cbrs.layer2 import Backend, RulesBackend
 from cbrs.schema import ParsedRequest, ParseOutcome, to_dict
 from cbrs.service import MAX_BODY_BYTES, ServiceConfig, _case_payload, serve
@@ -158,6 +158,36 @@ def test_scenario_donor_lines_write_as_post_donors_does(service, scenario_model,
     result = simulate(scenario, scenario_model, RulesBackend())
     assert result.engine.donors == gateway.engine.donors
     assert result.engine.donors["alice"].last_donation_date.isoformat() == "2024-12-20"
+
+
+@pytest.mark.parametrize(
+    "field, value", [("latitude", True), ("latitude", "23.8"), ("blood_group", "Z+")],
+    ids=["latitude-bool", "latitude-string", "unknown-group"],
+)
+def test_every_donor_reader_refuses_a_value_and_names_its_field(service, tmp_path, field, value):
+    # POST /donors, a scenario `donor` line and a snapshot donor line read a
+    # donor by one table and one check: each refuses the same values.
+    running, gateway = service
+    donor = {"blood_group": "O+", "latitude": 23.8, "longitude": 90.4, field: value}
+    status, body = _call(running.port, "POST", "/donors", {"platform_id": "alice", **donor})
+    assert status == 400 and field in (body.get("fields") or body["error"])
+    assert gateway.engine.donors == {}
+
+    scenario = tmp_path / "donor.jsonl"
+    scenario.write_text(json.dumps({"tick": 0, "kind": "donor", "sender": "alice", **donor}) + "\n")
+    with pytest.raises(ScenarioError, match=f":1: .*{field}"):
+        load_scenario(scenario)
+
+    engine = DispatchEngine(clock=Clock())
+    engine.register_donor("alice", "O+", 23.8, 90.4)
+    engine.persist(tmp_path / "good.snap")
+    lines = (tmp_path / "good.snap").read_text("utf-8").splitlines()
+    line = json.loads(lines[1])
+    assert line["section"] == "donor"
+    lines[1] = json.dumps({**line, field: value})
+    (tmp_path / "bad.snap").write_text("\n".join(lines) + "\n", "utf-8")
+    with pytest.raises(SnapshotError, match=f"line 2: .*{field}"):
+        DispatchEngine(clock=Clock()).restore(tmp_path / "bad.snap")
 
 
 def test_donor_validation_diagnostics(service):
