@@ -19,7 +19,9 @@ A donor comes in by the HTTP service, a scenario line or a snapshot, and
 the same rules hold for all three: `put_donor` is the one write rule
 (an unknown id registers, a known one changes the fields given) and
 `check_donor` the one check of a record's values, so every row holds a
-group of `schema.BLOOD_GROUPS` and coordinates in range. All JSON input
+group of `schema.BLOOD_GROUPS` and coordinates in range (restore holds
+cases and ledger entries to the statuses and responses the engine writes,
+`_VALUE_CHECKS`, and every ledger entry to a case). All JSON input
 is checked by one table from a field's annotation to its JSON types,
 `_JSON`: `decode` reads snapshot lines, `read_fields` HTTP bodies and
 scenario lines, and both refuse by one FieldError naming the fields.
@@ -92,6 +94,8 @@ RESOLVED_EXTERNALLY = "resolved_externally"
 EXPIRED = "expired"
 
 _TERMINAL = (FULFILLED, RESOLVED_EXTERNALLY, EXPIRED)
+# What a ledger entry records of the donor's answer.
+_RESPONSES = ("none", "affirmative", "negative")
 
 # Markers that an edited message announces the request is already handled.
 MANAGED_MARKERS = (
@@ -175,7 +179,7 @@ class LedgerEntry:
     donor_id: str
     stage: int
     notified_at: int
-    response: str = "none"  # none | affirmative | negative
+    response: str = "none"  # one of _RESPONSES
     resolution_notified: bool = False
 
 
@@ -342,17 +346,30 @@ def check_donor(blood_group: str, latitude: float, longitude: float) -> None:
         raise DispatchError("; ".join(problems))
 
 
-def check_staging(stage_size: int, stage_timeout: int, eligibility_days: int) -> None:
-    """ValueError naming every staging knob below its least value: a stage
+def _check_one_of(name: str, value: str, allowed: tuple[str, ...]) -> None:
+    if value not in allowed:
+        raise DispatchError(f"{name} {value!r} not one of {allowed}")
+
+
+# Record section -> the check of its values beyond their JSON types, on
+# restore: a donor's by `check_donor`, and the case status and ledger
+# response only as the engine writes them.
+_VALUE_CHECKS = {
+    "donor": lambda d: check_donor(d.blood_group, d.latitude, d.longitude),
+    "case": lambda c: _check_one_of("status", c.status, (OPEN, *_TERMINAL)),
+    "ledger": lambda e: _check_one_of("response", e.response, _RESPONSES),
+}
+
+
+def check_staging(knobs: dict[str, int]) -> None:
+    """ValueError naming every staging knob below its least value. `knobs`
+    maps the names the caller reads them by to the stage size, the stage
+    timeout and the eligibility window in days, in that order: a stage
     alerts at least one donor and waits at least one second before the
     next, and the eligibility window is not negative."""
     low = [
         f"{name} must be at least {least}, got {value}"
-        for name, value, least in (
-            ("stage_size", stage_size, 1),
-            ("stage_timeout", stage_timeout, 1),
-            ("eligibility_days", eligibility_days, 0),
-        )
+        for (name, value), least in zip(knobs.items(), (1, 1, 0))
         if value < least
     ]
     if low:
@@ -611,7 +628,9 @@ class DispatchEngine:
         stage_timeout: int = 600,
         eligibility_days: int = 90,
     ):
-        check_staging(stage_size, stage_timeout, eligibility_days)
+        check_staging(
+            {"stage_size": stage_size, "stage_timeout": stage_timeout, "eligibility_days": eligibility_days}
+        )
         self.clock = clock or Clock()
         self.stage_size = stage_size
         self.stage_timeout = stage_timeout
@@ -943,10 +962,11 @@ class DispatchEngine:
         short, never acknowledged) is dropped; a malformed line before the
         last `end`, or a file with no complete batch, raises SnapshotError
         naming the line, and the engine keeps its state. A line is
-        malformed if `decode` refuses it, or `check_donor` a donor's. The
-        cyclic garbage collector is paused while the records are built:
-        they hold no reference cycles, so its passes over a large
-        registry's new objects would free nothing.
+        malformed if `decode` refuses it or `_VALUE_CHECKS` its values,
+        and a ledger line also if no batch up to the end of its own holds
+        its case. The cyclic garbage collector is paused while the records
+        are built: they hold no reference cycles, so its passes over a
+        large registry's new objects would free nothing.
         """
         enabled = gc.isenabled()
         gc.disable()
@@ -965,6 +985,7 @@ class DispatchEngine:
         meta: _Meta | None = None
         batch_meta: _Meta | None = None
         batch: list | None = None  # records of the batch being read
+        ledger_lines: list[tuple[int, LedgerEntry]] = []  # the batch's ledger entries, by line number
         problem = ""  # the first malformed line; fatal if a batch completes after it
         offset = base = complete = 0  # bytes read; of the first batch; up to the last `end`
         with fh:
@@ -988,11 +1009,12 @@ class DispatchEngine:
                     if section == "meta":
                         if record.version != SNAPSHOT_VERSION:
                             raise ValueError(f"unsupported snapshot version {record.version}")
-                        batch_meta, batch = record, []
+                        batch_meta, batch, ledger_lines = record, [], []
                     elif section != "end":
-                        if section == "donor":
-                            check_donor(record.blood_group, record.latitude, record.longitude)
+                        _VALUE_CHECKS[section](record)
                         batch.append(record)
+                        if section == "ledger":
+                            ledger_lines.append((lineno, record))
                     elif record.records != len(batch) + 1:
                         raise SnapshotError(
                             f"corrupt snapshot {path}: line {lineno}: batch of "
@@ -1002,6 +1024,12 @@ class DispatchEngine:
                         for record in batch:
                             section = _SECTION_OF[type(record)]
                             tables[section][_TABLES[section][1](record)] = record
+                        for n, entry in ledger_lines:
+                            if entry.request_id not in tables["case"]:
+                                raise SnapshotError(
+                                    f"corrupt snapshot {path}: line {n}: ledger entry's "
+                                    f"request_id {entry.request_id!r} names no case"
+                                )
                         meta, batch = batch_meta, None
                         complete = offset if raw.endswith(b"\n") else -1
                         base = base or offset

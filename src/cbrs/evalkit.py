@@ -326,31 +326,18 @@ def train_tfidf_logreg(
     return TfidfLogReg(vocab=vocab, weights=weights, bias=bias)
 
 
-DLF = "dlf"
-TFIDF_LOGREG = "tfidf_logreg"
-
-
 def compare_classifiers(
     corpus: Corpus,
-    configs: Sequence[str] = (DLF, TFIDF_LOGREG),
     dlf_hyper: Hyper | None = None,
     seed: int = 7,
     timing_calls: int = 1000,
 ) -> dict[str, ClassReport]:
-    """Train each configured classifier on a shared split and report."""
-    unknown = set(configs) - {DLF, TFIDF_LOGREG}
-    if unknown:
-        raise ValueError(f"unknown classifier configs: {sorted(unknown)}")
+    """Train DLF and the TF-IDF baseline on a shared split and report each."""
     train_set, _, test_set = split(corpus, (0.8, 0.1, 0.1), seed=seed)
-    reports: dict[str, ClassReport] = {}
-    for name in configs:
-        if name == DLF:
-            hyper = dlf_hyper or Hyper(dim=32, buckets=2**18, epochs=8, lr=0.5, seed=seed)
-            model = layer1.train(train_set, hyper)
-            reports[name] = layer1.classification_report(model, test_set, timing_calls)
-        else:
-            baseline = train_tfidf_logreg(train_set, seed=seed)
-            reports[name] = _timed_report(baseline.predict, test_set, timing_calls)
+    model = layer1.train(train_set, dlf_hyper or Hyper(dim=32, buckets=2**18, epochs=8, lr=0.5, seed=seed))
+    reports = {"dlf": layer1.classification_report(model, test_set, timing_calls)}
+    baseline = train_tfidf_logreg(train_set, seed=seed)
+    reports["tfidf_logreg"] = _timed_report(baseline.predict, test_set, timing_calls)
     return reports
 
 

@@ -7,6 +7,13 @@ carries a four-stage trace (arrival, parsed-and-stored, first notification,
 first affirmative response); stage timestamps come from the injected clock
 and are monotone by construction. Messages and edits share one two-layer
 decision; a Layer-2 failure is an error, queued for retry, never a negative.
+
+`Gateway.replay` is the one step from a scenario line to its transcript
+entries: it moves the clock to the line's tick, applies the line and emits
+the outbound events that fell due and that the line caused. `simulate`
+and the crash-replay tests both run it. A donor write goes through
+`Gateway.put_donor`, for scenario lines and `POST /donors` alike, and
+persists before it returns, as `handle_event` does.
 """
 
 from __future__ import annotations
@@ -263,6 +270,36 @@ class Gateway:
         self.persist()
         return action
 
+    def put_donor(self, platform_id: str, fields: dict) -> DonorRecord:
+        """Write a donor by `DispatchEngine.put_donor`'s rule and persist
+        the write before returning the record."""
+        record = self.engine.put_donor(platform_id, fields)
+        self.persist()
+        return record
+
+    def replay(self, line: dict, decoded: InboundEvent | tuple[str, dict] | None) -> list[dict]:
+        """The transcript entries of one scenario line and what it decoded
+        to (`load_scenario`). The clock moves to the line's tick and the
+        outbound events that fell due come first. Then the line is applied:
+        an event by `handle_event`, a donor write by `put_donor`, and an
+        `advance` line only persists. The outbound events the line caused
+        come last."""
+        tick = line["tick"]
+
+        def outbound() -> list[dict]:
+            return [{"tick": tick, "event": {"kind": "outbound"}, "action": e} for e in self.engine.drain_outbound()]
+
+        self.engine.advance_to(tick)
+        due = outbound()
+        if line["kind"] == "advance":
+            self.persist()
+            action = {"action": "advance"}
+        elif line["kind"] == "donor":
+            action = {"action": "donor_registered", "donor_id": self.put_donor(*decoded).donor_id}
+        else:
+            action = self.handle_event(decoded)
+        return [*due, {"tick": tick, "event": line, "action": action}, *outbound()]
+
     def persist(self) -> None:
         """Save the engine's unsaved changes to `snapshot_path`, if one is set."""
         if self.snapshot_path is not None:
@@ -336,9 +373,9 @@ def bundled_scenarios() -> list[Path]:
 
 def _decode_line(obj: object) -> InboundEvent | tuple[str, dict] | dict | None:
     """What a scenario line decodes to: an event, a donor write (the
-    arguments of `DispatchEngine.put_donor`), a `config` line's staging
-    knobs, or nothing (`advance`). ValueError, or a FieldError naming the
-    fields, unless it has an integer `tick` and a `kind` whose fields decode."""
+    arguments of `Gateway.put_donor`), a `config` line's staging knobs, or
+    nothing (`advance`). ValueError, or a FieldError naming the fields,
+    unless it has an integer `tick` and a `kind` whose fields decode."""
     if not isinstance(obj, dict) or "tick" not in obj or "kind" not in obj:
         raise ValueError("event needs 'tick' and 'kind'")
     read_fields(InboundEvent, obj, ("tick",))
@@ -355,14 +392,18 @@ def _decode_line(obj: object) -> InboundEvent | tuple[str, dict] | dict | None:
     return None
 
 
-def load_scenario(path: str | Path) -> list[tuple[dict, object]]:
-    """The lines of a scenario file, each with what it decodes to
-    (`_decode_line`). A `config` line comes first, with knobs the engine
-    accepts (`check_staging`), and each donor line is a write the engine
-    accepts (the donor lines are applied, in order, to a scratch registry
-    built with the config's knobs). ScenarioError names the file and line
-    of the first bad one."""
+def load_scenario(path: str | Path) -> tuple[dict, list[tuple[dict, object]]]:
+    """The staging knobs of a scenario file's `config` line (none without
+    one), and its other lines, each with what it decodes to
+    (`_decode_line`) for `Gateway.replay`. A `config` line comes first,
+    with knobs the engine accepts (`check_staging`), and each donor line is
+    a write the engine accepts (the donor lines are applied, in order, to
+    a scratch registry built with the knobs). Every line, `config` too, is
+    in tick order. ScenarioError names the file and line of the first bad
+    one."""
+    knobs: dict = {}
     lines: list[tuple[dict, object]] = []
+    ticks: list[int] = []
     registry = DispatchEngine()
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -371,19 +412,20 @@ def load_scenario(path: str | Path) -> list[tuple[dict, object]]:
             try:
                 obj = json.loads(line)
                 decoded = _decode_line(obj)
-                if obj["kind"] == "config" and lines:
-                    raise ValueError("config must be the first scenario line")
-                if obj["kind"] == "donor":
-                    registry.put_donor(*decoded)
-                elif obj["kind"] == "config":
-                    registry = DispatchEngine(**decoded)
+                if obj["kind"] == "config":
+                    if ticks:
+                        raise ValueError("config must be the first scenario line")
+                    knobs, registry = decoded, DispatchEngine(**decoded)
+                else:
+                    if obj["kind"] == "donor":
+                        registry.put_donor(*decoded)
+                    lines.append((obj, decoded))
             except (ValueError, DispatchError) as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
-            lines.append((obj, decoded))
-    ticks = [obj["tick"] for obj, _ in lines]
+            ticks.append(obj["tick"])
     if ticks != sorted(ticks):
         raise ScenarioError(f"{path}: events must be ordered by tick")
-    return lines
+    return knobs, lines
 
 
 def simulate(
@@ -398,33 +440,13 @@ def simulate(
     the four inbound kinds, ``donor`` lines write donors as ``POST /donors``
     does (standing in for the out-of-scope intake form), ``advance`` lines
     only move time, and an optional leading ``config`` line overrides the
-    staging knobs. Identical scenarios produce byte-identical transcripts.
+    staging knobs. Each line goes through `Gateway.replay`. Identical
+    scenarios produce byte-identical transcripts.
     """
-    lines = load_scenario(scenario_path)
-    knobs = lines.pop(0)[1] if lines and lines[0][0]["kind"] == "config" else {}
-    engine = DispatchEngine(**knobs)
-    gateway = Gateway(model=model, backend=backend, engine=engine, threshold=threshold)
-    transcript: list[dict] = []
-
-    def flush_outbound(tick: int) -> None:
-        for event in engine.drain_outbound():
-            transcript.append({"tick": tick, "event": {"kind": "outbound"}, "action": event})
-
-    for obj, decoded in lines:
-        tick = obj["tick"]
-        engine.advance_to(tick)
-        flush_outbound(tick)
-        kind = obj["kind"]
-        if kind == "advance":
-            action = {"action": "advance"}
-        elif kind == "donor":
-            record = engine.put_donor(*decoded)
-            action = {"action": "donor_registered", "donor_id": record.donor_id}
-        else:
-            action = gateway.handle_event(decoded)
-        transcript.append({"tick": tick, "event": obj, "action": action})
-        flush_outbound(tick)
-
+    knobs, lines = load_scenario(scenario_path)
+    gateway = Gateway(model=model, backend=backend, engine=DispatchEngine(**knobs), threshold=threshold)
+    transcript = [entry for line, decoded in lines for entry in gateway.replay(line, decoded)]
+    engine = gateway.engine
     summary = summarize_traces(gateway.traces)
     summary["cases"] = {
         rid: engine.cases[rid].status for rid in sorted(engine.cases)

@@ -31,6 +31,9 @@ API_KEY_ENV = "CBRS_LLM_API_KEY"
 
 CLOSING_INSTRUCTION = "Output only the valid JSON response. No explanations."
 
+# The sampling values sent with every remote parse.
+_SAMPLING = {"temperature": 0.7, "top_p": 0.8, "top_k": 35}
+
 _TOKEN_UNIT = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 
@@ -71,9 +74,6 @@ class BackendConfig:
     kind: str = "rules"  # "remote" | "rules"
     endpoint: str = ""
     model: str = ""
-    temperature: float = 0.7
-    top_p: float = 0.8
-    top_k: int = 35
     timeout_seconds: float = 30.0
     retries: int = 2
     mode: str = "few_shot"  # "few_shot" | "zero_shot"
@@ -81,8 +81,6 @@ class BackendConfig:
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
-        if not 0 < self.temperature <= 1 or not 0 < self.top_p <= 1:
-            raise ValueError("temperature and top_p must lie in (0, 1]")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.max_in_flight < 1:  # a semaphore of 0 would hold every remote parse forever
@@ -251,9 +249,7 @@ def parse_remote(cfg: BackendConfig, bundle: PromptBundle) -> ParseRecord:
                 {"role": "system", "content": bundle.system_text},
                 {"role": "user", "content": bundle.render()},
             ],
-            "temperature": cfg.temperature,
-            "top_p": cfg.top_p,
-            "top_k": cfg.top_k,
+            **_SAMPLING,
         }
     ).encode("utf-8")
     headers = {"Content-Type": "application/json"}

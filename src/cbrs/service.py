@@ -4,8 +4,8 @@ Endpoints: POST /messages, POST /donors, POST /responses,
 GET /requests/{id}, GET /health. Bodies are JSON both ways; malformed or
 wrong-typed input gets a 400 with field diagnostics before any state
 changes, a body over `MAX_BODY_BYTES` a 413 before it is read, unknown
-ids a 404. POST /donors writes by `DispatchEngine.put_donor`'s rule, as a
-scenario `donor` line does. Donors, cases, ledger entries and traces are
+ids a 404. POST /donors writes through `Gateway.put_donor`, as a scenario
+`donor` line does. Donors, cases, ledger entries and traces are
 answered in the JSON form `dispatch.encode` gives them. Handlers share one
 lock so case/ledger mutations stay serialized. With a snapshot path set,
 every POST persists what it changed, under the lock, before it replies.
@@ -66,8 +66,9 @@ class ServiceConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         config = cls(**{name: converters[name](raw) for name, raw in values.items()})
+        knobs = ("stage_size", "stage_timeout_seconds", "eligibility_days")  # check_staging's order
         try:
-            check_staging(config.stage_size, config.stage_timeout_seconds, config.eligibility_days)
+            check_staging({name: getattr(config, name) for name in knobs})
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return config
@@ -161,8 +162,7 @@ class _Handler(BaseHTTPRequestHandler):
         donor = read_fields(DonorRecord, body, ("platform_id", *DONOR_FIELDS), required=("platform_id",))
         platform_id = donor.pop("platform_id")
         with self.lock:
-            record = self.gateway.engine.put_donor(platform_id, donor)
-            self.gateway.persist()
+            record = self.gateway.put_donor(platform_id, donor)
         self._send(200, encode(record))
 
     def _post_response(self, body: dict) -> None:

@@ -518,6 +518,39 @@ def _one_donor_one_case(tmp_path):
     return path
 
 
+_MISSING = object()
+
+
+def _edited_snapshot(tmp_path, section, field, value):
+    """A good snapshot, and a copy whose one `section` line holds `value`
+    for `field` (no `field`, for _MISSING), with that line's number."""
+    path = _one_donor_one_case(tmp_path)
+    lines = path.read_text("utf-8").splitlines()
+    [lineno] = [i for i, line in enumerate(lines, 1) if json.loads(line)["section"] == section]
+    obj = json.loads(lines[lineno - 1])
+    if value is _MISSING:
+        del obj[field]
+    else:
+        obj[field] = value
+    lines[lineno - 1] = json.dumps(obj, ensure_ascii=False)
+    bad = tmp_path / "bad.snap"
+    bad.write_text("\n".join(lines) + "\n", "utf-8")
+    return path, bad, lineno
+
+
+def _refuses_and_keeps_state(good, bad, match):
+    """Restoring `bad` over an engine restored from `good` raises a
+    SnapshotError matching `match` and leaves the engine's tables as they were."""
+    served = _engine()
+    served.restore(good)
+    before = _state(served)
+    tables = served.donors, served.cases, served.ledger, served._groups
+    with pytest.raises(SnapshotError, match=match):
+        served.restore(bad)
+    assert all(a is b for a, b in zip((served.donors, served.cases, served.ledger, served._groups), tables))
+    assert _state(served) == before
+
+
 @pytest.mark.parametrize(
     "section, field, value",
     [
@@ -539,27 +572,10 @@ def _one_donor_one_case(tmp_path):
     ],
 )
 def test_restore_refuses_wrong_typed_integer_and_boolean_fields(tmp_path, section, field, value):
-    path = _one_donor_one_case(tmp_path)
-    lines = path.read_text("utf-8").splitlines()
-    [lineno] = [i for i, line in enumerate(lines, 1) if json.loads(line)["section"] == section]
-    obj = json.loads(lines[lineno - 1])
-    obj[field] = value
-    lines[lineno - 1] = json.dumps(obj, ensure_ascii=False)
-    bad = tmp_path / "bad.snap"
-    bad.write_text("\n".join(lines) + "\n", "utf-8")
-    served = _engine()
-    served.restore(path)
-    before = _state(served)
-    donors, cases = served.donors, served.cases
-    with pytest.raises(SnapshotError, match=f"line {lineno}: .*{field}"):
-        served.restore(bad)
-    assert served.donors is donors and served.cases is cases  # nothing loaded
-    assert _state(served) == before
+    path, bad, lineno = _edited_snapshot(tmp_path, section, field, value)
+    _refuses_and_keeps_state(path, bad, f"line {lineno}: .*{field}")
     with pytest.raises(SnapshotError, match=f"line {lineno}: "):
         _engine().restore(bad)
-
-
-_MISSING = object()
 
 
 @pytest.mark.parametrize(
@@ -588,25 +604,33 @@ _MISSING = object()
 def test_restore_refuses_a_field_of_a_json_type_it_does_not_hold(tmp_path, section, field, value):
     # Every field of every line is checked, not only integers and booleans,
     # and the refusal names the line and the field, missing ones included.
-    path = _one_donor_one_case(tmp_path)
-    lines = path.read_text("utf-8").splitlines()
-    [lineno] = [i for i, line in enumerate(lines, 1) if json.loads(line)["section"] == section]
-    obj = json.loads(lines[lineno - 1])
-    if value is _MISSING:
-        del obj[field]
-    else:
-        obj[field] = value
-    lines[lineno - 1] = json.dumps(obj, ensure_ascii=False)
-    bad = tmp_path / "bad.snap"
-    bad.write_text("\n".join(lines) + "\n", "utf-8")
-    served = _engine()
-    served.restore(path)
-    before = _state(served)
-    tables = served.donors, served.cases, served.ledger, served._groups
-    with pytest.raises(SnapshotError, match=f"line {lineno}: FieldError.*'{field}'"):
-        served.restore(bad)
-    assert all(a is b for a, b in zip((served.donors, served.cases, served.ledger, served._groups), tables))
-    assert _state(served) == before
+    path, bad, lineno = _edited_snapshot(tmp_path, section, field, value)
+    _refuses_and_keeps_state(path, bad, f"line {lineno}: FieldError.*'{field}'")
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("case", "status", "bogus"), ("case", "status", "Open"), ("ledger", "response", "maybe"),
+     ("ledger", "response", "")],
+)
+def test_restore_refuses_a_status_or_response_the_engine_never_writes(tmp_path, section, field, value):
+    # A case status outside open and the three terminal ones would never
+    # expire nor resolve; a ledger response outside none/affirmative/negative
+    # would be neither an answer nor its absence.
+    path, bad, lineno = _edited_snapshot(tmp_path, section, field, value)
+    _refuses_and_keeps_state(path, bad, f"line {lineno}: DispatchError.*{field} {value!r} not one of")
+
+
+def test_restore_refuses_a_ledger_entry_whose_case_is_in_no_batch(tmp_path):
+    path, bad, lineno = _edited_snapshot(tmp_path, "ledger", "request_id", "r99999")
+    _refuses_and_keeps_state(path, bad, f"line {lineno}: .*request_id 'r99999' names no case")
+    # The case of an entry may come in an earlier batch.
+    meta, _, _, entry, _ = path.read_text("utf-8").splitlines()
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("\n".join([meta, _edit_line(entry, response="negative"), '{"section": "end", "records": 2}']) + "\n")
+    eng = _engine()
+    eng.restore(path)
+    assert [e.response for e in eng.ledger.values()] == ["negative"]
 
 
 def test_restore_reads_integer_coordinates_as_floats(tmp_path):

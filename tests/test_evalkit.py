@@ -300,11 +300,6 @@ def test_compare_classifiers_deterministic():
         assert a[name].confusion == b[name].confusion
 
 
-def test_compare_classifiers_unknown_config():
-    with pytest.raises(ValueError):
-        compare_classifiers(separable_corpus(50, seed=1), configs=("bert",))
-
-
 def test_tfidf_logreg_probability_sane():
     corpus = separable_corpus(200, seed=13)
     model = train_tfidf_logreg(corpus, seed=5)

@@ -239,6 +239,31 @@ def test_edit_of_case_with_layer2_error_changes_nothing(scenario_model, tmp_path
     assert g.layer2_calls == calls + (0 if raises else 1)
 
 
+def test_put_donor_and_replay_persist_before_they_return(scenario_model, tmp_path):
+    snapshot = tmp_path / "s.snap"
+    g, _ = _gateway(scenario_model, snapshot_path=snapshot)
+
+    def restored():
+        engine = DispatchEngine(clock=Clock())
+        engine.restore(snapshot)
+        return engine
+
+    record = g.put_donor("alice", {"blood_group": "O+", "latitude": 23.81, "longitude": 90.41})
+    assert restored().donors == {"alice": record}
+    message = {"tick": 3, "kind": "message", "message_id": "m1", "text": REQUEST_TEXT}
+    entries = g.replay(message, gw.decode_event(message))
+    # The alert the message caused follows its entry.
+    assert [(e["event"]["kind"], e["action"].get("kind")) for e in entries] == [
+        ("message", None), ("outbound", "donor_alert")]
+    assert restored().ledger == g.engine.ledger
+    entries = g.replay({"tick": 10**6, "kind": "advance"}, None)
+    # What fell due before the line comes first, and is persisted: the next
+    # stage finds no donor left, then the deadline passes.
+    assert [(e["event"]["kind"], e["action"].get("kind")) for e in entries] == [
+        ("outbound", "operator_attention"), ("outbound", "case_expired"), ("advance", None)]
+    assert restored().cases == g.engine.cases
+
+
 @pytest.mark.parametrize("raises", [True, False], ids=["raising", "failed-record"])
 def test_edit_of_seen_message_with_layer2_error(scenario_model, raises):
     g, _ = _gateway(scenario_model)
@@ -427,12 +452,11 @@ def test_load_scenario_returns_each_line_with_what_it_decoded_to(tmp_path):
         {"tick": 9, "kind": "advance"},
     ]
     path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
-    assert load_scenario(path) == [
-        (lines[0], {"stage_size": 2}),
+    assert load_scenario(path) == ({"stage_size": 2}, [
         (lines[1], ("u1", {"blood_group": "O+", "latitude": 23.0, "longitude": 90.4})),
         (lines[2], InboundEvent(kind="message", platform="api", message_id="m1", text="hello", tick=5)),
         (lines[3], None),
-    ]
+    ])
 
 
 @pytest.mark.parametrize(
@@ -456,6 +480,13 @@ def test_scenario_rejects_staging_knob_below_its_least(tmp_path):
     bad.write_text('{"tick": 0, "kind": "config", "stage_size": 2, "stage_timeout": 0}\n'
                    '{"tick": 0, "kind": "advance"}\n')
     with pytest.raises(gw.ScenarioError, match=r":1: stage_timeout must be at least 1, got 0"):
+        load_scenario(bad)
+
+
+def test_scenario_orders_the_config_line_by_tick_too(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"tick": 10, "kind": "config", "stage_size": 2}\n{"tick": 5, "kind": "advance"}\n')
+    with pytest.raises(gw.ScenarioError, match="ordered by tick"):
         load_scenario(bad)
 
 

@@ -1,12 +1,11 @@
 """Crash after every event: the snapshot file always holds the live engine.
 
-Each bundled scenario is replayed the way `simulate` replays it, but with a
-`snapshot_path`. Inbound events go through `Gateway.handle_event`, which
-persists before it returns; `donor` and `advance` lines persist through
-`Gateway.persist`, as the service does after `POST /donors`. After every
-line a fresh engine restores the file and must equal the live one in every
-field. With `restart`, the restored engine then replaces the live one, so
-the run continues from the file alone and its transcript must still be the
+Each bundled scenario is replayed through `Gateway.replay`, the step
+`simulate` runs, but with a `snapshot_path`: every line persists what it
+changed before its entries are returned. After every line a fresh engine
+restores the file and must equal the live one in every field. With
+`restart`, the restored engine then replaces the live one, so the run
+continues from the file alone and its transcript must still be the
 recorded one: nothing is sent twice, resolution notices included.
 
 The bundled registries are small, so the appended tail soon outgrows the
@@ -41,36 +40,15 @@ def engine_state(engine: DispatchEngine) -> dict:
 
 
 def replay(path: Path, model, snapshot: Path, restart: bool) -> str:
-    lines = load_scenario(path)
-    params = lines.pop(0)[1] if lines and lines[0][0]["kind"] == "config" else {}
-
+    knobs, lines = load_scenario(path)
     clock = Clock()
-    engine = DispatchEngine(clock=clock, **params)
-    gateway = Gateway(model, RulesBackend(), engine=engine, clock=clock, snapshot_path=snapshot)
+    gateway = Gateway(model, RulesBackend(), engine=DispatchEngine(clock=clock, **knobs), snapshot_path=snapshot)
     transcript = []
-
-    def flush(tick):
-        for event in gateway.engine.drain_outbound():
-            transcript.append({"tick": tick, "event": {"kind": "outbound"}, "action": event})
-
-    for obj, decoded in lines:
-        tick, kind = obj["tick"], obj["kind"]
-        gateway.engine.advance_to(tick)
-        flush(tick)
-        if kind in ("advance", "donor"):
-            action = {"action": "advance"}
-            if kind == "donor":
-                record = gateway.engine.put_donor(*decoded)
-                action = {"action": "donor_registered", "donor_id": record.donor_id}
-            gateway.persist()
-        else:
-            action = gateway.handle_event(decoded)
-        transcript.append({"tick": tick, "event": obj, "action": action})
-        flush(tick)
-
-        restored = DispatchEngine(clock=Clock(), **params)
+    for line, decoded in lines:
+        transcript += gateway.replay(line, decoded)
+        restored = DispatchEngine(clock=Clock(), **knobs)
         restored.restore(snapshot)
-        assert engine_state(restored) == engine_state(gateway.engine), (path.stem, tick, kind)
+        assert engine_state(restored) == engine_state(gateway.engine), (path.stem, line)
         if restart:
             restored.clock = clock
             gateway.engine = restored

@@ -457,11 +457,12 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize(
     "line,knob",
-    [("stage_size = 0", "stage_size"), ("stage_timeout_seconds = 0", "stage_timeout"),
+    [("stage_size = 0", "stage_size"), ("stage_timeout_seconds = 0", "stage_timeout_seconds"),
      ("eligibility_days = -1", "eligibility_days")],
 )
 def test_config_refuses_staging_knobs_below_their_least(tmp_path, line, knob):
+    # The refusal names the key as the file spells it.
     path = tmp_path / "bad.conf"
     path.write_text(f"stage_size = 3\n{line}\n")
-    with pytest.raises(ValueError, match=f"{knob} must be at least"):
+    with pytest.raises(ValueError, match=f": {knob} must be at least"):
         ServiceConfig.from_file(path)
