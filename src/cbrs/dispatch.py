@@ -21,8 +21,8 @@ the same rules hold for all three: `put_donor` is the one write rule
 `check_donor` the one check of a record's values, so every row holds a
 group of `schema.BLOOD_GROUPS` and coordinates in range (restore holds
 cases and ledger entries to the statuses and responses the engine writes,
-`_VALUE_CHECKS`, and every ledger entry to a case). All JSON input
-is checked by one table from a field's annotation to its JSON types,
+`_VALUE_CHECKS`, and every ledger entry to a case and a donor). All JSON
+input is checked by one table from a field's annotation to its JSON types,
 `_JSON`: `decode` reads snapshot lines, `read_fields` HTTP bodies and
 scenario lines, and both refuse by one FieldError naming the fields.
 Notifications go out in stages bounded by an urgency-derived depth; a
@@ -64,7 +64,6 @@ import logging
 import math
 import operator
 import os
-import re
 import tempfile
 from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
@@ -260,74 +259,40 @@ def geocode_markers(markers: Iterable[str]) -> tuple[float, float] | None:
     return None
 
 
-_DAY_FULL = re.compile(r"^(\d{2})/(\d{2})(?:/(\d{4}))?$")
-_DAYS_LATER = re.compile(r"^(\d+) days? later$")
-
-
-def _resolve_day(probable_day: str, created: date) -> date | None:
-    m = _DAY_FULL.match(probable_day)
-    if m:
-        day, month, year = int(m.group(1)), int(m.group(2)), m.group(3)
-        try:
-            return date(int(year) if year else created.year, month, day)
-        except ValueError:
-            return None
-    m = _DAYS_LATER.match(probable_day)
-    if m:
-        return created + timedelta(days=int(m.group(1)))
-    return None
-
-
-_IN_HOURS = re.compile(r"^in (\d+) hours?$")
-_CLOCK_PART = re.compile(r"^(?:before )?([01]\d|2[0-3]):([0-5]\d)")
-
-
 def resolve_deadline(request: ParsedRequest, created_at: int, epoch_date: date) -> int | None:
     """Absolute tick the request must be satisfied by, or None.
 
-    "in n hours" counts from creation; "before HH:MM" and plain times bind
-    to the stated (or creation) date; a bare date means end of that day.
-    "after HH:MM" opens a window rather than closing one, so it carries no
-    deadline of its own.
+    "in n hours" counts from creation; "before HH:MM", plain times and
+    ranges (from their start) bind to the stated (or creation) date; a bare
+    date means end of that day. "after HH:MM" opens a window rather than
+    closing one, so it carries no deadline of its own.
     """
+    relation, amount = schema.read_time(request.probable_time) or ("", 0)
+    if relation == "in":
+        return created_at + amount * 3600
     created_date = epoch_date + timedelta(seconds=created_at)
-    time_field = request.probable_time
-    m = _IN_HOURS.match(time_field)
-    if m:
-        return created_at + int(m.group(1)) * 3600
-    day = request.probable_day
-    if day == "today":
-        the_date = created_date
-    elif day == "tomorrow":
-        the_date = created_date + timedelta(days=1)
+    the_date = schema.read_day(request.probable_day, created_date)
+    if relation in ("before", "at"):
+        minutes = amount
+    elif the_date is not None:
+        minutes = 23 * 60 + 59
     else:
-        the_date = _resolve_day(day, created_date)
-    clock = _CLOCK_PART.match(time_field)
-    if the_date is None and clock is None:
         return None
-    if the_date is None:
-        the_date = created_date
-    if clock is not None:
-        hh, mm = int(clock.group(1)), int(clock.group(2))
-    else:
-        hh, mm = 23, 59
-    return (the_date - epoch_date).days * 86400 + hh * 3600 + mm * 60
+    return ((the_date or created_date) - epoch_date).days * 86400 + minutes * 60
 
 
-def urgency_depth(case: RequestCase, epoch_date: date = date(2025, 1, 1)) -> int:
+def urgency_depth(case: RequestCase, epoch_date: date = Clock.epoch_date) -> int:
     """Stage depth from the parsed urgency signals.
 
     "today" or a hard "before HH:MM" deadline scales to 3 stages; "tomorrow"
     or a date within 48 hours of case creation to 2; anything else to 1.
     """
-    created = epoch_date + timedelta(seconds=case.created_at)
     day = case.request.probable_day
-    time_field = case.request.probable_time
-    if day == "today" or time_field.startswith("before "):
+    relation, _ = schema.read_time(case.request.probable_time) or ("", 0)
+    if day == "today" or relation == "before":
         return 3
-    if day == "tomorrow":
-        return 2
-    resolved = _resolve_day(day, created)
+    created = epoch_date + timedelta(seconds=case.created_at)
+    resolved = schema.read_day(day, created)
     if resolved is not None and resolved - created <= timedelta(hours=48):
         return 2
     return 1
@@ -834,8 +799,10 @@ class DispatchEngine:
 
         A managed/resolved marker ends the case and sends each previously
         notified donor exactly one resolution notice; other edits update the
-        stored request in place. `classify` returns None when it could not
-        decide, which leaves the case untouched and answers "parse-error".
+        stored request in place, its anchor, and its deadline, counted from
+        the case's creation as `open_case` counts it. `classify` returns
+        None when it could not decide, which leaves the case untouched and
+        answers "parse-error".
         Unknown message ids are ignored with a diagnostic status.
         """
         request_id = self.case_by_message.get(message_id)
@@ -855,6 +822,7 @@ class DispatchEngine:
         if not outcome.is_negative:
             case.request = schema.canonicalize(outcome.request)
             case.anchor = geocode_markers(case.request.location_markers)
+            case.deadline = resolve_deadline(case.request, case.created_at, self.clock.epoch_date)
             self._touch(case)
             return "updated"
         return "unchanged"
@@ -964,9 +932,10 @@ class DispatchEngine:
         naming the line, and the engine keeps its state. A line is
         malformed if `decode` refuses it or `_VALUE_CHECKS` its values,
         and a ledger line also if no batch up to the end of its own holds
-        its case. The cyclic garbage collector is paused while the records
-        are built: they hold no reference cycles, so its passes over a
-        large registry's new objects would free nothing.
+        its case, or if the restored registry holds no donor with its
+        `donor_id`. The cyclic garbage collector is paused while the
+        records are built: they hold no reference cycles, so its passes
+        over a large registry's new objects would free nothing.
         """
         enabled = gc.isenabled()
         gc.disable()
@@ -986,6 +955,7 @@ class DispatchEngine:
         batch_meta: _Meta | None = None
         batch: list | None = None  # records of the batch being read
         ledger_lines: list[tuple[int, LedgerEntry]] = []  # the batch's ledger entries, by line number
+        named: dict[str, int] = {}  # donor id -> the first complete ledger line naming it
         problem = ""  # the first malformed line; fatal if a batch completes after it
         offset = base = complete = 0  # bytes read; of the first batch; up to the last `end`
         with fh:
@@ -1030,6 +1000,7 @@ class DispatchEngine:
                                     f"corrupt snapshot {path}: line {n}: ledger entry's "
                                     f"request_id {entry.request_id!r} names no case"
                                 )
+                            named.setdefault(entry.donor_id, n)
                         meta, batch = batch_meta, None
                         complete = offset if raw.endswith(b"\n") else -1
                         base = base or offset
@@ -1039,6 +1010,13 @@ class DispatchEngine:
         if meta is None:
             why = problem or "no end line"
             raise SnapshotError(f"snapshot {path} is truncated or corrupt: {why}")
+        for donor in tables["donor"].values():
+            named.pop(donor.donor_id, None)
+        if named:
+            donor_id, n = min(named.items(), key=operator.itemgetter(1))
+            raise SnapshotError(
+                f"corrupt snapshot {path}: line {n}: ledger entry's donor_id {donor_id!r} names no donor"
+            )
         groups = _group_columns(tables["donor"].values())
         for section, (table, _) in _TABLES.items():
             setattr(self, table, tables[section])
@@ -1175,10 +1153,22 @@ class FieldError(ValueError):
 
 
 def _request(obj: dict) -> ParsedRequest:
+    """A case's request: valid, and canonical as the engine stores it."""
     outcome = schema.validate(obj)
     if not isinstance(outcome, ParseOutcome) or outcome.is_negative:
         raise ValueError("bad case payload")
-    return outcome.request
+    return schema.canonicalize(outcome.request)
+
+
+def _date(value: str) -> date | None:
+    """The date `encode` writes as YYYY-MM-DD, or None for ""; no other
+    ISO 8601 form (Python 3.11's `date.fromisoformat` reads 20250101 too)."""
+    if not value:
+        return None
+    day = date.fromisoformat(value)
+    if day.isoformat() != value:
+        raise ValueError(f"date {value!r} is not YYYY-MM-DD")
+    return day
 
 
 def _anchor(value: list) -> tuple[float, float]:
@@ -1190,7 +1180,7 @@ def _anchor(value: list) -> tuple[float, float]:
 # The fields whose JSON form is not their value: name -> (to JSON, from JSON).
 _FORMS = {
     DonorRecord: {
-        "last_donation_date": (lambda d: d.isoformat() if d else None, lambda s: date.fromisoformat(s) if s else None)
+        "last_donation_date": (lambda d: d.isoformat() if d else None, _date)
     },
     RequestCase: {
         "request": (lambda r: schema.to_dict(ParseOutcome.positive(r)), _request),

@@ -12,6 +12,14 @@ a tuple for a list. Its `metadata` holds the rest of its rule: `enum` (the
 allowed spellings), `pattern` (a check on the whitespace-collapsed value)
 or `item` (the record type of a list's items; other lists hold strings).
 `validate`, `canonicalize` and `to_dict` walk that one spec.
+
+This module alone knows the grammar of the two fields that say when blood
+is needed, one pattern each. A `probable_day` is "today", "tomorrow",
+DD/MM with an optional /YYYY, or "n days later"; a `probable_time` is
+HH:MM with an optional "before "/"after ", a range HH:MM-HH:MM, or
+"in n hours". `day_pattern_ok`/`time_pattern_ok` check a value, and
+`read_day` (the date it names) and `read_time` (a relation and an amount)
+read one for the deadline and urgency rules of dispatch.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
+from datetime import date, timedelta
 from typing import Any, Callable, NamedTuple
 
 BLOOD_GROUPS = ("A+", "A-", "B+", "B-", "O+", "O-", "AB+", "AB-")
@@ -31,33 +40,54 @@ NEGATIVE_KEY = "is_blood_donation_request"
 
 _WS_RUN = re.compile(r"\s+")
 
-_DAY_PATTERNS = (
-    re.compile(r"^\d{2}/\d{2}$"),
-    re.compile(r"^\d{2}/\d{2}/\d{4}$"),
-    re.compile(r"^\d+ days? later$"),
+_DAY = re.compile(
+    r"(?P<word>today|tomorrow)|(?P<dd>\d{2})/(?P<mm>\d{2})(?:/(?P<yyyy>\d{4}))?|(?P<later>\d+) days? later"
 )
-_DAY_WORDS = ("today", "tomorrow")
-
-_TIME_HHMM = r"(?:[01]\d|2[0-3]):[0-5]\d"
-_TIME_PATTERNS = (
-    re.compile(rf"^{_TIME_HHMM}$"),
-    re.compile(rf"^before {_TIME_HHMM}$"),
-    re.compile(rf"^after {_TIME_HHMM}$"),
-    re.compile(rf"^{_TIME_HHMM}-{_TIME_HHMM}$"),
-    re.compile(r"^in \d+ hours?$"),
+_HHMM = r"(?:[01]\d|2[0-3]):[0-5]\d"
+_TIME = re.compile(
+    rf"(?P<relation>before|after) (?P<clock>{_HHMM})|(?P<start>{_HHMM})(?:-{_HHMM})?|in (?P<hours>\d+) hours?"
 )
 
 
 def day_pattern_ok(value: str) -> bool:
-    if value == "" or value in _DAY_WORDS:
-        return True
-    return any(p.match(value) for p in _DAY_PATTERNS)
+    return value == "" or _DAY.fullmatch(value) is not None
 
 
 def time_pattern_ok(value: str) -> bool:
-    if value == "":
-        return True
-    return any(p.match(value) for p in _TIME_PATTERNS)
+    return value == "" or _TIME.fullmatch(value) is not None
+
+
+def read_day(value: str, created: date) -> date | None:
+    """The date a `probable_day` names, for a request created on `created`
+    (DD/MM falls in its year); None for an empty or refused value and for a
+    day the calendar lacks (31/02, or past year 9999)."""
+    m = _DAY.fullmatch(value)
+    if m is None:
+        return None
+    try:
+        if m["word"]:
+            return created if m["word"] == "today" else created + timedelta(days=1)
+        if m["later"]:
+            return created + timedelta(days=int(m["later"]))
+        return date(int(m["yyyy"]) if m["yyyy"] else created.year, int(m["mm"]), int(m["dd"]))
+    except (ValueError, OverflowError):
+        return None
+
+
+def read_time(value: str) -> tuple[str, int] | None:
+    """What a `probable_time` says: ("in", hours), or "before", "after" or
+    "at" with the minutes past midnight (a range counts from its start);
+    None for an empty or refused value, and for more hours than `int` reads."""
+    m = _TIME.fullmatch(value)
+    if m is None:
+        return None
+    if m["hours"]:
+        try:
+            return "in", int(m["hours"])
+        except ValueError:
+            return None
+    clock = m["clock"] or m["start"]
+    return m["relation"] or "at", int(clock[:2]) * 60 + int(clock[3:])
 
 
 def _enum(allowed: tuple[str, ...]) -> Any:

@@ -11,6 +11,7 @@ import pytest
 
 from cbrs import dispatch as dp
 from cbrs.dispatch import Clock, DispatchEngine, DispatchError, SnapshotError, haversine_km
+from cbrs.gateway import ScenarioError, load_scenario
 from cbrs.schema import Contact, ParsedRequest, ParseOutcome
 
 
@@ -363,6 +364,26 @@ def test_non_terminal_edit_updates_in_place():
     assert not [e for e in eng.outbound if e["kind"] == "resolution_notice"]
 
 
+def test_edit_re_derives_the_deadline_from_the_case_s_creation():
+    eng = _engine(stage_size=1)
+    _populate(eng, 3)
+    eng.clock.advance_to(600)
+    case = eng.open_case("m1", _request(day="tomorrow"))
+    assert case.deadline == 86400 + 23 * 3600 + 59 * 60
+    sooner = _request(day="today", time_="before 10:00")
+    assert eng.handle_edit("m1", "O+ needed today before 10am", _classify_stub(ParseOutcome.positive(sooner))) == "updated"
+    assert case.deadline == 10 * 3600
+    assert dp.urgency_depth(case, eng.clock.epoch_date) == 3
+    eng.advance_to(11 * 3600)
+    assert case.status == dp.EXPIRED
+    assert [e["tick"] for e in eng.outbound if e["kind"] == "case_expired"] == [10 * 3600]
+    # "in n hours" counts from the case's creation, not from the edit.
+    eng.open_case("m2", _request(day="tomorrow"))
+    later = eng.cases["r00002"]
+    eng.handle_edit("m2", "O+ needed in 2 hours", _classify_stub(ParseOutcome.positive(_request(time_="in 2 hours"))))
+    assert later.deadline == later.created_at + 2 * 3600
+
+
 def test_edit_unknown_message_ignored():
     eng = _engine()
     status = eng.handle_edit("never-seen", "whatever", _classify_stub(ParseOutcome.negative()))
@@ -633,6 +654,32 @@ def test_restore_refuses_a_ledger_entry_whose_case_is_in_no_batch(tmp_path):
     assert [e.response for e in eng.ledger.values()] == ["negative"]
 
 
+def test_restore_refuses_a_ledger_entry_whose_donor_is_not_in_the_registry(tmp_path):
+    path, bad, lineno = _edited_snapshot(tmp_path, "ledger", "donor_id", "d99999")
+    _refuses_and_keeps_state(path, bad, f"line {lineno}: ledger entry's donor_id 'd99999' names no donor")
+    # The registry is checked as restored, after the last batch: a donor
+    # line of a later batch that gives the platform another id orphans
+    # the entries naming the old one.
+    meta, donor, *_ = path.read_text("utf-8").splitlines()
+    with path.open("a", encoding="utf-8") as fh:
+        moved = json.dumps({**json.loads(donor), "donor_id": "d00002"})
+        fh.write("\n".join([meta, moved, '{"section": "end", "records": 2}']) + "\n")
+    with pytest.raises(SnapshotError, match="line 4: ledger entry's donor_id 'd00001' names no donor"):
+        _engine().restore(path)
+
+
+def test_restore_holds_a_case_s_request_canonical(tmp_path):
+    # The engine stores every request canonical; a snapshot line with stray
+    # whitespace restores as the request the engine would have stored.
+    path = _one_donor_one_case(tmp_path)
+    text = path.read_text("utf-8").replace('"probable_day": "today"', '"probable_day": " today\\n"', 1)
+    assert '" today\\n"' in text
+    path.write_text(text, "utf-8")
+    eng = _engine()
+    eng.restore(path)
+    assert eng.cases["r00001"].request.probable_day == "today"
+
+
 def test_restore_reads_integer_coordinates_as_floats(tmp_path):
     path = _one_donor_one_case(tmp_path)
     text = path.read_text("utf-8").replace('"latitude": 23.8,', '"latitude": 23,', 1)
@@ -668,6 +715,28 @@ def test_decode_inverts_encode_for_every_record_type():
     trace = dp.PipelineTrace("m1", t_arrival=0, layer1_prob=0.5, layer2_outcome="request", request_id="r00001")
     for record in (*eng.donors.values(), case, *eng.ledger.values(), trace, eng._meta(), dp._End(3)):
         assert dp.decode(type(record), json.loads(json.dumps(dp.encode(record)))) == record
+
+
+@pytest.mark.parametrize("value", ["20250101", "2025-W01-3", "2025-01-1", " 2025-01-01"])
+def test_a_date_reads_only_in_the_form_encode_writes(tmp_path, value):
+    # Python 3.11's `date.fromisoformat` reads more ISO 8601 forms than 3.10;
+    # snapshot lines, POST /donors bodies and scenario donor lines all
+    # refuse every form but YYYY-MM-DD, on either version.
+    good = {"donor_id": "d00001", "platform_id": "u1", "blood_group": "O+", "latitude": 23.8,
+            "longitude": 90.4, "last_donation_date": "2025-01-01", "registered_at": 0}
+    assert dp.decode(dp.DonorRecord, good).last_donation_date == date(2025, 1, 1)
+    with pytest.raises(dp.FieldError, match="last_donation_date"):
+        dp.decode(dp.DonorRecord, {**good, "last_donation_date": value})
+    body = {"platform_id": "u1", "last_donation_date": value}
+    with pytest.raises(dp.FieldError, match="last_donation_date"):
+        dp.read_fields(dp.DonorRecord, body, ("platform_id", *dp.DONOR_FIELDS), required=("platform_id",))
+    line = {"tick": 0, "kind": "donor", "sender": "u1", "blood_group": "O+", "latitude": 23.8,
+            "longitude": 90.4, "last_donation_date": value}
+    scenario = tmp_path / "donor.jsonl"
+    scenario.write_text(json.dumps(line, ensure_ascii=False) + "\n", "utf-8")
+    with pytest.raises(ScenarioError, match=":1: .*last_donation_date"):
+        load_scenario(scenario)
+    assert dp.decode(dp.DonorRecord, {**good, "last_donation_date": ""}).last_donation_date is None
 
 
 def _edit_line(line: str, **changes) -> str:
