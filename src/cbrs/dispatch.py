@@ -703,7 +703,6 @@ class DispatchEngine:
             message_id=message_id,
             request=canonical,
             created_at=self.clock.now,
-            deadline=resolve_deadline(canonical, self.clock.now, self.clock.epoch_date),
             anchor=geocode_markers(request.location_markers),
         )
         if case.anchor is None and request.location_markers:
@@ -727,17 +726,15 @@ class DispatchEngine:
         """
         if case.status != OPEN:
             return []
-        self._touch(case)
-        depth = urgency_depth(case, self.clock.epoch_date)
-        if case.stages_fired >= depth:
-            case.next_stage_due = None
+        if case.stages_fired >= urgency_depth(case, self.clock.epoch_date):
+            self._plan(case)  # clears a due time restored from a snapshot the rule did not write
             return []
         already = self._entries.setdefault(case.request_id, {})
         fresh = [d for d in self.eligible_donors(case) if d.donor_id not in already]
         batch = fresh[: self.stage_size]
         if not batch:
             case.needs_attention = True
-            case.next_stage_due = None
+            self._plan(case, stalled=True)
             self._emit("operator_attention", case.request_id, detail="no eligible donors to notify")
             return []
         stage = case.stages_fired + 1
@@ -755,7 +752,7 @@ class DispatchEngine:
             entries.append(entry)
             self._emit("donor_alert", case.request_id, donor_id=donor.donor_id, stage=stage)
         case.stages_fired = stage
-        case.next_stage_due = self.clock.now + self.stage_timeout if stage < depth else None
+        self._plan(case)
         return entries
 
     def case_entries(self, request_id: str) -> list[LedgerEntry]:
@@ -780,8 +777,7 @@ class DispatchEngine:
             return case.status
         if affirmative:
             case.status = FULFILLED
-            self._touch(case)
-            case.next_stage_due = None
+            self._plan(case)
             self._emit("seeker_update", request_id, donor_id=donor_id, detail="donor affirmative; request fulfilled")
         else:
             current = self._stage_entries(request_id, case.stages_fired)
@@ -799,8 +795,11 @@ class DispatchEngine:
 
         A managed/resolved marker ends the case and sends each previously
         notified donor exactly one resolution notice; other edits update the
-        stored request in place, its anchor, and its deadline, counted from
-        the case's creation as `open_case` counts it. `classify` returns
+        stored request in place and its anchor, and re-plan the case
+        (`_plan`): the deadline counts from its creation as at opening, and
+        a next stage the new request's depth allows falls due again, a
+        stalled case's too, so an overdue one fires at the next
+        `advance_to`. `classify` returns
         None when it could not decide, which leaves the case untouched and
         answers "parse-error".
         Unknown message ids are ignored with a diagnostic status.
@@ -812,8 +811,7 @@ class DispatchEngine:
         if detect_managed_marker(new_text):
             if case.status == OPEN:
                 case.status = RESOLVED_EXTERNALLY
-                case.next_stage_due = None
-                self._touch(case)
+                self._plan(case)
             self._fan_out_resolution(case)
             return case.status
         outcome = classify(new_text)
@@ -822,10 +820,21 @@ class DispatchEngine:
         if not outcome.is_negative:
             case.request = schema.canonicalize(outcome.request)
             case.anchor = geocode_markers(case.request.location_markers)
-            case.deadline = resolve_deadline(case.request, case.created_at, self.clock.epoch_date)
-            self._touch(case)
+            self._plan(case)
             return "updated"
         return "unchanged"
+
+    def _plan(self, case: RequestCase, stalled: bool = False) -> None:
+        """Set the case's deadline and next-stage time, the one rule for both:
+        a stage falls due `stage_timeout` after the last (or the creation) while
+        the case is open, below its depth and not `stalled` (its last stage found nobody)."""
+        epoch = self.clock.epoch_date
+        case.deadline = resolve_deadline(case.request, case.created_at, epoch)
+        entries = self._entries.get(case.request_id, {}).values()
+        last = max((e.notified_at for e in entries), default=case.created_at)
+        due = case.status == OPEN and not stalled and case.stages_fired < urgency_depth(case, epoch)
+        case.next_stage_due = last + self.stage_timeout if due else None
+        self._touch(case)
 
     def _fan_out_resolution(self, case: RequestCase) -> None:
         """Exactly-once resolution notice per notified donor; idempotent."""
@@ -857,8 +866,7 @@ class DispatchEngine:
             self.clock.advance_to(max(self.clock.now, when))
             if kind == "expire":
                 case.status = EXPIRED
-                case.next_stage_due = None
-                self._touch(case)
+                self._plan(case)
                 self._emit("case_expired", request_id)
             else:
                 self.notify_stage(case)

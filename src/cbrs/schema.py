@@ -15,11 +15,12 @@ or `item` (the record type of a list's items; other lists hold strings).
 
 This module alone knows the grammar of the two fields that say when blood
 is needed, one pattern each. A `probable_day` is "today", "tomorrow",
-DD/MM with an optional /YYYY, or "n days later"; a `probable_time` is
-HH:MM with an optional "before "/"after ", a range HH:MM-HH:MM, or
-"in n hours". `day_pattern_ok`/`time_pattern_ok` check a value, and
-`read_day` (the date it names) and `read_time` (a relation and an amount)
-read one for the deadline and urgency rules of dispatch.
+DD/MM with an optional /YYYY (without one, the nearest such day), or
+"n days later"; a `probable_time` is HH:MM with an optional
+"before "/"after ", a range HH:MM-HH:MM, or "in n hours".
+`day_pattern_ok`/`time_pattern_ok` check a value, and `read_day` (the date
+it names) and `read_time` (a relation and an amount) read one for the
+deadline and urgency rules of dispatch.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ _TIME = re.compile(
     rf"(?P<relation>before|after) (?P<clock>{_HHMM})|(?P<start>{_HHMM})(?:-{_HHMM})?|in (?P<hours>\d+) hours?"
 )
 
+# How far from the creation day a DD/MM without a year may name a date.
+_NEAR_DAYS = 183
+
 
 def day_pattern_ok(value: str) -> bool:
     return value == "" or _DAY.fullmatch(value) is not None
@@ -58,9 +62,13 @@ def time_pattern_ok(value: str) -> bool:
 
 
 def read_day(value: str, created: date) -> date | None:
-    """The date a `probable_day` names, for a request created on `created`
-    (DD/MM falls in its year); None for an empty or refused value and for a
-    day the calendar lacks (31/02, or past year 9999)."""
+    """The date a `probable_day` names, for a request created on `created`;
+    None for an empty or refused value and for a day the calendar lacks
+    (31/02, or past year 9999). A DD/MM without a year names its occurrence
+    nearest `created`, the later on a tie, if that lies within
+    `_NEAR_DAYS` of it, and nothing otherwise: on 31/12, 02/01 is two days
+    later and 30/12 the day before, while 29/02 reads as nothing unless a
+    29 February lies that near."""
     m = _DAY.fullmatch(value)
     if m is None:
         return None
@@ -69,9 +77,18 @@ def read_day(value: str, created: date) -> date | None:
             return created if m["word"] == "today" else created + timedelta(days=1)
         if m["later"]:
             return created + timedelta(days=int(m["later"]))
-        return date(int(m["yyyy"]) if m["yyyy"] else created.year, int(m["mm"]), int(m["dd"]))
+        if m["yyyy"]:
+            return date(int(m["yyyy"]), int(m["mm"]), int(m["dd"]))
     except (ValueError, OverflowError):
         return None
+    seen = []
+    for year in (created.year - 1, created.year, created.year + 1):
+        try:
+            seen.append(date(year, int(m["mm"]), int(m["dd"])))
+        except ValueError:  # not a day of that year, or a year the calendar lacks
+            pass
+    near = [d for d in seen if abs((d - created).days) <= _NEAR_DAYS]
+    return max(near, key=lambda d: (-abs((d - created).days), d), default=None)
 
 
 def read_time(value: str) -> tuple[str, int] | None:

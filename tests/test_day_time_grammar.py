@@ -2,8 +2,10 @@
 deadline and urgency rules read values through `schema.read_day` and
 `schema.read_time`. The references below are the validators and the
 deadline/urgency code as they were written before, each field parsed by
-its own regexes: on every value the validators accept, the readers must
-give the same deadline and the same depth."""
+its own regexes, but for the year of a DD/MM without one: the reference
+finds that day by scanning the days around the creation day. On every
+value the validators accept, the readers must give the same deadline and
+the same depth."""
 
 import re
 from datetime import date, timedelta
@@ -53,10 +55,22 @@ def _ref_resolve_day(probable_day, created):
     m = _REF_DAY_FULL.match(probable_day)
     if m:
         day, month, year = int(m.group(1)), int(m.group(2)), m.group(3)
-        try:
-            return date(int(year) if year else created.year, month, day)
-        except ValueError:
-            return None
+        if year:
+            try:
+                return date(int(year), month, day)
+            except ValueError:
+                return None
+        # Without a year: walk outward from the creation day, the later
+        # side first, to the first day within 183 days that matches.
+        for offset in range(184):
+            for step in (offset, -offset):
+                try:
+                    the_date = created + timedelta(days=step)
+                except OverflowError:
+                    continue
+                if (the_date.day, the_date.month) == (day, month):
+                    return the_date
+        return None
     m = _REF_DAYS_LATER.match(probable_day)
     if m:
         return created + timedelta(days=int(m.group(1)))
@@ -195,6 +209,28 @@ def test_readers_on_the_grammar_s_forms():
     # Values the schema refuses read as nothing, though a prefix looks like a time.
     for refused in ("before 24:00", "09:00-25:00", "09:00 tomorrow", "7 pm"):
         assert schema.read_time(refused) is None, refused
+
+
+def test_a_day_without_a_year_reads_as_its_nearest_occurrence():
+    assert schema.read_day("02/01", date(2025, 12, 31)) == date(2026, 1, 2)
+    assert schema.read_day("30/12", date(2025, 12, 31)) == date(2025, 12, 30)
+    assert schema.read_day("02/01/2025", date(2025, 12, 31)) == date(2025, 1, 2)  # a year reads as written
+    assert schema.read_day("29/02", date(2023, 12, 31)) == date(2024, 2, 29)
+    assert schema.read_day("29/02", date(2025, 2, 27)) is None  # 364 days back
+    # 183 days each way: the later.
+    assert schema.read_day("02/07", date(2024, 1, 1)) == date(2024, 7, 2)
+    # The calendar's ends: no year 0 or 10000 to look into.
+    assert schema.read_day("01/01", date(1, 1, 1)) == date(1, 1, 1)
+    assert schema.read_day("30/12", date(1, 1, 1)) is None
+    assert schema.read_day("02/01", date(9999, 12, 31)) is None
+    assert schema.read_day("31/12", date(9999, 12, 31)) == date(9999, 12, 31)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dates(), st.integers(0, 32), st.integers(0, 13))
+def test_a_day_without_a_year_agrees_with_a_scan_of_the_days_around_its_creation(created, day, month):
+    value = f"{day:02d}/{month:02d}"
+    assert schema.read_day(value, created) == _ref_resolve_day(value, created), (value, created)
 
 
 def test_a_day_or_an_hour_count_past_what_can_be_read_opens_a_case_without_a_deadline():

@@ -384,6 +384,86 @@ def test_edit_re_derives_the_deadline_from_the_case_s_creation():
     assert later.deadline == later.created_at + 2 * 3600
 
 
+def test_an_edit_that_deepens_a_case_fires_the_new_stages():
+    eng = _engine(stage_size=1, stage_timeout=600)
+    _populate(eng, 5, group="A+")
+    case = eng.open_case("m1", _request(group="A+"))  # no day: depth 1
+    assert (case.stages_fired, case.next_stage_due) == (1, None)
+    eng.advance_to(1000)
+    deeper = _request(group="A+", day="today")
+    assert eng.handle_edit("m1", "A+ needed today", _classify_stub(ParseOutcome.positive(deeper))) == "updated"
+    assert case.next_stage_due == 600  # overdue: it fires at the next advance
+    eng.advance_to(3 * 3600)
+    assert case.stages_fired == 3 and case.next_stage_due is None
+    assert [(e["stage"], e["tick"]) for e in eng.outbound if e["kind"] == "donor_alert"] == [(1, 0), (2, 1000), (3, 1600)]
+
+
+def test_an_edit_that_shallows_a_case_stops_its_stages():
+    eng = _engine(stage_size=1, stage_timeout=600)
+    _populate(eng, 5)
+    case = eng.open_case("m1", _request(day="today"))  # depth 3
+    assert case.next_stage_due == 600
+    assert eng.handle_edit("m1", "O+ needed", _classify_stub(ParseOutcome.positive(_request()))) == "updated"
+    assert case.next_stage_due is None
+    eng.advance_to(3 * 3600)
+    assert case.stages_fired == 1
+
+
+def _stalled_case(eng):
+    """A case whose first stage found nobody: AB- with no AB- donor."""
+    _populate(eng, 3)
+    eng.clock.advance_to(100)
+    case = eng.open_case("m1", _request(group="AB-", day="today"))
+    assert case.stages_fired == 0 and case.next_stage_due is None and case.needs_attention
+    assert [e["kind"] for e in eng.drain_outbound()] == ["operator_attention"]
+    return case
+
+
+def test_advance_returns_on_a_stalled_case():
+    eng = _engine(stage_size=1, stage_timeout=600)
+    case = _stalled_case(eng)
+    eng.advance_to(5000)  # nothing falls due: no retry, no loop
+    assert eng.drain_outbound() == [] and case.next_stage_due is None
+    # A later stage that finds nobody stalls the same way.
+    eng.register_donor("ab", "AB-", 23.8, 90.4)
+    other = eng.open_case("m2", _request(group="AB-", day="today"))
+    eng.advance_to(eng.clock.now + 600)
+    assert other.stages_fired == 1 and other.next_stage_due is None
+    assert [e["kind"] for e in eng.drain_outbound()] == ["donor_alert", "operator_attention"]
+    eng.advance_to(eng.clock.now + 86400)
+    assert other.status == dp.EXPIRED
+
+
+def test_an_edit_retries_a_stalled_case_at_the_next_advance():
+    eng = _engine(stage_size=1, stage_timeout=600)
+    case = _stalled_case(eng)
+    eng.advance_to(1000)
+    same = _request(group="AB-", day="today")
+    assert eng.handle_edit("m1", "AB- needed today", _classify_stub(ParseOutcome.positive(same))) == "updated"
+    assert case.next_stage_due == 700  # counted from the creation: no stage fired
+    eng.advance_to(1001)
+    assert [(e["kind"], e["tick"]) for e in eng.drain_outbound()] == [("operator_attention", 1000)]
+    assert case.next_stage_due is None
+    # An edit to a blood group that has donors reaches them.
+    o_pos = _request(group="O+", day="today")
+    assert eng.handle_edit("m1", "O+ needed today", _classify_stub(ParseOutcome.positive(o_pos))) == "updated"
+    eng.advance_to(1002)
+    assert [(e["kind"], e["stage"], e["tick"]) for e in eng.drain_outbound()] == [("donor_alert", 1, 1001)]
+    assert case.next_stage_due == 1601
+
+
+def test_a_due_time_at_full_depth_from_a_snapshot_is_cleared(tmp_path):
+    # A snapshot can hold a due time past its case's depth (an engine whose
+    # edits did not re-plan wrote one when an edit lowered the depth);
+    # advancing clears it rather than spinning.
+    _, path, _ = _edited_snapshot(tmp_path, "case", "stages_fired", 3)
+    eng = _restored(path)
+    [case] = eng.cases.values()
+    assert case.next_stage_due == 600
+    eng.advance_to(1000)
+    assert case.next_stage_due is None and eng.drain_outbound() == []
+
+
 def test_edit_unknown_message_ignored():
     eng = _engine()
     status = eng.handle_edit("never-seen", "whatever", _classify_stub(ParseOutcome.negative()))
@@ -448,6 +528,21 @@ def test_expiry_beats_stage_due_at_same_or_later_time():
     # Stage 2 fired at 600 (before the 900 deadline), stage 3 would be due
     # at 1200 and must not fire.
     assert case.stages_fired == 2
+
+
+def test_a_day_without_a_year_opened_on_31_12_falls_in_the_next_year():
+    eng = _engine(stage_size=1, stage_timeout=600)
+    _populate(eng, 3)
+    eng.clock.advance_to(364 * 86400 + 72000)  # 31/12/2025, 20:00
+    case = eng.open_case("m1", _request(day="02/01"))
+    assert case.deadline == 366 * 86400 + 23 * 3600 + 59 * 60  # 02/01/2026, 23:59
+    eng.advance_to(eng.clock.now + 1)
+    assert case.status == dp.OPEN
+    assert [e["kind"] for e in eng.outbound] == ["donor_alert"]
+    assert case.next_stage_due == case.created_at + 600  # two days away or less: depth 2
+    yesterday = eng.open_case("m2", _request(day="30/12"))
+    eng.advance_to(eng.clock.now + 1)
+    assert yesterday.status == dp.EXPIRED
 
 
 def test_fulfilled_before_deadline_never_expires():
