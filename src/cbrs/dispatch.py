@@ -656,7 +656,8 @@ class DispatchEngine:
 
     def _store(self, donor: DonorRecord) -> None:
         """Put `donor` in the registry and in its group's columns, moving
-        its row when its blood group changed."""
+        its row when its blood group changed. The group's stalled cases
+        (open, below their depth, nothing due) fall due again (`_plan`)."""
         old = self.donors.get(donor.platform_id)
         if old is not None and old.blood_group != donor.blood_group:
             self._groups[old.blood_group].remove(old)
@@ -664,6 +665,10 @@ class DispatchEngine:
         self._groups[donor.blood_group].put(donor, old)
         self.donors[donor.platform_id] = donor
         self._touch(donor)
+        for case in self.cases.values():
+            if case.status == OPEN and case.next_stage_due is None and case.request.blood_group == donor.blood_group:
+                if case.stages_fired < urgency_depth(case, self.clock.epoch_date):
+                    self._plan(case)
 
     def donor_by_platform(self, platform_id: str) -> DonorRecord | None:
         return self.donors.get(platform_id)

@@ -2,11 +2,11 @@
 
 Real chat platforms are out of scope; the adapter contract is an
 :class:`InboundEvent` in and reply/notification events out, so platform
-bindings can be added without touching the core. Every ingested message
-carries a four-stage trace (arrival, parsed-and-stored, first notification,
-first affirmative response); stage timestamps come from the injected clock
-and are monotone by construction. Messages and edits share one two-layer
-decision; a Layer-2 failure is an error, queued for retry, never a negative.
+bindings can be added without touching the core. Every message that opens a
+case keeps a four-stage trace (arrival, parsed-and-stored, first notification,
+first affirmative response); stage timestamps come from the injected clock and
+are monotone by construction. Messages and edits share one two-layer decision;
+a Layer-2 failure is an error, queued for retry, never a negative.
 
 `Gateway.replay` is the one step from a scenario line to its transcript
 entries: it moves the clock to the line's tick, applies the line and emits
@@ -96,6 +96,7 @@ class Gateway:
 
     The engine's clock is the one time source: `clock` only builds the
     default engine, and a clock that is not the given engine's is refused.
+    `engine.case_by_message` is the one index that routes a message or edit.
     """
 
     def __init__(
@@ -116,7 +117,7 @@ class Gateway:
         self.backend = backend
         self.threshold = threshold if threshold is not None else model.hyper.threshold
         self.snapshot_path = Path(snapshot_path) if snapshot_path else None
-        self.traces: dict[str, PipelineTrace] = {}
+        self.traces: dict[str, PipelineTrace] = {}  # of the messages that opened a case
         self.retry_queue: list[InboundEvent] = []  # oldest first, at most RETRY_LIMIT
         self.dead_letters = 0
         self.layer2_calls = 0
@@ -193,18 +194,22 @@ class Gateway:
             log.error("retry queue full, dropped %s", dropped.message_id)
 
     def ingest_message(self, ev: InboundEvent) -> PipelineTrace:
-        """Run one message through both layers and, on a parse, dispatch."""
+        """Run one message through both layers and, on a parse, open its case.
+        A redelivery (an id with a case) changes nothing; its trace names the case."""
         if ev.kind != "message":
             raise ValueError(f"ingest_message needs a message event, got {ev.kind!r}")
+        request_id = self.engine.case_by_message.get(ev.message_id)
+        trace = PipelineTrace(message_id=ev.message_id, t_arrival=self.clock.now, request_id=request_id)
+        if request_id is not None:
+            return trace
         self._check_group_order(ev)
-        trace = PipelineTrace(message_id=ev.message_id, t_arrival=self.clock.now)
-        self.traces[ev.message_id] = trace
         decision = self._decide(ev)
         trace.layer1_prob = decision.layer1_prob
         trace.layer2_outcome = decision.status
         if decision.status != "request":
             return trace
         case = self.engine.open_case(ev.message_id, decision.outcome.request)
+        self.traces[ev.message_id] = trace
         trace.request_id = case.request_id
         trace.t_parsed_stored = self.clock.now
         if case.stages_fired > 0:
@@ -216,20 +221,15 @@ class Gateway:
 
         Edits of a message with a case go through dispatch (managed markers
         resolve it without reaching either layer, other changes update it).
-        An edit of a seen message that had no case may turn it into a
-        request; an edit citing a message id this gateway never ingested is
-        ignored with a diagnostic. A Layer-2 error answers "parse-error"
-        and changes no case.
+        An edit of a message without a case is read as a message, whether
+        or not this gateway saw the original: it answers "new-case" or
+        "ignored-non-request". A Layer-2 error answers "parse-error" and
+        changes no case.
         """
         if ev.kind != "edit":
             raise ValueError(f"handle_edit_event needs an edit event, got {ev.kind!r}")
         if ev.message_id in self.engine.case_by_message:
             return self.engine.handle_edit(ev.message_id, ev.text, lambda _: self._decide(ev).outcome)
-        if ev.message_id not in self.traces:
-            log.warning("edit for unknown message id %s ignored", ev.message_id)
-            return "ignored-unknown-message"
-        # Seen before but produced no case; the edit may turn it into a
-        # request.
         trace = self.ingest_message(replace(ev, kind="message"))
         if trace.layer2_outcome == "error":
             return "parse-error"
@@ -245,6 +245,8 @@ class Gateway:
         request_id = self.engine.case_by_message.get(ev.message_id)
         if request_id is None:
             return "ignored-unknown-request"
+        if (request_id, donor.donor_id) not in self.engine.ledger:
+            return "ignored-not-alerted"
         affirmative = ev.text.strip().casefold() in _YES_WORDS or ev.text.strip().casefold().startswith("yes")
         status = self.engine.handle_response(request_id, donor.donor_id, affirmative)
         if status == FULFILLED:

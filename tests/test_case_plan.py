@@ -7,7 +7,8 @@ reference below derives both from the request, the creation tick, the
 status and the ledger, plus the one input no record holds: whether the
 case's last stage attempt found nobody (a stall), read from the drained
 `operator_attention` and `donor_alert` events. A field edit re-plans its
-case, a stalled one included.
+case, a stalled one included; a donor write clears the stall of its
+group's open cases below their depth.
 
 Unlike `LedgerMachine` (tests/test_dispatch_index.py), requests change
 here: a field edit sets a new blood group, day or time.
@@ -41,13 +42,21 @@ def _request(group, day, time_):
     return ParsedRequest(blood_group=group, location_markers=("Dhaka",), probable_day=day, probable_time=time_)
 
 
+def _entries(engine, case):
+    return [e for (request_id, _), e in engine.ledger.items() if request_id == case.request_id]
+
+
+def _below_depth(engine, case):
+    fired = max((e.stage for e in _entries(engine, case)), default=0)
+    return case.status == dp.OPEN and fired < dp.urgency_depth(case, engine.clock.epoch_date)
+
+
 def expected_plan(engine, case, stalled):
     """(deadline, next_stage_due) the plan rule gives `case`."""
     epoch = engine.clock.epoch_date
     deadline = dp.resolve_deadline(case.request, case.created_at, epoch)
-    entries = [e for (request_id, _), e in engine.ledger.items() if request_id == case.request_id]
-    fired = max((e.stage for e in entries), default=0)
-    if case.status != dp.OPEN or stalled or fired >= dp.urgency_depth(case, epoch):
+    entries = _entries(engine, case)
+    if stalled or not _below_depth(engine, case):
         return deadline, None
     return deadline, max((e.notified_at for e in entries), default=case.created_at) + STAGE_TIMEOUT
 
@@ -127,6 +136,14 @@ class PlanMachine(RuleBasedStateMachine):
         outcome = ParseOutcome.positive(_request(group, self._day(data), time_))
         if self.engine.handle_edit(message_id, "edited request", lambda text: outcome) == "updated":
             self.stalled.discard(self.engine.case_by_message[message_id])  # re-planned: it retries
+
+    @rule(platform=st.sampled_from(["o1", "b1", "n1", "n2"]), group=st.sampled_from(GROUPS))
+    def donor_write(self, platform, group):
+        """A registration or an update, by `put_donor`."""
+        self.engine.put_donor(platform, {"blood_group": group, "latitude": 23.8, "longitude": 90.4})
+        for case in self.engine.cases.values():
+            if case.request.blood_group == group and _below_depth(self.engine, case):
+                self.stalled.discard(case.request_id)
 
     @invariant()
     def every_case_holds_its_plan(self):

@@ -429,9 +429,25 @@ def test_advance_returns_on_a_stalled_case():
     other = eng.open_case("m2", _request(group="AB-", day="today"))
     eng.advance_to(eng.clock.now + 600)
     assert other.stages_fired == 1 and other.next_stage_due is None
-    assert [e["kind"] for e in eng.drain_outbound()] == ["donor_alert", "operator_attention"]
+    # The registration made the first case fall due again: it alerts "ab" too.
+    assert [e["kind"] for e in eng.drain_outbound()] == [
+        "donor_alert", "donor_alert", "operator_attention", "operator_attention"]
     eng.advance_to(eng.clock.now + 86400)
     assert other.status == dp.EXPIRED
+
+
+def test_a_donor_write_retries_its_groups_stalled_cases_at_the_next_advance():
+    eng = _engine(stage_size=1, stage_timeout=600)
+    case = _stalled_case(eng)
+    eng.advance_to(1000)
+    eng.register_donor("b", "B-", 23.8, 90.4)  # another group: nothing falls due
+    assert case.next_stage_due is None
+    ab = eng.register_donor("ab", "AB-", 23.8, 90.4)
+    assert case.next_stage_due == 700  # counted from the creation: overdue
+    eng.advance_to(1001)
+    assert [(e["kind"], e.get("donor_id"), e["tick"]) for e in eng.drain_outbound()] == [
+        ("donor_alert", ab.donor_id, 1000)]
+    assert case.stages_fired == 1 and case.next_stage_due == 1600
 
 
 def test_an_edit_retries_a_stalled_case_at_the_next_advance():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -207,11 +208,72 @@ def test_edit_turns_chitchat_into_request(scenario_model):
     assert len(g.engine.cases) == 1
 
 
-def test_edit_never_seen_message_diagnostic_only(scenario_model):
+def test_edit_never_seen_message_is_read_as_a_message(scenario_model):
     g, _ = _gateway(scenario_model)
+    g.engine.register_donor("alice", "O+", 23.81, 90.41)
     status = g.handle_edit_event(InboundEvent(kind="edit", message_id="mX", text=REQUEST_TEXT, tick=0))
-    assert status == "ignored-unknown-message"
-    assert not g.engine.cases
+    assert status == "new-case"
+    assert g.engine.case_by_message == {"mX": "r00001"}
+    status = g.handle_edit_event(InboundEvent(kind="edit", message_id="mY", text=CHITCHAT, tick=0))
+    assert status == "ignored-non-request"
+
+
+def _restarted(g, scenario_model, snapshot):
+    """A new engine and gateway restored from `snapshot`, as after a crash."""
+    engine = DispatchEngine(clock=Clock(), stage_size=3)
+    engine.restore(snapshot)
+    return Gateway(scenario_model, g.backend, engine=engine, snapshot_path=snapshot)
+
+
+def test_edit_after_a_restart_turns_seen_chatter_into_a_case(scenario_model, tmp_path):
+    snapshot = tmp_path / "s.snap"
+    g, _ = _gateway(scenario_model, snapshot_path=snapshot)
+    g.put_donor("alice", {"blood_group": "O+", "latitude": 23.81, "longitude": 90.41})
+    g.handle_event(InboundEvent(kind="message", message_id="m1", text=CHITCHAT, tick=0))
+    g = _restarted(g, scenario_model, snapshot)
+    edit = InboundEvent(kind="edit", message_id="m1", text=REQUEST_TEXT, tick=5)
+    assert g.handle_event(edit) == {"action": "edit", "status": "new-case"}
+    assert g.engine.case_by_message == {"m1": "r00001"}
+
+
+def _deliver_twice(scenario_model, snapshot, restart):
+    """A request message, a persisted step of the clock, an optional
+    restart, then the same message again: both answers, and the gateway."""
+    g, backend = _gateway(scenario_model, snapshot_path=snapshot)
+    for i in range(3):
+        g.put_donor(f"u{i}", {"blood_group": "O+", "latitude": 23.81, "longitude": 90.41})
+    message = InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT, tick=5)
+    first = g.handle_event(message)
+    g.replay({"tick": 30, "kind": "advance"}, None)  # drains the first stage's alerts
+    if restart:
+        g = _restarted(g, scenario_model, snapshot)
+    size = snapshot.stat().st_size
+    second = g.handle_event(replace(message, tick=1))  # late, yet answered
+    assert snapshot.stat().st_size == size  # nothing changed, nothing written
+    assert list(g.engine.cases) == ["r00001"] and backend.calls == 1
+    assert g.engine.drain_outbound() == [] and len(g.engine.ledger) == 3
+    return first, second, g
+
+
+def test_a_redelivered_message_opens_nothing(scenario_model, tmp_path):
+    first, second, g = _deliver_twice(scenario_model, tmp_path / "live.snap", restart=False)
+    assert first["trace"]["request_id"] == "r00001"
+    assert second == {"action": "ingested", "trace": {
+        "message_id": "m1", "t_arrival": 30, "t_parsed_stored": None, "t_first_notification": None,
+        "t_first_response": None, "layer1_prob": None, "layer2_outcome": "skipped", "request_id": "r00001"}}
+    assert g.traces["m1"].t_arrival == 0  # the case's trace is the first delivery's
+    assert _deliver_twice(scenario_model, tmp_path / "restart.snap", restart=True)[1] == second
+
+
+def test_traces_are_kept_for_cases_only(scenario_model):
+    g, _ = _gateway(scenario_model)
+    g.engine.register_donor("alice", "O+", 23.81, 90.41)
+    texts = [CHITCHAT, REQUEST_TEXT, "We are very grateful to Rahim bhai for donating 2 bags A+ blood.", CHITCHAT]
+    for i, text in enumerate(texts):
+        g.handle_event(InboundEvent(kind="message", message_id=f"m{i}", text=text, tick=i))
+    g.handle_event(InboundEvent(kind="edit", message_id="m3", text=REQUEST_TEXT, tick=9))
+    g.handle_event(InboundEvent(kind="edit", message_id="m0", text=CHITCHAT + "!", tick=9))
+    assert set(g.traces) == set(g.engine.case_by_message) == {"m1", "m3"}
 
 
 def test_edit_seen_message_still_not_request(scenario_model):
@@ -301,6 +363,21 @@ def test_donor_response_from_unregistered_ignored(scenario_model):
         InboundEvent(kind="donor_response", sender="ghost", message_id="m1", text="yes")
     )
     assert status == "ignored-unregistered"
+
+
+def test_reply_from_a_donor_the_request_never_alerted_is_ignored(scenario_model, tmp_path):
+    path = tmp_path / "not_alerted.jsonl"
+    lines = [
+        {"tick": 0, "kind": "config", "stage_size": 1},
+        {"tick": 0, "kind": "donor", "sender": "a1", "blood_group": "O+", "latitude": 23.8103, "longitude": 90.4125},
+        {"tick": 0, "kind": "donor", "sender": "b1", "blood_group": "B-", "latitude": 23.8103, "longitude": 90.4125},
+        {"tick": 10, "kind": "message", "sender": "s", "message_id": "m1", "text": REQUEST_TEXT},
+        {"tick": 20, "kind": "donor_response", "sender": "b1", "message_id": "m1", "text": "yes"},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    result = simulate(path, scenario_model, RulesBackend())
+    assert result.transcript[-1]["action"] == {"action": "donor_response", "status": "ignored-not-alerted"}
+    assert [e.response for e in result.engine.ledger.values()] == ["none"]
 
 
 # -- scenarios ----------------------------------------------------------------------

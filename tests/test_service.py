@@ -10,6 +10,7 @@ from cbrs.gateway import Gateway, ScenarioError, load_scenario, simulate
 from cbrs.layer2 import Backend, RulesBackend
 from cbrs.schema import ParsedRequest, ParseOutcome, to_dict
 from cbrs.service import MAX_BODY_BYTES, ServiceConfig, _case_payload, serve
+from test_gateway import CountingBackend
 
 REQUEST_TEXT = "Urgent! 2 bags O+ blood needed at Square Hospital, Dhaka. Call 01712345678 today."
 
@@ -259,6 +260,59 @@ def test_response_endpoint_fulfills(service):
     _, case = _call(running.port, "GET", f"/requests/{rid}")
     assert case["status"] == "fulfilled"
     assert case["ledger"][0]["response"] == "affirmative"
+
+
+def test_reply_from_a_donor_never_alerted_answers_its_status(service):
+    running, gateway = service
+    for name, group in (("alice", "O+"), ("bob", "B-")):
+        _call(running.port, "POST", "/donors",
+              {"platform_id": name, "blood_group": group, "latitude": 23.81, "longitude": 90.41})
+    _call(running.port, "POST", "/messages", {"message_id": "m1", "text": REQUEST_TEXT})
+    status, body = _call(running.port, "POST", "/responses", {"sender": "bob", "message_id": "m1", "text": "yes"})
+    assert (status, body) == (200, {"status": "ignored-not-alerted"})
+    assert [e.response for e in gateway.engine.ledger.values()] == ["none"]
+
+
+def _post_twice(scenario_model, snapshot, restart):
+    """POST a request message, then the same message again; with `restart`,
+    the service is stopped between the two and a new engine and gateway are
+    restored from `snapshot`. Both answers, the last gateway, the backend."""
+    backend = CountingBackend()
+
+    def started(engine):
+        gateway = Gateway(scenario_model, backend, engine=engine, snapshot_path=snapshot)
+        return serve(gateway, port=0), gateway
+
+    running, gateway = started(DispatchEngine(clock=Clock(), stage_size=3))
+    try:
+        for i in range(3):
+            _call(running.port, "POST", "/donors",
+                  {"platform_id": f"u{i}", "blood_group": "O+", "latitude": 23.81, "longitude": 90.41})
+        message = {"message_id": "m1", "text": REQUEST_TEXT, "tick": 5}
+        _, first = _call(running.port, "POST", "/messages", message)
+        if restart:
+            running.shutdown()
+            engine = DispatchEngine(clock=Clock(), stage_size=3)
+            engine.restore(snapshot)
+            running, gateway = started(engine)
+        status, second = _call(running.port, "POST", "/messages", {**message, "tick": 1})
+    finally:
+        running.shutdown()
+    assert status == 200
+    return first, second, gateway, backend
+
+
+def test_a_redelivered_post_opens_nothing(scenario_model, tmp_path):
+    first, second, gateway, backend = _post_twice(scenario_model, tmp_path / "live.snap", restart=False)
+    assert first["trace"]["request_id"] == second["trace"]["request_id"] == "r00001"
+    assert (second["trace"]["layer1_prob"], second["trace"]["layer2_outcome"]) == (None, "skipped")
+    alerts = [(e["request_id"], e["donor_id"]) for e in gateway.engine.outbound if e["kind"] == "donor_alert"]
+    assert sorted(alerts) == sorted(gateway.engine.ledger) and len(alerts) == 3
+    assert list(gateway.engine.cases) == ["r00001"] and backend.calls == 1
+    _, restarted, gateway, backend = _post_twice(scenario_model, tmp_path / "restart.snap", restart=True)
+    assert restarted == second
+    assert [e for e in gateway.engine.outbound if e["kind"] == "donor_alert"] == []
+    assert list(gateway.engine.cases) == ["r00001"] and len(gateway.engine.ledger) == 3 and backend.calls == 1
 
 
 def test_case_payload_matches_full_ledger_scan(scenario_model):
