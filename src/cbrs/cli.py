@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import evalkit, layer1, layer2
@@ -24,39 +24,31 @@ DATA_ERROR = 2
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=100, help="embedding dimension")
-    p.add_argument("--buckets", type=int, default=2**21, help="hashed feature buckets")
-    p.add_argument("--minn", type=int, default=3, help="min subword n-gram length")
-    p.add_argument("--maxn", type=int, default=6, help="max subword n-gram length")
-    p.add_argument("--word-ngrams", type=int, default=3, help="max word n-gram order")
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=1.0, help="initial learning rate (decays to 0)")
-    p.add_argument("--alpha", type=float, default=12.0, help="positive-class loss weight")
-    p.add_argument("--threshold", type=float, default=0.5, help="decision threshold")
-    p.add_argument("--seed", type=int, default=1)
+    """One flag per `Hyper` field, stored under the field's name, its default read from `Hyper`."""
+    d = Hyper()
+    p.add_argument("--dim", type=int, default=d.dim, help="embedding dimension")
+    p.add_argument("--buckets", type=int, default=d.buckets, help="hashed feature buckets")
+    p.add_argument("--minn", type=int, default=d.minn, help="min subword n-gram length")
+    p.add_argument("--maxn", type=int, default=d.maxn, help="max subword n-gram length")
+    p.add_argument("--word-ngrams", type=int, default=d.word_n, dest="word_n", metavar="WORD_NGRAMS",
+                   help="max word n-gram order")
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--lr", type=float, default=d.lr, help="initial learning rate (decays to 0)")
+    p.add_argument("--alpha", type=float, default=d.alpha, help="positive-class loss weight")
+    p.add_argument("--threshold", type=float, default=d.threshold, help="decision threshold")
+    p.add_argument("--seed", type=int, default=d.seed)
 
 
 def _hyper_from(args: argparse.Namespace) -> Hyper:
-    return Hyper(
-        dim=args.dim,
-        buckets=args.buckets,
-        minn=args.minn,
-        maxn=args.maxn,
-        word_n=args.word_ngrams,
-        epochs=args.epochs,
-        seed=args.seed,
-        alpha=args.alpha,
-        lr=args.lr,
-        threshold=args.threshold,
-    )
+    return Hyper(**{f.name: getattr(args, f.name) for f in fields(Hyper)})
 
 
 def _backend_from(args: argparse.Namespace) -> layer2.Backend:
     cfg = BackendConfig(
         kind=args.backend,
-        endpoint=getattr(args, "endpoint", ""),
-        model=getattr(args, "backend_model", ""),
-        mode=getattr(args, "prompt_mode", "few_shot"),
+        endpoint=args.endpoint,
+        model=args.backend_model,
+        mode=getattr(args, "prompt_mode", BackendConfig.mode),
     )
     return make_backend(cfg)
 
@@ -212,10 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-parse", help="score a parser backend against a gold set")
     p.add_argument("goldset", help="line-delimited {text, language, gold} file")
-    p.add_argument("--backend", choices=("rules", "remote"), default="rules")
-    p.add_argument("--endpoint", default="", help="remote chat-completion URL")
-    p.add_argument("--backend-model", default="", help="remote model name")
-    p.add_argument("--prompt-mode", choices=("few_shot", "zero_shot"), default="few_shot")
+    p.add_argument("--backend", choices=("rules", "remote"), default=BackendConfig.kind)
+    p.add_argument("--endpoint", default=BackendConfig.endpoint, help="remote chat-completion URL")
+    p.add_argument("--backend-model", default=BackendConfig.model, help="remote model name")
+    p.add_argument("--prompt-mode", choices=("few_shot", "zero_shot"), default=BackendConfig.mode)
     p.add_argument("--json-out", default="", help="also write the report as JSON")
     p.set_defaults(func=cmd_eval_parse)
 
@@ -237,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="replay a scenario under a logical clock")
     p.add_argument("--scenario", required=True, help="scenario path or bundled name")
     p.add_argument("--model", default="", help="trained model file (default: quick synthetic model)")
-    p.add_argument("--backend", choices=("rules", "remote"), default="rules")
-    p.add_argument("--endpoint", default="")
-    p.add_argument("--backend-model", default="")
+    p.add_argument("--backend", choices=("rules", "remote"), default=BackendConfig.kind)
+    p.add_argument("--endpoint", default=BackendConfig.endpoint)
+    p.add_argument("--backend-model", default=BackendConfig.model)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--transcript-out", default="", help="write transcript to a file")
     p.set_defaults(func=cmd_simulate)

@@ -702,11 +702,10 @@ class DispatchEngine:
     def open_case(self, message_id: str, request: ParsedRequest) -> RequestCase:
         """Create a case for a parsed request and fire its first stage."""
         self._case_seq += 1
-        canonical = schema.canonicalize(request)
         case = RequestCase(
             request_id=f"r{self._case_seq:05d}",
             message_id=message_id,
-            request=canonical,
+            request=_stored(request),
             created_at=self.clock.now,
             anchor=geocode_markers(request.location_markers),
         )
@@ -823,7 +822,7 @@ class DispatchEngine:
         if outcome is None:
             return "parse-error"
         if not outcome.is_negative:
-            case.request = schema.canonicalize(outcome.request)
+            case.request = _stored(outcome.request)
             case.anchor = geocode_markers(case.request.location_markers)
             self._plan(case)
             return "updated"
@@ -1165,6 +1164,17 @@ class FieldError(ValueError):
         self.error, self.fields = error, names
 
 
+def _stored(request: ParsedRequest) -> ParsedRequest:
+    """The request as a case stores it: canonical, with a `probable_day` or
+    `probable_time` the schema refuses left empty. No other field of a
+    canonical request can fail the schema, so `_request` reads back every
+    case `persist` writes."""
+    canonical = schema.canonicalize(request)
+    day, time = canonical.probable_day, canonical.probable_time
+    return replace(canonical, probable_day=day if schema.day_pattern_ok(day) else "",
+                   probable_time=time if schema.time_pattern_ok(time) else "")
+
+
 def _request(obj: dict) -> ParsedRequest:
     """A case's request: valid, and canonical as the engine stores it."""
     outcome = schema.validate(obj)
@@ -1289,7 +1299,9 @@ def read_fields(cls: type, obj: dict, names: Iterable[str] = (), required: Itera
     """The values `obj` holds for parameters of the constructor of `cls`
     (only `names`, if given), checked and converted as `decode` does; other
     keys are ignored. FieldError names the `required` fields `obj` lacks,
-    else the values of a JSON type `_JSON` refuses or that do not convert."""
+    else the values of a JSON type `_JSON` refuses or that do not convert,
+    and strings that are not text (a lone surrogate, which no UTF-8 file
+    can hold)."""
     missing = [name for name in required if name not in obj]
     if missing:
         raise FieldError(cls.__name__, "missing fields", missing)
@@ -1301,6 +1313,8 @@ def read_fields(cls: type, obj: dict, names: Iterable[str] = (), required: Itera
             try:
                 if type(value) not in _JSON.get(annotation, ()):
                     raise TypeError(name)
+                if type(value) is str:
+                    value.encode("utf-8")  # UnicodeEncodeError is a ValueError
                 convert = _conversion(cls, name, annotation, type(value))
                 values[name] = value if convert is None else convert(value)
             except (TypeError, ValueError, OverflowError):

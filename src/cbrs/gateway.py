@@ -285,11 +285,18 @@ class Gateway:
         outbound events that fell due come first. Then the line is applied:
         an event by `handle_event`, a donor write by `put_donor`, and an
         `advance` line only persists. The outbound events the line caused
-        come last."""
+        come last. A drained `donor_alert` stamps its tick on its case's
+        trace as the first notification, if the trace has none yet."""
         tick = line["tick"]
 
         def outbound() -> list[dict]:
-            return [{"tick": tick, "event": {"kind": "outbound"}, "action": e} for e in self.engine.drain_outbound()]
+            events = self.engine.drain_outbound()
+            for e in events:  # the first alerts of a case whose opening found no donor
+                if e["kind"] == "donor_alert":
+                    trace = self.traces.get(self.engine.cases[e["request_id"]].message_id)
+                    if trace is not None and trace.t_first_notification is None:
+                        trace.t_first_notification = e["tick"]
+            return [{"tick": tick, "event": {"kind": "outbound"}, "action": e} for e in events]
 
         self.engine.advance_to(tick)
         due = outbound()

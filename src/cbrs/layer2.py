@@ -33,6 +33,11 @@ CLOSING_INSTRUCTION = "Output only the valid JSON response. No explanations."
 
 # The sampling values sent with every remote parse.
 _SAMPLING = {"temperature": 0.7, "top_p": 0.8, "top_k": 35}
+# The remote policy: seconds a request may take, attempts per parse, and
+# parses in flight at once per backend.
+_TIMEOUT_SECONDS = 30.0
+_ATTEMPTS = 3
+_MAX_IN_FLIGHT = 4
 
 _TOKEN_UNIT = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -74,17 +79,8 @@ class BackendConfig:
     kind: str = "rules"  # "remote" | "rules"
     endpoint: str = ""
     model: str = ""
-    timeout_seconds: float = 30.0
-    retries: int = 2
     mode: str = "few_shot"  # "few_shot" | "zero_shot"
-    audit_path: str = ""
-    max_in_flight: int = 4
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.max_in_flight < 1:  # a semaphore of 0 would hold every remote parse forever
-            raise ValueError("max_in_flight must be >= 1")
+    audit_path: str = ""  # set only in code: no config key or flag reaches it
 
 
 @dataclass(frozen=True)
@@ -205,15 +201,19 @@ def strip_code_fences(reply: str) -> str:
 
 
 def _interpret_reply(reply: str) -> tuple[ParseOutcome | None, bool, str]:
-    """Validate, then repair once. Returns (outcome, repair_applied, error)."""
+    """Validate, then repair once. Returns (outcome, repair_applied, error).
+    An outcome holding a string that is not text (a lone surrogate, which
+    no UTF-8 snapshot can hold) is unrepairable."""
     stripped = strip_code_fences(reply)
     result = schema.validate(stripped)
-    if isinstance(result, ParseOutcome):
-        return result, False, ""
-    repaired = schema.repair(stripped)
-    if repaired is None:
+    outcome = result if isinstance(result, ParseOutcome) else schema.repair(stripped)
+    if outcome is None:
         return None, False, "; ".join(str(e) for e in result)
-    return repaired, True, ""
+    try:
+        schema.serialize(outcome).encode("utf-8")
+    except UnicodeEncodeError:
+        return None, False, "reply holds a string that is not text"
+    return outcome, outcome is not result, ""
 
 
 # Held while a line is appended to an audit log, so that concurrent parses
@@ -236,9 +236,9 @@ def _extract_reply_text(payload: dict[str, Any]) -> str:
 def parse_remote(cfg: BackendConfig, bundle: PromptBundle) -> ParseRecord:
     """POST the prompt to a chat-completion endpoint and interpret the reply.
 
-    Retries timeouts up to the configured budget. Schema violations get one
-    repair pass; an unrepairable reply produces an error record with the raw
-    reply preserved for audit.
+    Makes up to `_ATTEMPTS` attempts of `_TIMEOUT_SECONDS` each. Schema
+    violations get one repair pass; an unrepairable reply produces an error
+    record with the raw reply preserved for audit.
     """
     if cfg.kind != "remote":
         raise ValueError("parse_remote requires a remote backend config")
@@ -259,17 +259,17 @@ def parse_remote(cfg: BackendConfig, bundle: PromptBundle) -> ParseRecord:
 
     started = time.perf_counter()
     last_error: Exception | None = None
-    for attempt in range(cfg.retries + 1):
+    for attempt in range(_ATTEMPTS):
         try:
             req = urllib.request.Request(cfg.endpoint, data=body, headers=headers, method="POST")
-            with urllib.request.urlopen(req, timeout=cfg.timeout_seconds) as resp:
+            with urllib.request.urlopen(req, timeout=_TIMEOUT_SECONDS) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
             break
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             last_error = exc
             log.warning("remote parse attempt %d failed: %s", attempt + 1, exc)
     else:
-        raise BackendError(f"remote backend unreachable after {cfg.retries + 1} attempts: {last_error}")
+        raise BackendError(f"remote backend unreachable after {_ATTEMPTS} attempts: {last_error}")
 
     latency = time.perf_counter() - started
     reply_text = _extract_reply_text(payload)
@@ -333,9 +333,9 @@ _BLOOD_PATTERNS = (
 _BAGS = re.compile(r"\b(\d+(?:\s*-\s*\d+)?)\s*(?:bags?|units?|ব্যাগ)", re.IGNORECASE)
 _PHONE = re.compile(r"\+?[\d০-৯][\d০-৯Xx\-]{8,}")
 # Slash dates may omit the year; dash dates must carry one, otherwise bag
-# ranges like "2-3" would read as dates.
-_DATE_SLASH = re.compile(r"\b(\d{1,2})/(\d{1,2})(?:/(\d{2,4}))?\b")
-_DATE_DASH = re.compile(r"\b(\d{1,2})-(\d{1,2})-(\d{2,4})\b")
+# ranges like "2-3" would read as dates. A year has 4 digits or 2.
+_DATE_SLASH = re.compile(r"\b(\d{1,2})/(\d{1,2})(?:/(\d{4}|\d{2}))?\b")
+_DATE_DASH = re.compile(r"\b(\d{1,2})-(\d{1,2})-(\d{4}|\d{2})\b")
 _TIME = re.compile(r"\b([01]?\d|2[0-3])[:.]([0-5]\d)\b")
 _TIME_AMPM = re.compile(r"\b(\d{1,2})\s*(am|pm)\b", re.IGNORECASE)
 
@@ -521,7 +521,7 @@ class RemoteBackend(Backend):
             raise ValueError("RemoteBackend needs a remote backend config")
         self.cfg = cfg
         self.name = cfg.model or "remote"
-        self._slots = threading.Semaphore(cfg.max_in_flight)
+        self._slots = threading.Semaphore(_MAX_IN_FLIGHT)
 
     def parse(self, text: str) -> ParseRecord:
         bundle = build_prompt(text, mode=self.cfg.mode)

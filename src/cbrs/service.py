@@ -24,6 +24,7 @@ from .dispatch import (
     DONOR_FIELDS, DispatchError, DonorRecord, FieldError, RequestCase, check_staging, encode, read_fields,
 )
 from .gateway import Gateway, decode_event
+from .layer2 import BackendConfig
 
 log = logging.getLogger(__name__)
 
@@ -36,16 +37,16 @@ _CONFIG_TYPES = {"float": float, "int": int, "str": str, "float | None": float}
 
 @dataclass
 class ServiceConfig:
-    """Flat key=value config file; every tunable constant lives here."""
+    """The service's settings, read from a flat key=value config file."""
 
     threshold: float | None = None  # None: the model's own threshold
     stage_size: int = 5
     stage_timeout_seconds: int = 600
     eligibility_days: int = 90
-    backend: str = "rules"
-    endpoint: str = ""
-    backend_model: str = ""
-    prompt_mode: str = "few_shot"
+    backend: str = BackendConfig.kind
+    endpoint: str = BackendConfig.endpoint
+    backend_model: str = BackendConfig.model
+    prompt_mode: str = BackendConfig.mode
     model_path: str = ""
     snapshot_path: str = ""
     port: int = 8377

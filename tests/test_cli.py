@@ -6,6 +6,7 @@ import pytest
 from cbrs import cli, schema
 from cbrs.corpus import save_corpus
 from cbrs.gateway import bundled_scenarios
+from cbrs.layer1 import Hyper
 from cbrs.synth import goldset, separable_corpus
 
 FAST = [
@@ -30,6 +31,13 @@ def model_file(tmp_path_factory, corpus_file):
 
 def test_train_writes_model(model_file):
     assert model_file.read_bytes()[:5] == b"CBRS1"
+
+
+def test_hyper_flags_default_to_hyper_and_word_ngrams_sets_word_n():
+    parser = cli.build_parser()
+    assert cli._hyper_from(parser.parse_args(["train", "c", "-o", "m"])) == Hyper()
+    args = parser.parse_args(["eval-classify", "c", "--word-ngrams", "2"])
+    assert cli._hyper_from(args) == Hyper(word_n=2)
 
 
 def test_train_missing_corpus_exits_2(tmp_path, capsys):

@@ -57,6 +57,37 @@ def _gateway(scenario_model, **kw):
     return g, backend
 
 
+def test_a_request_with_a_three_digit_year_restores(scenario_model, tmp_path):
+    # The rules parser read "12/05/202" as the day, which the schema refuses,
+    # and a snapshot holding it failed to restore.
+    text = "Urgent O+ blood needed 12/05/202 at Square Hospital, Dhaka. Call 01712345678"
+    g, _ = _gateway(scenario_model, snapshot_path=tmp_path / "state.snap")
+    action = g.handle_event(InboundEvent("message", message_id="m1", text=text))
+    assert action["trace"]["request_id"] == "r00001"
+    restored = DispatchEngine(clock=Clock())
+    restored.restore(tmp_path / "state.snap")
+    assert restored.cases["r00001"].request == g.engine.cases["r00001"].request
+    assert restored.cases["r00001"].request.probable_day == "12/05"
+
+
+def test_a_case_whose_first_stage_stalled_gets_its_first_notification_time(scenario_model, tmp_path):
+    lines = [
+        {"tick": 0, "kind": "message", "message_id": "m1", "text": REQUEST_TEXT.replace("O+", "AB-")},
+        {"tick": 100, "kind": "donor", "sender": "ana", "blood_group": "AB-", "latitude": 23.81, "longitude": 90.41},
+        {"tick": 700, "kind": "donor_response", "sender": "ana", "message_id": "m1", "text": "yes"},
+    ]
+    path = tmp_path / "late_stage.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    result = simulate(path, scenario_model, RulesBackend())
+    assert [(e["action"]["tick"], e["action"]["kind"]) for e in result.transcript if e["event"]["kind"] == "outbound"] == [
+        (0, "operator_attention"), (600, "donor_alert"), (700, "seeker_update"),
+    ]
+    trace = result.traces["m1"]
+    assert (trace.t_parsed_stored, trace.t_first_notification, trace.t_first_response) == (0, 600, 700)
+    assert result.summary["fulfilled_with_full_trace"] == 1
+    assert result.summary["retrieval_seconds"]["mean"] == 600
+
+
 # -- commands -----------------------------------------------------------------
 
 

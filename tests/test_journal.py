@@ -15,15 +15,19 @@ first write reaches the file through the records its mutation marked.
 """
 
 import json
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbrs import dispatch
 from cbrs.dispatch import Clock, DispatchEngine
 from cbrs.gateway import Gateway, bundled_scenarios, load_scenario
 from cbrs.layer2 import RulesBackend
+from cbrs.schema import BLOOD_GROUPS, Compensation, Contact, ParsedRequest, ParseOutcome, Patient
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,3 +85,41 @@ def test_snapshot_bytes_match_golden(scenario_model, tmp_path, monkeypatch):
     engine.restore(snapshot)
     engine.persist(tmp_path / "full.snap")
     assert (tmp_path / "full.snap").read_bytes() == (GOLDEN / "three_requests.full.snap").read_bytes()
+
+
+# Any text in every string field: surrogates aside (`st.text()` draws
+# none), each is a value a backend may hand the engine.
+_TEXT = st.text(max_size=12)
+_TEXTS = st.lists(_TEXT, max_size=2).map(tuple)
+_REQUESTS = st.builds(
+    ParsedRequest,
+    blood_group=st.one_of(st.sampled_from(BLOOD_GROUPS), _TEXT),
+    bags_needed=_TEXT,
+    patient=st.builds(Patient, name=_TEXT, gender=_TEXT, age_group=_TEXT),
+    condition=_TEXT,
+    location=_TEXT,
+    hospital_name=_TEXT,
+    location_markers=st.lists(st.one_of(st.just("Dhaka"), _TEXT), max_size=2).map(tuple),
+    probable_day=st.one_of(st.sampled_from(("today", "21/06", "2 days later")), _TEXT),
+    probable_time=st.one_of(st.sampled_from(("19:00", "before 19:00", "in 3 hours")), _TEXT),
+    contacts=st.lists(
+        st.builds(Contact, name=_TEXT, contact_numbers=_TEXTS, relation_with_patient=_TEXT), max_size=2
+    ).map(tuple),
+    compensation=st.builds(Compensation, transportation=_TEXT, allowance=_TEXT),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_REQUESTS, _REQUESTS)
+def test_a_case_opened_and_edited_with_any_text_restores(opened, edited):
+    engine = DispatchEngine(clock=Clock())
+    engine.register_donor("p1", "O+", 23.81, 90.41)
+    engine.open_case("m1", opened)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.snap"
+        engine.persist(path)  # writes the opened case
+        assert engine.handle_edit("m1", "edited", lambda _: ParseOutcome.positive(edited)) == "updated"
+        engine.persist(path)  # writes the edited case
+        restored = DispatchEngine(clock=Clock())
+        restored.restore(path)
+    assert engine_state(restored) == engine_state(engine)

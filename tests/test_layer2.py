@@ -285,6 +285,25 @@ def test_remote_unrepairable_reply_keeps_raw():
         stub.close()
 
 
+@pytest.mark.parametrize("repair", [False, True], ids=["valid", "repaired"])
+def test_remote_reply_holding_a_lone_surrogate_is_unrepairable(repair):
+    # The reply's JSON escapes a lone surrogate, which no snapshot can hold.
+    reply = json.loads(GOLD_REPLY)
+    reply["hospital_name"] = "Square \ud800"
+    if repair:
+        reply["probable_time"] = "before 24:00"
+    raw = json.dumps(reply)
+    assert "\\ud800" in raw
+    stub = StubLLM([raw])
+    try:
+        rec = parse_remote(_cfg(stub), build_prompt("msg", mode="zero_shot"))
+    finally:
+        stub.close()
+    assert rec.failed and not rec.repair_applied
+    assert rec.raw_reply == raw
+    assert rec.error == "reply holds a string that is not text"
+
+
 def test_remote_token_estimator_when_usage_missing():
     stub = StubLLM(['{"is_blood_donation_request": false}'], omit_usage=True)
     try:
@@ -312,10 +331,8 @@ def test_remote_sends_decoding_params_and_api_key(monkeypatch):
 
 
 def test_remote_unreachable_raises_after_retries():
-    cfg = BackendConfig(
-        kind="remote", endpoint="http://127.0.0.1:9/nothing", retries=1, timeout_seconds=0.2
-    )
-    with pytest.raises(BackendError):
+    cfg = BackendConfig(kind="remote", endpoint="http://127.0.0.1:9/nothing")
+    with pytest.raises(BackendError, match="after 3 attempts"):
         parse_remote(cfg, build_prompt("msg", mode="zero_shot"))
 
 
@@ -360,10 +377,3 @@ def test_concurrent_audit_appends_stay_whole_lines(tmp_path):
         stub.close()
     lines = audit.read_text(encoding="utf-8").splitlines()
     assert sorted(json.loads(line)["raw_reply"] for line in lines) == replies
-
-
-def test_backend_config_validates_decoding():
-    with pytest.raises(ValueError):
-        BackendConfig(retries=-1)
-    with pytest.raises(ValueError, match="max_in_flight"):
-        BackendConfig(max_in_flight=0)

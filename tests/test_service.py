@@ -7,7 +7,7 @@ import pytest
 
 from cbrs.dispatch import Clock, DispatchEngine, SnapshotError, encode
 from cbrs.gateway import Gateway, ScenarioError, load_scenario, simulate
-from cbrs.layer2 import Backend, RulesBackend
+from cbrs.layer2 import Backend, BackendConfig, RulesBackend
 from cbrs.schema import ParsedRequest, ParseOutcome, to_dict
 from cbrs.service import MAX_BODY_BYTES, ServiceConfig, _case_payload, serve
 from test_gateway import CountingBackend
@@ -429,11 +429,13 @@ def _post_raw(port, path, data: bytes, length: str):
         ("/donors", {"platform_id": "bob", "blood_group": "O+", "latitude": "23.8", "longitude": 90.4}, None, ["latitude"]),
         ("/donors", {"platform_id": "alice", "latitude": True}, None, ["latitude"]),
         ("/donors", {"platform_id": "alice", "longitude": 1e400}, None, None),
+        ("/donors", {"platform_id": "bad\ud800", "blood_group": "O+", "latitude": 1, "longitude": 2}, None,
+         ["platform_id"]),
     ],
     ids=["latitude", "update-latitude", "last-donation-date", "text", "tick", "edit-text",
          "response-text", "content-length", "negative-content-length", "not-utf8",
          "tick-bool", "tick-float", "response-tick-string", "latitude-string", "latitude-bool",
-         "longitude-infinite"],
+         "longitude-infinite", "lone-surrogate"],
 )
 def test_wrong_typed_input_400_changes_nothing(service, path, body, length, fields):
     running, gateway = service
@@ -451,6 +453,28 @@ def test_wrong_typed_input_400_changes_nothing(service, path, body, length, fiel
     assert status == 400
     assert reply.get("fields") == fields
     assert state() == before
+
+
+def test_a_post_after_a_lone_surrogate_persists(scenario_model, tmp_path):
+    # A string no UTF-8 file can hold is refused before it reaches the
+    # engine, so the writes after it still persist.
+    snapshot = tmp_path / "served.snap"
+    gateway = Gateway(scenario_model, RulesBackend(), engine=DispatchEngine(clock=Clock()), snapshot_path=snapshot)
+    running = serve(gateway, port=0)
+    donor = {"blood_group": "O+", "latitude": 23.81, "longitude": 90.41}
+    try:
+        status, reply = _call(running.port, "POST", "/donors", {"platform_id": "bad\ud800", **donor})
+        assert (status, reply["fields"]) == (400, ["platform_id"])
+        status, reply = _call(running.port, "POST", "/messages", {"message_id": "m1", "text": "O+ \udfff"})
+        assert (status, reply["fields"]) == (400, ["text"])
+        assert _call(running.port, "POST", "/donors", {"platform_id": "alice", **donor})[0] == 200
+        status, body = _call(running.port, "POST", "/messages", {"message_id": "m2", "text": REQUEST_TEXT})
+        assert (status, body["trace"]["request_id"]) == (200, "r00001")
+    finally:
+        running.shutdown()
+    restored = DispatchEngine(clock=Clock())
+    restored.restore(snapshot)
+    assert list(restored.donors) == ["alice"] and list(restored.cases) == ["r00001"]
 
 
 def test_oversized_body_413_before_it_is_read(service):
@@ -500,6 +524,13 @@ port = 9000
     assert cfg.backend == "rules"
     assert cfg.port == 9000
     assert cfg.eligibility_days == 90  # default preserved
+
+
+def test_config_backend_defaults_are_backend_config_defaults():
+    cfg, backend = ServiceConfig(), BackendConfig()
+    assert (cfg.backend, cfg.endpoint, cfg.backend_model, cfg.prompt_mode) == (
+        backend.kind, backend.endpoint, backend.model, backend.mode
+    )
 
 
 def test_config_rejects_unknown_keys(tmp_path):
