@@ -6,7 +6,8 @@ bindings can be added without touching the core. Every message that opens a
 case keeps a four-stage trace (arrival, parsed-and-stored, first notification,
 first affirmative response); stage timestamps come from the injected clock and
 are monotone by construction. Messages and edits share one two-layer decision;
-a Layer-2 failure is an error, queued for retry, never a negative.
+a Layer-2 failure is an error, never a negative, and changes nothing: the
+sender's redelivery is the retry.
 
 `Gateway.replay` is the one step from a scenario line to its transcript
 entries: it moves the clock to the line's tick, applies the line and emits
@@ -47,10 +48,6 @@ HELP_TEXT = """Available commands:
 /update_my_info     Update user information
 /register_as_donor  Register as a blood donor
 /goodbye            End interaction with the bot"""
-
-# Events a Layer-2 error queues for retry; past this many the oldest is
-# dropped and counted in `Gateway.dead_letters`.
-RETRY_LIMIT = 1000
 
 _YES_WORDS = frozenset({"yes", "y", "sure", "ok", "okay", "raji", "parbo", "ji", "হ্যাঁ", "হা"})
 
@@ -118,8 +115,6 @@ class Gateway:
         self.threshold = threshold if threshold is not None else model.hyper.threshold
         self.snapshot_path = Path(snapshot_path) if snapshot_path else None
         self.traces: dict[str, PipelineTrace] = {}  # of the messages that opened a case
-        self.retry_queue: list[InboundEvent] = []  # oldest first, at most RETRY_LIMIT
-        self.dead_letters = 0
         self.layer2_calls = 0
         self._last_tick_per_group: dict[str, int] = {}
 
@@ -167,7 +162,8 @@ class Gateway:
         Texts below the Layer-1 threshold never reach the backend; that is
         the entire cost case for the two-layer design. A backend that
         raises or returns a failed record is an error, never a negative:
-        the event is logged and queued on `retry_queue`.
+        it is logged with the event's message id, and the caller changes
+        nothing for it, so the sender's redelivery is the retry.
         """
         p_positive = layer1.forward(self.model, ev.text).p_positive
         if p_positive < self.threshold:
@@ -176,36 +172,32 @@ class Gateway:
             record = self.backend.parse(ev.text)
         except Exception as exc:
             log.error("layer-2 backend failed for %s: %s", ev.message_id, exc)
-            self._queue_retry(ev)
             return Decision("error", p_positive, None)
         self.layer2_calls += 1
         if record.failed:
             log.error("layer-2 parse failed for %s: %s", ev.message_id, record.error)
-            self._queue_retry(ev)
             return Decision("error", p_positive, None)
         status = "negative" if record.outcome.is_negative else "request"
         return Decision(status, p_positive, record.outcome)
 
-    def _queue_retry(self, ev: InboundEvent) -> None:
-        self.retry_queue.append(ev)
-        if len(self.retry_queue) > RETRY_LIMIT:
-            dropped = self.retry_queue.pop(0)
-            self.dead_letters += 1
-            log.error("retry queue full, dropped %s", dropped.message_id)
-
     def ingest_message(self, ev: InboundEvent) -> PipelineTrace:
         """Run one message through both layers and, on a parse, open its case.
-        A redelivery (an id with a case) changes nothing; its trace names the case."""
+        A redelivery (an id with a case) changes nothing, its trace naming the case;
+        nor does a Layer-2 error, whose tick the group order does not record."""
         if ev.kind != "message":
             raise ValueError(f"ingest_message needs a message event, got {ev.kind!r}")
         request_id = self.engine.case_by_message.get(ev.message_id)
         trace = PipelineTrace(message_id=ev.message_id, t_arrival=self.clock.now, request_id=request_id)
         if request_id is not None:
             return trace
-        self._check_group_order(ev)
+        last = self._last_tick_per_group.get(ev.group_id)
+        if last is not None and ev.tick < last:
+            raise ValueError(f"events out of order in group {ev.group_id}: {ev.tick} after {last}")
         decision = self._decide(ev)
         trace.layer1_prob = decision.layer1_prob
         trace.layer2_outcome = decision.status
+        if decision.status != "error":
+            self._last_tick_per_group[ev.group_id] = ev.tick
         if decision.status != "request":
             return trace
         case = self.engine.open_case(ev.message_id, decision.outcome.request)
@@ -310,17 +302,24 @@ class Gateway:
         return [*due, {"tick": tick, "event": line, "action": action}, *outbound()]
 
     def persist(self) -> None:
-        """Save the engine's unsaved changes to `snapshot_path`, if one is set."""
-        if self.snapshot_path is not None:
-            self.engine.persist(self.snapshot_path)
-
-    def _check_group_order(self, ev: InboundEvent) -> None:
-        last = self._last_tick_per_group.get(ev.group_id)
-        if last is not None and ev.tick < last:
-            raise ValueError(
-                f"events out of order in group {ev.group_id}: {ev.tick} after {last}"
-            )
-        self._last_tick_per_group[ev.group_id] = ev.tick
+        """Save the engine's unsaved changes to `snapshot_path`, if one is set.
+        A failed save takes the restart path, then raises: the engine is put
+        back as restored from the file, which holds exactly the acknowledged
+        state (none while there is no file); traces of cases it lacks go, and
+        so does a first-response time of a case it holds unfulfilled."""
+        try:
+            if self.snapshot_path is not None:
+                self.engine.persist(self.snapshot_path)
+        except Exception:
+            engine = DispatchEngine(self.clock, self.engine.stage_size, self.engine.stage_timeout, self.engine.eligibility_days)
+            if self.snapshot_path.exists():
+                engine.restore(self.snapshot_path)  # if this raises too, the engine stays as it is
+            self.engine = engine
+            self.traces = {m: t for m, t in self.traces.items() if m in engine.case_by_message}
+            for trace in self.traces.values():
+                if engine.cases[trace.request_id].status != FULFILLED:
+                    trace.t_first_response = None
+            raise
 
 
 # --------------------------------------------------------------------------

@@ -278,7 +278,9 @@ def parse_remote(cfg: BackendConfig, bundle: PromptBundle) -> ParseRecord:
     output_tokens = int(usage.get("completion_tokens", estimate_tokens(reply_text)))
 
     outcome, repaired, error = _interpret_reply(reply_text)
-    if cfg.audit_path:  # line-delimited JSON; the raw reply is archived verbatim
+    # Line-delimited JSON, escaped to ASCII so that `json.loads` gives back
+    # any raw reply verbatim, one holding a lone surrogate too.
+    if cfg.audit_path:
         entry = {
             "backend": cfg.model or "remote",
             "query": bundle.query_text,
@@ -286,7 +288,7 @@ def parse_remote(cfg: BackendConfig, bundle: PromptBundle) -> ParseRecord:
             "repair_applied": repaired,
             "error": error,
         }
-        line = json.dumps(entry, ensure_ascii=False) + "\n"
+        line = json.dumps(entry) + "\n"
         with _AUDIT_LOCK, open(cfg.audit_path, "a", encoding="utf-8") as fh:
             fh.write(line)
     return ParseRecord(

@@ -9,6 +9,8 @@ ids a 404. POST /donors writes through `Gateway.put_donor`, as a scenario
 answered in the JSON form `dispatch.encode` gives them. Handlers share one
 lock so case/ledger mutations stay serialized. With a snapshot path set,
 every POST persists what it changed, under the lock, before it replies.
+A POST whose Layer-2 call or persist failed gets a 503 with `Retry-After`:
+nothing changed, and the client's redelivery is the retry.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if status == 503:  # nothing changed: send the POST again in a second
+            self.send_header("Retry-After", "1")
         self.end_headers()
         self.wfile.write(body)
 
@@ -152,11 +156,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": exc.error, "fields": exc.fields})
         except (DispatchError, ValueError) as exc:
             self._send(400, {"error": str(exc)})
+        except Exception as exc:  # a failed persist (the gateway put back its file's state), or a fault
+            log.exception("POST %s failed", self.path)
+            self._send(503, {"error": f"{type(exc).__name__}: {exc}"})
 
     def _post_message(self, body: dict) -> None:
         ev = decode_event(body, ("message_id", "text"), kind="message", platform="api", group_id="api")
         with self.lock:
             action = self.gateway.handle_event(ev)
+        if action.get("status") == "parse-error" or action.get("trace", {}).get("layer2_outcome") == "error":
+            self._send(503, {"error": "the layer-2 backend failed; nothing changed"})
+            return
         self._send(200, action)
 
     def _post_donor(self, body: dict) -> None:

@@ -173,12 +173,15 @@ def test_cost_path_calls_equal_layer1_positives(scenario_model):
     assert backend.calls == positives
 
 
-def test_backend_failure_queues_retry(scenario_model):
+@pytest.mark.parametrize("raises", [True, False], ids=["raising", "failed-record"])
+def test_backend_failure_is_logged_and_opens_nothing(scenario_model, caplog, raises):
     clock = Clock()
-    g = Gateway(model=scenario_model, backend=BrokenBackend(raises=True), clock=clock)
+    g = Gateway(model=scenario_model, backend=BrokenBackend(raises), clock=clock)
     trace = g.ingest_message(InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT))
     assert trace.layer2_outcome == "error"
-    assert len(g.retry_queue) == 1
+    assert (trace.request_id, g.engine.cases, g.traces) == (None, {}, {})
+    assert "for m1:" in caplog.text
+    assert g.layer2_calls == (0 if raises else 1)
 
 
 def test_gateway_refuses_a_clock_other_than_its_engines(scenario_model):
@@ -191,15 +194,20 @@ def test_gateway_refuses_a_clock_other_than_its_engines(scenario_model):
     assert g.clock is engine.clock
 
 
-def test_retry_queue_keeps_the_newest_events(scenario_model, caplog):
-    from cbrs.gateway import RETRY_LIMIT
-
-    g = Gateway(model=scenario_model, backend=BrokenBackend(raises=True), threshold=0.0)
-    for i in range(RETRY_LIMIT + 1):
-        g.ingest_message(InboundEvent(kind="message", message_id=f"m{i}", text=CHITCHAT, tick=i))
-    assert [ev.message_id for ev in g.retry_queue] == [f"m{i}" for i in range(1, RETRY_LIMIT + 1)]
-    assert g.dead_letters == 1
-    assert "dropped m0" in caplog.text
+def test_a_layer2_error_records_no_group_tick(scenario_model):
+    # A message whose Layer-2 call failed changed nothing, so a message
+    # before it in the same group is still in order, and its redelivery
+    # (the retry) opens the case.
+    g, _ = _gateway(scenario_model)
+    working = g.backend
+    g.backend = BrokenBackend(raises=True)
+    late = InboundEvent(kind="message", message_id="m2", text=REQUEST_TEXT, tick=50)
+    assert g.ingest_message(late).layer2_outcome == "error"
+    g.backend = working
+    assert g.ingest_message(InboundEvent(kind="message", message_id="m1", text=CHITCHAT, tick=10)).layer2_outcome == "skipped"
+    assert g.ingest_message(late).request_id == "r00001"
+    with pytest.raises(ValueError, match="out of order"):
+        g.ingest_message(InboundEvent(kind="message", message_id="m3", text=CHITCHAT, tick=20))
 
 
 def test_group_order_enforced(scenario_model):
@@ -315,7 +323,7 @@ def test_edit_seen_message_still_not_request(scenario_model):
 
 
 @pytest.mark.parametrize("raises", [True, False], ids=["raising", "failed-record"])
-def test_edit_of_case_with_layer2_error_changes_nothing(scenario_model, tmp_path, raises):
+def test_edit_of_case_with_layer2_error_changes_nothing(scenario_model, tmp_path, caplog, raises):
     snapshot = tmp_path / "s.snap"
     g, _ = _gateway(scenario_model, snapshot_path=snapshot)
     g.engine.register_donor("alice", "O+", 23.81, 90.41)
@@ -328,7 +336,7 @@ def test_edit_of_case_with_layer2_error_changes_nothing(scenario_model, tmp_path
     assert g.backend.calls == 1
     assert case.request == request
     assert snapshot.stat().st_size == size  # the case was not marked changed
-    assert g.retry_queue == [edit]
+    assert "for m1:" in caplog.text
     assert g.layer2_calls == calls + (0 if raises else 1)
 
 
@@ -358,7 +366,7 @@ def test_put_donor_and_replay_persist_before_they_return(scenario_model, tmp_pat
 
 
 @pytest.mark.parametrize("raises", [True, False], ids=["raising", "failed-record"])
-def test_edit_of_seen_message_with_layer2_error(scenario_model, raises):
+def test_edit_of_seen_message_with_layer2_error(scenario_model, caplog, raises):
     g, _ = _gateway(scenario_model)
     g.ingest_message(InboundEvent(kind="message", message_id="m1", text=CHITCHAT, tick=0))
     g.backend = BrokenBackend(raises)
@@ -366,7 +374,7 @@ def test_edit_of_seen_message_with_layer2_error(scenario_model, raises):
     assert status == "parse-error"
     assert g.backend.calls == 1
     assert not g.engine.cases
-    assert [ev.message_id for ev in g.retry_queue] == ["m1"]
+    assert "for m1:" in caplog.text
     assert g.layer2_calls == (0 if raises else 1)
 
 

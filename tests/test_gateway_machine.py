@@ -7,19 +7,26 @@ change, chatter edited into a request, an id never sent), donor writes
 through `Gateway.put_donor`, donor replies from alerted donors and others,
 clock steps through `Gateway.replay`, and crashes, after which a new engine
 and a new gateway are restored from the file alone. Ticks never decrease.
+Two rules fail a step: a broken Layer-2 backend, which both gateways see,
+and a full disk, which only the live gateway's persist meets; the twin gets
+an event only if the live gateway acknowledged it.
 
-A twin gateway gets the same events and never restarts. After every step:
+A twin gateway gets the same events and never restarts. After every step,
+the failed ones included:
 - every answer and every outbound event drained so far equals the twin's;
 - a fresh restore of the file equals the live engine in every field;
 - `LedgerMachine`'s ledger laws hold (tests/test_dispatch_index.py), and a
   message id has at most one case;
-- the twin keeps a trace for each case and for nothing else.
+- the twin keeps a trace for each case and for nothing else, and the live
+  gateway the twin's trace of each case it saw open.
 """
 
+import errno
 import shutil
 import tempfile
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -31,6 +38,7 @@ from cbrs.dispatch import Clock, DispatchEngine
 from cbrs.gateway import Gateway, InboundEvent
 from cbrs.layer2 import RulesBackend
 from cbrs.synth import separable_corpus
+from test_gateway import BrokenBackend
 from test_journal import engine_state
 
 KNOBS = {"stage_size": 1, "stage_timeout": 600}
@@ -145,6 +153,69 @@ class GatewayMachine(RuleBasedStateMachine):
             entries = gateway.replay(line, None)
             self.outbound[name] += [e["action"] for e in entries if e["event"]["kind"] == "outbound"]
 
+    @rule(data=st.data(), text=st.sampled_from(REQUESTS), raises=st.booleans())
+    def failing_backend(self, data, text, raises):
+        """A new message or an edit whose Layer-2 call fails, on both
+        gateways: an error that changes nothing. A later redelivery of the
+        message is its retry."""
+        message_id = data.draw(st.sampled_from([f"m{len(self.sent)}", *sorted(self.sent)]))
+        kind = "message" if message_id not in self.sent else "edit"
+        self.sent.setdefault(message_id, text)
+        for gateway in (self.live, self.twin):
+            gateway.backend = BrokenBackend(raises)
+        try:
+            answer = self._event(kind, message_id=message_id, text=text)
+        finally:
+            for gateway in (self.live, self.twin):
+                gateway.backend = RulesBackend()
+        if kind == "edit":
+            assert answer == {"action": "edit", "status": "parse-error"}
+        else:
+            assert answer["trace"]["layer2_outcome"] == "error"
+
+    @rule(data=st.data(), platform=st.sampled_from(PLATFORMS), text=st.sampled_from(REQUESTS))
+    def disk_full(self, data, platform, text):
+        """A new request message, a donor write or a "yes" from an alerted
+        donor on the live gateway, whose persist meets a full disk: an
+        append that writes half its batch, or a rewrite that writes nothing.
+        The twin gets the step only if the live gateway changed nothing to
+        write, and so acknowledged it."""
+
+        def half(path, batch):
+            with open(path, "ab") as fh:
+                fh.write(batch[: len(batch) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def nothing(path, batch):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        engine = self.live.engine
+        alerted = sorted(key for key, entry in engine.ledger.items() if entry.response == "none")
+        kind = data.draw(st.sampled_from(["message", "donor", *(["reply"] if alerted else [])]))
+        key = None
+        if kind == "donor":
+            fields = {"blood_group": "AB-", "latitude": POINTS[2][0], "longitude": POINTS[2][1]}
+            step = lambda g: g.put_donor(platform, fields)  # noqa: E731
+        else:
+            if kind == "message":
+                message_id = f"m{len(self.sent)}"
+                self.sent[message_id] = text
+                ev = InboundEvent(kind="message", tick=self.tick, message_id=message_id, text=text)
+            else:
+                key = data.draw(st.sampled_from(alerted))
+                sender = next(d.platform_id for d in engine.donors.values() if d.donor_id == key[1])
+                message_id = engine.cases[key[0]].message_id
+                ev = InboundEvent(kind="donor_response", tick=self.tick, sender=sender, message_id=message_id, text="yes")
+            step = lambda g: g.handle_event(ev)  # noqa: E731
+        with mock.patch.object(dp, "_append", half), mock.patch.object(dp, "_replace", nothing):
+            try:
+                step(self.live)
+            except OSError:
+                return
+        if key is not None:
+            self.first_answer.setdefault(key, "affirmative")
+        step(self.twin)
+
     @rule()
     def crash(self):
         """Drop the live gateway and its engine; restore new ones from the
@@ -187,6 +258,13 @@ class GatewayMachine(RuleBasedStateMachine):
     @invariant()
     def traces_are_kept_for_cases_only(self):
         assert set(self.twin.traces) == set(self.twin.engine.case_by_message)
+
+    @invariant()
+    def live_traces_are_the_twins(self):
+        """The live gateway keeps the twin's trace of each case it saw open
+        (a crash drops the traces of the cases opened before it)."""
+        for message_id, trace in self.live.traces.items():
+            assert trace == self.twin.traces[message_id]
 
 
 GatewayMachine.TestCase.settings = settings(

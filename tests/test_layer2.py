@@ -349,6 +349,23 @@ def test_remote_audit_log_preserves_raw_reply(tmp_path):
     assert entries[0]["raw_reply"] == raw  # byte-equal wire payload
 
 
+def test_audit_log_keeps_a_reply_holding_a_lone_surrogate(tmp_path):
+    # The reply text itself holds a lone surrogate (the wire JSON escapes
+    # it): the call returns its error record, and the audit line gives the
+    # raw reply back.
+    audit = tmp_path / "audit.jsonl"
+    raw = '{"is_blood_donation_request": false}\ud800'
+    stub = StubLLM([raw])
+    try:
+        rec = parse_remote(_cfg(stub, audit_path=str(audit)), build_prompt("msg", mode="zero_shot"))
+    finally:
+        stub.close()
+    assert rec.failed and rec.raw_reply == raw
+    assert rec.error == "$: invalid JSON: Extra data"
+    [entry] = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+    assert (entry["raw_reply"], entry["error"]) == (raw, rec.error)
+
+
 def test_concurrent_audit_appends_stay_whole_lines(tmp_path):
     # Replies longer than the 8 KiB write buffer, appended by parses on
     # several threads: each call leaves exactly one parseable line.

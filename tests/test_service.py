@@ -1,3 +1,4 @@
+import errno
 import http.client
 import json
 import urllib.error
@@ -5,12 +6,14 @@ import urllib.request
 
 import pytest
 
+from cbrs import dispatch as dp
 from cbrs.dispatch import Clock, DispatchEngine, SnapshotError, encode
 from cbrs.gateway import Gateway, ScenarioError, load_scenario, simulate
-from cbrs.layer2 import Backend, BackendConfig, RulesBackend
+from cbrs.layer2 import Backend, BackendConfig, RulesBackend, parse_rules
 from cbrs.schema import ParsedRequest, ParseOutcome, to_dict
 from cbrs.service import MAX_BODY_BYTES, ServiceConfig, _case_payload, serve
 from test_gateway import CountingBackend
+from test_journal import engine_state
 
 REQUEST_TEXT = "Urgent! 2 bags O+ blood needed at Square Hospital, Dhaka. Call 01712345678 today."
 
@@ -227,19 +230,157 @@ def test_message_creates_retrievable_request(service):
     assert case["trace"]["layer1_prob"] >= 0.5
 
 
-def test_edit_with_failing_backend_answers_parse_error(service):
+O_PLUS = {"blood_group": "O+", "latitude": 23.81, "longitude": 90.41}
+
+
+class FlakyBackend(Backend):
+    """The rules backend behind a remote that fails its first `failures` calls."""
+
+    def __init__(self, failures):
+        self.failures = failures
+        self.calls = 0
+
+    def parse(self, text):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise RuntimeError("down")
+        return parse_rules(text)
+
+
+def _post(port, path, payload):
+    """POST `payload`; the status, the Retry-After header and the body."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        conn.request("POST", path, json.dumps(payload), {"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, resp.getheader("Retry-After"), json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+def _restored(snapshot):
+    engine = DispatchEngine(clock=Clock(), stage_size=3)
+    engine.restore(snapshot)
+    return engine_state(engine)
+
+
+def test_edit_with_failing_backend_answers_503(service):
     running, gateway = service
     _call(running.port, "POST", "/messages", {"message_id": "m1", "text": REQUEST_TEXT})
+    before = _call(running.port, "GET", "/requests/r00001")
+    gateway.backend = FlakyBackend(failures=1)
+    edit = {"kind": "edit", "message_id": "m1", "text": REQUEST_TEXT.replace("2 bags", "3 bags")}
+    status, retry_after, body = _post(running.port, "/messages", edit)
+    assert (status, retry_after) == (503, "1") and "layer-2" in body["error"]
+    assert _call(running.port, "GET", "/requests/r00001") == before
+    assert _post(running.port, "/messages", edit)[0] == 200  # the redelivery is the retry
+    assert _call(running.port, "GET", "/requests/r00001")[1]["request"]["bags_needed"] == "3"
 
-    class Raising(Backend):
-        def parse(self, text):
-            raise RuntimeError("down")
 
-    gateway.backend = Raising()
-    status, body = _call(
-        running.port, "POST", "/messages", {"kind": "edit", "message_id": "m1", "text": REQUEST_TEXT + " Now!"}
-    )
-    assert (status, body) == (200, {"action": "edit", "status": "parse-error"})
+@pytest.mark.parametrize("failures", [1, 3])
+def test_a_message_whose_backend_fails_n_times_opens_its_case_on_the_next_delivery(
+        scenario_model, tmp_path, failures):
+    snapshot = tmp_path / "served.snap"
+    backend = FlakyBackend(failures)
+    engine = DispatchEngine(clock=Clock(), stage_size=3)
+    gateway = Gateway(scenario_model, backend, engine=engine, snapshot_path=snapshot)
+    running = serve(gateway, port=0)
+    message = {"message_id": "m1", "text": REQUEST_TEXT, "tick": 5}
+    try:
+        _call(running.port, "POST", "/donors", {"platform_id": "u0", **O_PLUS})
+        before = _restored(snapshot)
+        for _ in range(failures):
+            status, retry_after, _ = _post(running.port, "/messages", message)
+            assert (status, retry_after) == (503, "1")
+            assert _call(running.port, "GET", "/requests/r00001")[0] == 404
+            assert _restored(snapshot) == before and engine_state(gateway.engine) == before
+            assert gateway.engine.outbound == [] and gateway.traces == {}
+        status, _, body = _post(running.port, "/messages", message)
+        assert (status, body["trace"]["request_id"]) == (200, "r00001")
+        status, _, again = _post(running.port, "/messages", message)
+        assert (status, again["trace"]["request_id"]) == (200, "r00001")
+    finally:
+        running.shutdown()
+    assert list(gateway.engine.cases) == ["r00001"] and backend.calls == failures + 1
+    assert [e["kind"] for e in gateway.engine.outbound] == ["donor_alert"]
+    assert _restored(snapshot) == engine_state(gateway.engine)
+
+
+def _full_disk(monkeypatch):
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(dp, "_append", full)
+    monkeypatch.setattr(dp, "_replace", full)
+
+
+def test_a_full_disk_answers_503_and_changes_nothing(scenario_model, tmp_path, monkeypatch):
+    snapshot = tmp_path / "served.snap"
+
+    def started(engine):
+        gateway = Gateway(scenario_model, RulesBackend(), engine=engine, snapshot_path=snapshot)
+        return serve(gateway, port=0), gateway
+
+    running, gateway = started(DispatchEngine(clock=Clock(), stage_size=3))
+    try:
+        assert _call(running.port, "POST", "/donors", {"platform_id": "alice", **O_PLUS})[0] == 200
+        before = _restored(snapshot)
+        with monkeypatch.context() as m:
+            _full_disk(m)
+            status, retry_after, body = _post(running.port, "/donors", {"platform_id": "bob", **O_PLUS})
+            assert (status, retry_after) == (503, "1") and "No space left" in body["error"]
+            # No GET reads a donor; a body with only the platform id of an
+            # unknown one is a 400 naming the missing fields.
+            assert _post(running.port, "/donors", {"platform_id": "bob"})[2]["error"] == "missing fields"
+            status, retry_after, _ = _post(running.port, "/messages", {"message_id": "m1", "text": REQUEST_TEXT})
+            assert (status, retry_after) == (503, "1")
+            assert _call(running.port, "GET", "/requests/r00001")[0] == 404
+            assert engine_state(gateway.engine) == before == _restored(snapshot)
+        assert _call(running.port, "POST", "/donors", {"platform_id": "bob", **O_PLUS})[0] == 200
+        status, body = _call(running.port, "POST", "/messages", {"message_id": "m1", "text": REQUEST_TEXT})
+        assert (status, body["trace"]["request_id"]) == (200, "r00001")
+        case = _call(running.port, "GET", "/requests/r00001")
+        yes = {"sender": "bob", "message_id": "m1", "text": "yes"}
+        with monkeypatch.context() as m:
+            _full_disk(m)
+            assert _post(running.port, "/responses", yes)[:2] == (503, "1")
+            assert _call(running.port, "GET", "/requests/r00001") == case  # the trace keeps no response time
+        assert _call(running.port, "POST", "/responses", yes) == (200, {"status": "fulfilled"})
+        served = engine_state(gateway.engine)
+    finally:
+        running.shutdown()
+    engine = DispatchEngine(clock=Clock(), stage_size=3)
+    engine.restore(snapshot)
+    assert engine_state(engine) == served
+    running, gateway = started(engine)  # a restart
+    try:
+        status, case = _call(running.port, "GET", "/requests/r00001")
+        assert (status, case["status"]) == (200, "fulfilled")
+        assert {e["donor_id"]: e["response"] for e in case["ledger"]} == {"d00001": "none", "d00002": "affirmative"}
+    finally:
+        running.shutdown()
+
+
+def test_a_failed_restore_after_a_failed_write_still_answers_503(scenario_model, tmp_path, monkeypatch):
+    # The file cannot be read back either: the POST still gets its 503, and
+    # the gateway keeps the engine it had.
+    snapshot = tmp_path / "served.snap"
+    gateway = Gateway(scenario_model, RulesBackend(), engine=DispatchEngine(clock=Clock()), snapshot_path=snapshot)
+    gateway.persist()
+    engine = gateway.engine
+    running = serve(gateway, port=0)
+
+    def unreadable(self, path):
+        raise SnapshotError("unreadable")
+
+    try:
+        _full_disk(monkeypatch)
+        monkeypatch.setattr(DispatchEngine, "restore", unreadable)
+        status, retry_after, body = _post(running.port, "/donors", {"platform_id": "alice", **O_PLUS})
+    finally:
+        running.shutdown()
+    assert (status, retry_after, body) == (503, "1", {"error": "SnapshotError: unreadable"})
+    assert gateway.engine is engine and "alice" in engine.donors
 
 
 def test_response_endpoint_fulfills(service):
