@@ -4,7 +4,7 @@ and geo-ranked donor notification for multilingual chat streams."""
 __version__ = "0.1.0"
 
 from .corpus import Corpus, LabeledSample, deduplicate, load_corpus, split, tag_language
-from .dispatch import Clock, DispatchEngine, DonorRecord, haversine_km, urgency_depth
+from .dispatch import Clock, DispatchEngine, haversine_km, urgency_depth
 from .evalkit import (
     ParsingScore,
     compare_classifiers,
@@ -13,7 +13,7 @@ from .evalkit import (
     field_accuracy,
     parsing_score,
 )
-from .gateway import Gateway, InboundEvent, PipelineTrace, simulate
+from .gateway import Gateway, InboundEvent, simulate
 from .layer1 import ClassifierModel, Hyper, classification_report, forward, load_model, save_model, train
 from .layer2 import (
     BackendConfig,
@@ -23,6 +23,7 @@ from .layer2 import (
     parse_remote,
     parse_rules,
 )
+from .records import DonorRecord, PipelineTrace
 from .schema import LabeledTree, ParsedRequest, ParseOutcome, canonicalize, to_tree, validate
 from .ted import ted_oracle, tree_edit_distance
 

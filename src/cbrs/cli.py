@@ -13,8 +13,9 @@ from pathlib import Path
 
 from . import evalkit, layer1, layer2
 from .corpus import CorpusError, load_corpus
-from .dispatch import DispatchEngine, SnapshotError
+from .dispatch import DispatchEngine
 from .gateway import Gateway, bundled_scenarios, ScenarioError, simulate
+from .journal import SnapshotError
 from .layer1 import Hyper, TrainingError
 from .layer2 import BackendConfig, make_backend
 from .service import ServiceConfig, serve

@@ -19,12 +19,7 @@ A donor comes in by the HTTP service, a scenario line or a snapshot, and
 the same rules hold for all three: `put_donor` is the one write rule
 (an unknown id registers, a known one changes the fields given) and
 `check_donor` the one check of a record's values, so every row holds a
-group of `schema.BLOOD_GROUPS` and coordinates in range (restore holds
-cases and ledger entries to the statuses and responses the engine writes,
-`_VALUE_CHECKS`, and every ledger entry to a case and a donor). All JSON
-input is checked by one table from a field's annotation to its JSON types,
-`_JSON`: `decode` reads snapshot lines, `read_fields` HTTP bodies and
-scenario lines, and both refuse by one FieldError naming the fields.
+group of `schema.BLOOD_GROUPS` and coordinates in range.
 Notifications go out in stages bounded by an urgency-derived depth; a
 per-request ledger guarantees nobody is notified twice, alerts stop at the
 first affirmative, and a managed/resolved edit fans out exactly one
@@ -34,23 +29,8 @@ queued by one emitter, stamped with the clock's tick.
 All time comes from an injected clock (logical in simulation, wall clock
 in service mode), so scenario runs are deterministic.
 
-State is saved to a snapshot file of JSON lines. Each line is a section
-name and a record's `encode` form, which the HTTP service answers too. A
-batch is a `meta` line (format version, id counters, clock), one line per
-donor, case or ledger entry, and an `end` line counting the batch's lines.
-`_SECTIONS` names the record type of each section, `meta` and `end`
-included, and `_TABLES` the engine table and key of each journalled one.
-A full snapshot is one batch of every record, written to a temporary file
-and renamed over the old one. The engine notes the keys each mutation
-touches (`_touch`); `persist` then appends one batch of just those
-records to the file it last wrote or restored, in one write. Restore
-reads the batches in order, each record replacing the one with its key.
-A batch with no `end` line is a write cut short by a crash: it was never
-acknowledged, and restore drops it. Once the appended batches would
-outgrow the full snapshot at the head of the file, `persist` rewrites the
-file in full (compaction). A change counts as acknowledged once the
-`persist` after it returns; the file is not fsynced, so it survives a
-crash of the process, not of the machine.
+The donors, cases and ledger entries are three tables of a
+`journal.Journal`, which saves them to a snapshot file.
 """
 
 from __future__ import annotations
@@ -58,39 +38,27 @@ from __future__ import annotations
 import bisect
 import functools
 import gc
-import itertools
-import json
 import logging
 import math
-import operator
-import os
-import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from importlib import resources
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
 from . import schema
+from .journal import SNAPSHOT_VERSION, Journal, SnapshotError
+from .records import (
+    EXPIRED, FULFILLED, OPEN, RESOLVED_EXTERNALLY, DonorRecord, FieldError, LedgerEntry, RequestCase,
+)
 from .schema import ParsedRequest, ParseOutcome
 
 log = logging.getLogger(__name__)
 
 EARTH_RADIUS_KM = 6371.0
-
-SNAPSHOT_VERSION = 1
-
-# `persist` rewrites the snapshot in full instead of appending a batch that
-# would make the appended tail longer than this many times the full
-# snapshot at the head of the file.
-_TAIL_LIMIT = 1
-
-OPEN = "open"
-FULFILLED = "fulfilled"
-RESOLVED_EXTERNALLY = "resolved_externally"
-EXPIRED = "expired"
 
 _TERMINAL = (FULFILLED, RESOLVED_EXTERNALLY, EXPIRED)
 # What a ledger entry records of the donor's answer.
@@ -116,12 +84,8 @@ MANAGED_MARKERS = (
 )
 
 
-class DispatchError(Exception):
+class DispatchError(ValueError):
     """Invalid dispatch operation (bad coordinates, unknown ledger pair, ...)."""
-
-
-class SnapshotError(Exception):
-    """Snapshot is missing, truncated, or corrupt; nothing was loaded."""
 
 
 @dataclass
@@ -145,68 +109,6 @@ class Clock:
 
     def today(self) -> date:
         return self.epoch_date + timedelta(seconds=self.now)
-
-
-@dataclass
-class DonorRecord:
-    donor_id: str
-    platform_id: str
-    blood_group: str
-    latitude: float
-    longitude: float
-    last_donation_date: date | None = None
-    registered_at: int = 0
-
-
-@dataclass
-class RequestCase:
-    request_id: str
-    message_id: str
-    request: ParsedRequest
-    status: str = OPEN
-    created_at: int = 0
-    deadline: int | None = None
-    anchor: tuple[float, float] | None = None
-    stages_fired: int = 0
-    next_stage_due: int | None = None
-    needs_attention: bool = False
-
-
-@dataclass
-class LedgerEntry:
-    request_id: str
-    donor_id: str
-    stage: int
-    notified_at: int
-    response: str = "none"  # one of _RESPONSES
-    resolution_notified: bool = False
-
-
-@dataclass
-class PipelineTrace:
-    """One message's way through the pipeline: the tick of each stage it
-    reached, Layer 1's probability and what Layer 2 made of it."""
-
-    message_id: str
-    t_arrival: int | None = None
-    t_parsed_stored: int | None = None
-    t_first_notification: int | None = None
-    t_first_response: int | None = None
-    layer1_prob: float | None = None
-    layer2_outcome: str = "skipped"  # skipped | request | negative | error
-    request_id: str | None = None
-
-    def timestamps(self) -> list[int]:
-        return [
-            t
-            for t in (
-                self.t_arrival,
-                self.t_parsed_stored,
-                self.t_first_notification,
-                self.t_first_response,
-            )
-            if t is not None
-        ]
 
 
 _NEVER_DONATED = np.iinfo(np.int64).min  # last-donation day of a donor who never gave
@@ -314,16 +216,6 @@ def check_donor(blood_group: str, latitude: float, longitude: float) -> None:
 def _check_one_of(name: str, value: str, allowed: tuple[str, ...]) -> None:
     if value not in allowed:
         raise DispatchError(f"{name} {value!r} not one of {allowed}")
-
-
-# Record section -> the check of its values beyond their JSON types, on
-# restore: a donor's by `check_donor`, and the case status and ledger
-# response only as the engine writes them.
-_VALUE_CHECKS = {
-    "donor": lambda d: check_donor(d.blood_group, d.latitude, d.longitude),
-    "case": lambda c: _check_one_of("status", c.status, (OPEN, *_TERMINAL)),
-    "ledger": lambda e: _check_one_of("response", e.response, _RESPONSES),
-}
 
 
 def check_staging(knobs: dict[str, int]) -> None:
@@ -600,10 +492,10 @@ class DispatchEngine:
         self.stage_size = stage_size
         self.stage_timeout = stage_timeout
         self.eligibility_days = eligibility_days
-        self.donors: dict[str, DonorRecord] = {}  # platform_id -> record
-        self.cases: dict[str, RequestCase] = {}
+        self.journal = Journal(_Meta)
+        for table in _TABLES:
+            self.journal.register(*table)
         self.case_by_message: dict[str, str] = {}
-        self.ledger: dict[tuple[str, str], LedgerEntry] = {}
         # request_id -> donor_id -> the entry also held in `ledger`
         self._entries: dict[str, dict[str, LedgerEntry]] = {}
         # blood group -> columns of its donors: filled by restore, then kept
@@ -612,10 +504,10 @@ class DispatchEngine:
         self.outbound: list[dict] = []
         self._donor_seq = 0
         self._case_seq = 0
-        # Record section -> keys of its records changed since the last
-        # persist or restore (`_touch`).
-        self._dirty: dict[str, set] = {section: set() for section in _TABLES}
-        self._journal: _Journal | None = None
+
+    donors = property(lambda self: self.journal.tables["donor"], doc="platform_id -> DonorRecord")
+    cases = property(lambda self: self.journal.tables["case"], doc="request_id -> RequestCase")
+    ledger = property(lambda self: self.journal.tables["ledger"], doc="(request_id, donor_id) -> LedgerEntry")
 
     # -- registry ---------------------------------------------------------
 
@@ -664,7 +556,7 @@ class DispatchEngine:
             old = None
         self._groups[donor.blood_group].put(donor, old)
         self.donors[donor.platform_id] = donor
-        self._touch(donor)
+        self.journal.touch(donor)
         for case in self.cases.values():
             if case.status == OPEN and case.next_stage_due is None and case.request.blood_group == donor.blood_group:
                 if case.stages_fired < urgency_depth(case, self.clock.epoch_date):
@@ -751,7 +643,7 @@ class DispatchEngine:
                 notified_at=self.clock.now,
             )
             self.ledger[(case.request_id, donor.donor_id)] = entry
-            self._touch(entry)
+            self.journal.touch(entry)
             already[donor.donor_id] = entry
             entries.append(entry)
             self._emit("donor_alert", case.request_id, donor_id=donor.donor_id, stage=stage)
@@ -776,7 +668,7 @@ class DispatchEngine:
         if entry.response != "none":
             return case.status  # the first answer is final
         entry.response = "affirmative" if affirmative else "negative"
-        self._touch(entry)
+        self.journal.touch(entry)
         if case.status != OPEN:
             return case.status
         if affirmative:
@@ -838,7 +730,7 @@ class DispatchEngine:
         last = max((e.notified_at for e in entries), default=case.created_at)
         due = case.status == OPEN and not stalled and case.stages_fired < urgency_depth(case, epoch)
         case.next_stage_due = last + self.stage_timeout if due else None
-        self._touch(case)
+        self.journal.touch(case)
 
     def _fan_out_resolution(self, case: RequestCase) -> None:
         """Exactly-once resolution notice per notified donor; idempotent."""
@@ -847,7 +739,7 @@ class DispatchEngine:
         for entry in self.case_entries(case.request_id):
             if not entry.resolution_notified:
                 entry.resolution_notified = True
-                self._touch(entry)
+                self.journal.touch(entry)
                 self._emit("resolution_notice", entry.request_id, donor_id=entry.donor_id)
 
     def advance_to(self, tick: int) -> None:
@@ -886,66 +778,21 @@ class DispatchEngine:
 
     # -- persistence --------------------------------------------------------
 
-    def _touch(self, record: DonorRecord | RequestCase | LedgerEntry) -> None:
-        """Mark `record` as changed, for the next `persist` to write."""
-        section = _SECTION_OF[type(record)]
-        self._dirty[section].add(_TABLES[section][1](record))
-
     def _meta(self) -> _Meta:
         return _Meta(SNAPSHOT_VERSION, self._donor_seq, self._case_seq, self.clock.now)
 
-    def _batch(self, meta: _Meta, keys: dict[str, Iterable]) -> bytes:
-        """A `meta` line, the records `keys` names by section in key order,
-        and an `end` line."""
-        lines = [_line("meta", meta)]
-        for section, (table, _) in _TABLES.items():
-            records = getattr(self, table)
-            lines += [_line(section, records[k]) for k in sorted(keys[section])]
-        lines.append(_line("end", _End(len(lines))))
-        return ("\n".join(lines) + "\n").encode("utf-8")
-
-    def _wrote(self, st: os.stat_result, base: int, meta: _Meta) -> None:
-        self._journal = _Journal(_identity(st), base, meta)
-        for keys in self._dirty.values():
-            keys.clear()
-
     def persist(self, path: str | Path) -> None:
-        """Save the engine's state to `path` before a change is acknowledged.
-
-        If `path` is still the file this engine last wrote or restored
-        (same inode, size and mtime), only the donors, cases and ledger
-        entries changed since then are appended, as one batch in one
-        write; with nothing changed nothing is written. Otherwise, after a
-        failed write, or when the appended batches would outgrow the full
-        snapshot they follow, the whole state is rewritten atomically.
-        """
-        path = Path(path)
-        meta = self._meta()
-        journal, self._journal = self._journal, None  # a failed write leaves None
-        if journal is not None and _identity_at(path) == journal.stat:
-            if not any(self._dirty.values()) and journal.meta == meta:
-                self._journal = journal
-                return
-            batch = self._batch(meta, self._dirty)
-            if journal.stat[2] + len(batch) - journal.base <= _TAIL_LIMIT * journal.base:
-                self._wrote(_append(path, batch), journal.base, meta)
-                return
-        every = {section: getattr(self, table) for section, (table, _) in _TABLES.items()}
-        st = _replace(path, self._batch(meta, every))
-        self._wrote(st, st.st_size, meta)
+        """Save the engine's state to `path` before a change is acknowledged:
+        the donors, cases and ledger entries changed since the last write
+        are appended, or the whole state is rewritten (`Journal.persist`)."""
+        self.journal.persist(Path(path), self._meta())
 
     def restore(self, path: str | Path) -> None:
-        """Load a snapshot and its complete appended batches, or nothing.
-
-        Batches apply in file order, each record replacing the one with
-        its key. A trailing batch without its `end` line (a write cut
-        short, never acknowledged) is dropped; a malformed line before the
-        last `end`, or a file with no complete batch, raises SnapshotError
-        naming the line, and the engine keeps its state. A line is
-        malformed if `decode` refuses it or `_VALUE_CHECKS` its values,
-        and a ledger line also if no batch up to the end of its own holds
-        its case, or if the restored registry holds no donor with its
-        `donor_id`. The cyclic garbage collector is paused while the
+        """Load a snapshot and its complete appended batches, or nothing
+        (`Journal.restore`): on a SnapshotError the engine keeps its state.
+        A ledger line is malformed also if no batch up to the end of its
+        own holds its case, or if the restored registry holds no donor with
+        its `donor_id`. The cyclic garbage collector is paused while the
         records are built: they hold no reference cycles, so its passes
         over a large registry's new objects would free nothing.
         """
@@ -958,166 +805,39 @@ class DispatchEngine:
                 gc.enable()
 
     def _restore(self, path: Path) -> None:
-        try:
-            fh = path.open("rb")
-        except FileNotFoundError:
-            raise SnapshotError(f"snapshot not found: {path}") from None
-        tables: dict[str, dict] = {section: {} for section in _TABLES}
-        meta: _Meta | None = None
-        batch_meta: _Meta | None = None
-        batch: list | None = None  # records of the batch being read
-        ledger_lines: list[tuple[int, LedgerEntry]] = []  # the batch's ledger entries, by line number
         named: dict[str, int] = {}  # donor id -> the first complete ledger line naming it
-        problem = ""  # the first malformed line; fatal if a batch completes after it
-        offset = base = complete = 0  # bytes read; of the first batch; up to the last `end`
-        with fh:
-            st = os.fstat(fh.fileno())
-            for lineno, raw in enumerate(fh, start=1):
-                offset += len(raw)
-                if problem:
-                    if _is_end(raw):
-                        raise SnapshotError(f"corrupt snapshot {path}: {problem}")
-                    continue
-                try:
-                    obj = _loads(raw)
-                    section = obj.pop("section")
-                    if section not in _SECTIONS:
-                        raise ValueError(f"unknown section {section!r}")
-                    if section == "meta" and batch is not None:
-                        raise ValueError("meta line inside a batch")
-                    if section != "meta" and batch is None:
-                        raise ValueError(f"{section!r} line outside a batch")
-                    record = decode(_SECTIONS[section], obj)
-                    if section == "meta":
-                        if record.version != SNAPSHOT_VERSION:
-                            raise ValueError(f"unsupported snapshot version {record.version}")
-                        batch_meta, batch, ledger_lines = record, [], []
-                    elif section != "end":
-                        _VALUE_CHECKS[section](record)
-                        batch.append(record)
-                        if section == "ledger":
-                            ledger_lines.append((lineno, record))
-                    elif record.records != len(batch) + 1:
-                        raise SnapshotError(
-                            f"corrupt snapshot {path}: line {lineno}: batch of "
-                            f"{len(batch) + 1} lines ends claiming {record.records}"
-                        )
-                    else:
-                        for record in batch:
-                            section = _SECTION_OF[type(record)]
-                            tables[section][_TABLES[section][1](record)] = record
-                        for n, entry in ledger_lines:
-                            if entry.request_id not in tables["case"]:
-                                raise SnapshotError(
-                                    f"corrupt snapshot {path}: line {n}: ledger entry's "
-                                    f"request_id {entry.request_id!r} names no case"
-                                )
-                            named.setdefault(entry.donor_id, n)
-                        meta, batch = batch_meta, None
-                        complete = offset if raw.endswith(b"\n") else -1
-                        base = base or offset
-                except (AttributeError, KeyError, TypeError, ValueError, DispatchError) as exc:
-                    if raw.strip():
-                        problem = f"line {lineno}: {exc!r}"
-        if meta is None:
-            why = problem or "no end line"
-            raise SnapshotError(f"snapshot {path} is truncated or corrupt: {why}")
-        for donor in tables["donor"].values():
-            named.pop(donor.donor_id, None)
-        if named:
-            donor_id, n = min(named.items(), key=operator.itemgetter(1))
-            raise SnapshotError(
-                f"corrupt snapshot {path}: line {n}: ledger entry's donor_id {donor_id!r} names no donor"
-            )
-        groups = _group_columns(tables["donor"].values())
-        for section, (table, _) in _TABLES.items():
-            setattr(self, table, tables[section])
+
+        def cases_named(tables: dict[str, dict], lines: list[tuple[int, LedgerEntry]]) -> None:
+            for n, entry in lines:
+                if entry.request_id not in tables["case"]:
+                    raise SnapshotError(
+                        f"corrupt snapshot {path}: line {n}: ledger entry's "
+                        f"request_id {entry.request_id!r} names no case"
+                    )
+                named.setdefault(entry.donor_id, n)
+
+        def donors_named(tables: dict[str, dict]) -> None:
+            for donor in tables["donor"].values():
+                named.pop(donor.donor_id, None)
+            if named:
+                donor_id, n = min(named.items(), key=itemgetter(1))
+                raise SnapshotError(
+                    f"corrupt snapshot {path}: line {n}: ledger entry's donor_id {donor_id!r} names no donor"
+                )
+
+        meta = self.journal.restore(path, {"ledger": cases_named}, donors_named)
+        self._groups = _group_columns(self.donors.values())
         self._entries = {}
         for entry in self.ledger.values():
             self._entries.setdefault(entry.request_id, {})[entry.donor_id] = entry
-        self._groups = groups
         self.case_by_message = {c.message_id: c.request_id for c in self.cases.values()}
-        self._donor_seq = meta.donor_seq
-        self._case_seq = meta.case_seq
-        self.clock.now = meta.clock
-        self._wrote(st, base, meta)
-        if complete != offset or offset != st.st_size:
-            self._journal = None  # a dropped tail: the next persist rewrites the file
-
-
-@dataclass(frozen=True)
-class _Journal:
-    """The snapshot file as this engine last wrote or restored it."""
-
-    stat: tuple[int, int, int, int]  # device, inode, size, mtime in ns
-    base: int  # bytes of the full snapshot the appended batches follow
-    meta: _Meta  # the meta line of the file's last batch
-
-
-def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
-    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-
-
-def _identity_at(path: Path) -> tuple[int, int, int, int] | None:
-    try:
-        return _identity(os.stat(path))
-    except OSError:
-        return None
-
-
-def _append(path: Path, data: bytes) -> os.stat_result:
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view) :]
-        return os.fstat(fd)
-    finally:
-        os.close(fd)
-
-
-def _replace(path: Path, data: bytes) -> os.stat_result:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return os.stat(path)
-
-
-_scan = json.JSONDecoder().scan_once
-
-
-def _loads(raw: bytes) -> object:
-    """`json.loads(raw.decode("utf-8"))`, quicker on the lines `persist`
-    writes: a line that starts with its value and ends right after it, or
-    after it and a newline, is scanned once; `json.loads` reads any other,
-    so the two accept and reject the same lines."""
-    text = raw.decode("utf-8")
-    try:
-        obj, end = _scan(text, 0)
-    except StopIteration:  # a value is missing; json.loads says where
-        return json.loads(text)
-    if end == len(text) or (end == len(text) - 1 and text[end] == "\n"):
-        return obj
-    return json.loads(text)
-
-
-def _is_end(raw: bytes) -> bool:
-    try:
-        obj = json.loads(raw)
-    except ValueError:
-        return False
-    return isinstance(obj, dict) and obj.get("section") == "end"
+        self._donor_seq, self._case_seq, self.clock.now = meta.donor_seq, meta.case_seq, meta.clock
 
 
 @dataclass(frozen=True)
 class _Meta:
-    """The first line of a snapshot batch."""
+    """The first line of a snapshot batch: the format version, then the
+    engine's id counters and clock."""
 
     version: int
     donor_seq: int
@@ -1125,203 +845,25 @@ class _Meta:
     clock: int
 
 
-@dataclass(frozen=True)
-class _End:
-    """The last line of a snapshot batch: how many lines the batch holds."""
-
-    records: int
-
-
-# Snapshot section -> the type its lines hold.
-_SECTIONS = {"meta": _Meta, "donor": DonorRecord, "case": RequestCase, "ledger": LedgerEntry, "end": _End}
-_SECTION_OF = {cls: section for section, cls in _SECTIONS.items()}
-# Record section -> the engine table holding its records, and their key there.
-_TABLES = {
-    "donor": ("donors", operator.attrgetter("platform_id")),
-    "case": ("cases", operator.attrgetter("request_id")),
-    "ledger": ("ledger", operator.attrgetter("request_id", "donor_id")),
-}
-# One encoder for every line: `json.dumps(..., ensure_ascii=False)` would
-# build a new one per call.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
-def _line(section: str, record: object) -> str:
-    """One snapshot line: the section, then the record's JSON form."""
-    return _ENCODER.encode({"section": section, **encode(record)})
-
-
-# -- JSON forms -------------------------------------------------------------
-# One form per record type, shared by the snapshot, the HTTP service and the
-# simulation transcript.
-
-
-class FieldError(ValueError):
-    """A JSON object lacks fields of its record type, holds unknown ones, or holds wrong-typed values."""
-
-    def __init__(self, record: str, error: str, names: list[str]):
-        super().__init__(f"{record} {error}: {names}")
-        self.error, self.fields = error, names
+# The engine's journalled tables: section, record type, key, and the check
+# of a restored record's values beyond their JSON types, as the engine writes them.
+_TABLES = (
+    ("donor", DonorRecord, attrgetter("platform_id"), lambda d: check_donor(d.blood_group, d.latitude, d.longitude)),
+    ("case", RequestCase, attrgetter("request_id"), lambda c: _check_one_of("status", c.status, (OPEN, *_TERMINAL))),
+    ("ledger", LedgerEntry, attrgetter("request_id", "donor_id"),
+     lambda e: _check_one_of("response", e.response, _RESPONSES)),
+)
 
 
 def _stored(request: ParsedRequest) -> ParsedRequest:
     """The request as a case stores it: canonical, with a `probable_day` or
     `probable_time` the schema refuses left empty. No other field of a
-    canonical request can fail the schema, so `_request` reads back every
-    case `persist` writes."""
+    canonical request can fail the schema, so `records.decode` reads back
+    every case `persist` writes."""
     canonical = schema.canonicalize(request)
     day, time = canonical.probable_day, canonical.probable_time
     return replace(canonical, probable_day=day if schema.day_pattern_ok(day) else "",
                    probable_time=time if schema.time_pattern_ok(time) else "")
-
-
-def _request(obj: dict) -> ParsedRequest:
-    """A case's request: valid, and canonical as the engine stores it."""
-    outcome = schema.validate(obj)
-    if not isinstance(outcome, ParseOutcome) or outcome.is_negative:
-        raise ValueError("bad case payload")
-    return schema.canonicalize(outcome.request)
-
-
-def _date(value: str) -> date | None:
-    """The date `encode` writes as YYYY-MM-DD, or None for ""; no other
-    ISO 8601 form (Python 3.11's `date.fromisoformat` reads 20250101 too)."""
-    if not value:
-        return None
-    day = date.fromisoformat(value)
-    if day.isoformat() != value:
-        raise ValueError(f"date {value!r} is not YYYY-MM-DD")
-    return day
-
-
-def _anchor(value: list) -> tuple[float, float]:
-    if len(value) != 2 or not all(type(x) in _JSON["float"] for x in value):
-        raise ValueError(f"anchor {value!r} is not two numbers")
-    return float(value[0]), float(value[1])
-
-
-# The fields whose JSON form is not their value: name -> (to JSON, from JSON).
-_FORMS = {
-    DonorRecord: {
-        "last_donation_date": (lambda d: d.isoformat() if d else None, _date)
-    },
-    RequestCase: {
-        "request": (lambda r: schema.to_dict(ParseOutcome.positive(r)), _request),
-        "anchor": (lambda a: list(a) if a else None, _anchor),
-    },
-    LedgerEntry: {}, _Meta: {}, _End: {},
-    PipelineTrace: {"layer1_prob": (lambda p: None if p is None else round(p, 9), lambda p: p)},
-}
-_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _FORMS}
-_NULL = type(None)
-# A field's annotation -> the JSON types its value may hold (none, for one
-# missing here). JSON's true and false are no integers here, nor 1 and 0
-# booleans; an integer is a float.
-_JSON = {
-    "str": (str,), "str | None": (str, _NULL), "int": (int,), "int | None": (int, _NULL), "bool": (bool,),
-    "float": (float, int), "float | None": (float, int, _NULL), "date | None": (str, _NULL),
-    "ParsedRequest": (dict,), "tuple[float, float] | None": (list, _NULL),
-}
-
-
-def _conversion(cls: type, name: str, annotation: str, kind: type) -> Callable | None:
-    """What makes a JSON value of type `kind` the value of a field: its
-    `_FORMS` reader, `float` for an integer where a float goes, or None."""
-    if kind is _NULL:
-        return None
-    form = _FORMS.get(cls, {}).get(name)
-    if form:
-        return form[1]
-    return float if kind is int and float in _JSON[annotation] else None
-
-
-def _signatures(cls: type) -> dict[tuple[type, ...], tuple[tuple[int, Callable], ...]]:
-    """Every type signature of the JSON form of `cls` (the types of its
-    values, in field order) -> the conversions it needs, by position."""
-    fs = fields(cls)
-    return {
-        signature: tuple(
-            (i, convert)
-            for i, (f, kind) in enumerate(zip(fs, signature))
-            if (convert := _conversion(cls, f.name, f.type, kind)) is not None
-        )
-        for signature in itertools.product(*(_JSON[f.type] for f in fs))
-    }
-
-
-def _getter(names: tuple[str, ...]) -> Callable[[dict], tuple]:
-    get = operator.itemgetter(*names)
-    return get if len(names) > 1 else lambda obj: (get(obj),)
-
-
-_SIGNATURES = {cls: _signatures(cls) for cls in _FORMS}
-_GETTERS = {cls: _getter(names) for cls, names in _FIELD_NAMES.items()}
-
-
-def encode(record: DonorRecord | RequestCase | LedgerEntry | PipelineTrace) -> dict:
-    """The JSON form of a donor, case, ledger entry or trace: every field,
-    in declared order; dates as ISO strings or null, the request as
-    `schema.to_dict`, the anchor as a list, Layer 1's probability rounded
-    to 9 digits."""
-    obj = dict(vars(record))
-    for name, (to_json, _) in _FORMS[type(record)].items():
-        obj[name] = to_json(obj[name])
-    return obj
-
-
-def decode(cls: type, obj: dict) -> DonorRecord | RequestCase | LedgerEntry | PipelineTrace:
-    """The record of type `cls` whose JSON form is `obj`, which holds
-    exactly its fields: the inverse of `encode`. One lookup of the values'
-    type signature checks them all and yields the conversions they need;
-    only a form that fails is read again, for the FieldError."""
-    try:
-        values = _GETTERS[cls](obj)
-        conversions = _SIGNATURES[cls][tuple(map(type, values))]
-        if conversions:
-            values = list(values)
-            for i, from_json in conversions:
-                values[i] = from_json(values[i])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        values = None
-    names = _FIELD_NAMES[cls]
-    if values is None or len(obj) != len(names):
-        read_fields(cls, obj, required=names)
-        raise FieldError(cls.__name__, "unknown fields", sorted(obj.keys() - set(names)))
-    return cls(*values)
-
-
-@functools.cache
-def _annotations(cls: type) -> dict[str, str]:
-    return {name: kind for name, kind in cls.__init__.__annotations__.items() if name != "return"}
-
-
-def read_fields(cls: type, obj: dict, names: Iterable[str] = (), required: Iterable[str] = ()) -> dict:
-    """The values `obj` holds for parameters of the constructor of `cls`
-    (only `names`, if given), checked and converted as `decode` does; other
-    keys are ignored. FieldError names the `required` fields `obj` lacks,
-    else the values of a JSON type `_JSON` refuses or that do not convert,
-    and strings that are not text (a lone surrogate, which no UTF-8 file
-    can hold)."""
-    missing = [name for name in required if name not in obj]
-    if missing:
-        raise FieldError(cls.__name__, "missing fields", missing)
-    annotations = _annotations(cls)
-    values, wrong = {}, []
-    for name in names or annotations:
-        if name in obj:
-            value, annotation = obj[name], annotations[name]
-            try:
-                if type(value) not in _JSON.get(annotation, ()):
-                    raise TypeError(name)
-                if type(value) is str:
-                    value.encode("utf-8")  # UnicodeEncodeError is a ValueError
-                convert = _conversion(cls, name, annotation, type(value))
-                values[name] = value if convert is None else convert(value)
-            except (TypeError, ValueError, OverflowError):
-                wrong.append(name)
-    if wrong:
-        raise FieldError(cls.__name__, "wrong-typed fields", wrong)
-    return values
 
 
 # What a donor write may change: the fields the engine does not assign.

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import layer1, schema, textrep
 from .corpus import Corpus, split
-from .layer1 import ClassReport, Hyper, _timed_report
+from .layer1 import ClassReport, Hyper, timed_report
 from .layer2 import Backend
 from .schema import ParseOutcome
 from .ted import tree_edit_distance
@@ -333,7 +333,7 @@ def compare_classifiers(
     model = layer1.train(train_set, dlf_hyper or Hyper(dim=32, buckets=2**18, epochs=8, lr=0.5, seed=seed))
     reports = {"dlf": layer1.classification_report(model, test_set, timing_calls)}
     baseline = train_tfidf_logreg(train_set, seed=seed)
-    reports["tfidf_logreg"] = _timed_report(baseline.predict, test_set, timing_calls)
+    reports["tfidf_logreg"] = timed_report(baseline.predict, test_set, timing_calls)
     return reports
 
 

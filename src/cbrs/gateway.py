@@ -28,11 +28,10 @@ from pathlib import Path
 from typing import Iterable
 
 from . import layer1
-from .dispatch import (
-    DONOR_FIELDS, Clock, DispatchEngine, DispatchError, DonorRecord, FULFILLED, PipelineTrace, encode, read_fields,
-)
+from .dispatch import DONOR_FIELDS, Clock, DispatchEngine
 from .layer1 import ClassifierModel
 from .layer2 import Backend
+from .records import FULFILLED, DonorRecord, PipelineTrace, encode, read_fields
 from .schema import ParseOutcome
 
 log = logging.getLogger(__name__)
@@ -68,7 +67,7 @@ class InboundEvent:
 
 
 def decode_event(obj: dict, required: Iterable[str] = (), **defaults) -> InboundEvent:
-    """The event a JSON object describes, read by `dispatch.read_fields`;
+    """The event a JSON object describes, read by `records.read_fields`;
     fields it lacks come from `defaults`, then from `InboundEvent`'s own.
     ValueError for an unknown kind."""
     return InboundEvent(**{**defaults, **read_fields(InboundEvent, obj, required=required)})
@@ -253,6 +252,7 @@ class Gateway:
 
         What the event changed is persisted before the record is returned.
         """
+        queued = len(self.engine.outbound)
         if ev.kind == "command" or (ev.kind == "message" and ev.text.startswith("/")):
             action = {"action": "command_reply", "reply": self.handle_command(ev.text, ev.sender)}
         elif ev.kind == "message":
@@ -261,14 +261,15 @@ class Gateway:
             action = {"action": "edit", "status": self.handle_edit_event(ev)}
         else:
             action = {"action": "donor_response", "status": self.handle_donor_response(ev)}
-        self.persist()
+        self.persist(queued)
         return action
 
     def put_donor(self, platform_id: str, fields: dict) -> DonorRecord:
         """Write a donor by `DispatchEngine.put_donor`'s rule and persist
         the write before returning the record."""
+        queued = len(self.engine.outbound)
         record = self.engine.put_donor(platform_id, fields)
-        self.persist()
+        self.persist(queued)
         return record
 
     def replay(self, line: dict, decoded: InboundEvent | tuple[str, dict] | None) -> list[dict]:
@@ -301,12 +302,15 @@ class Gateway:
             action = self.handle_event(decoded)
         return [*due, {"tick": tick, "event": line, "action": action}, *outbound()]
 
-    def persist(self) -> None:
+    def persist(self, queued: int = 0) -> None:
         """Save the engine's unsaved changes to `snapshot_path`, if one is set.
         A failed save takes the restart path, then raises: the engine is put
         back as restored from the file, which holds exactly the acknowledged
         state (none while there is no file); traces of cases it lacks go, and
-        so does a first-response time of a case it holds unfulfilled."""
+        so does a first-response time of a case it holds unfulfilled. The
+        first `queued` outbound events, queued before the failed step began,
+        stay queued; the step's own go. The group order is emptied, as a
+        restart empties it."""
         try:
             if self.snapshot_path is not None:
                 self.engine.persist(self.snapshot_path)
@@ -314,7 +318,9 @@ class Gateway:
             engine = DispatchEngine(self.clock, self.engine.stage_size, self.engine.stage_timeout, self.engine.eligibility_days)
             if self.snapshot_path.exists():
                 engine.restore(self.snapshot_path)  # if this raises too, the engine stays as it is
+            engine.outbound = self.engine.outbound[:queued]
             self.engine = engine
+            self._last_tick_per_group = {}
             self.traces = {m: t for m, t in self.traces.items() if m in engine.case_by_message}
             for trace in self.traces.values():
                 if engine.cases[trace.request_id].status != FULFILLED:
@@ -428,7 +434,7 @@ def load_scenario(path: str | Path) -> tuple[dict, list[tuple[dict, object]]]:
                     if obj["kind"] == "donor":
                         registry.put_donor(*decoded)
                     lines.append((obj, decoded))
-            except (ValueError, DispatchError) as exc:
+            except ValueError as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
             ticks.append(obj["tick"])
     if ticks != sorted(ticks):

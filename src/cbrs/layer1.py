@@ -272,7 +272,7 @@ def build_report(
     )
 
 
-def _timed_report(predict: Callable[[str], int], testset: Corpus, timing_calls: int) -> ClassReport:
+def timed_report(predict: Callable[[str], int], testset: Corpus, timing_calls: int) -> ClassReport:
     """Confusion-matrix metrics of `predict` on a test set plus its timing.
 
     Timing is the median and mean wall-clock seconds per call over at
@@ -295,7 +295,7 @@ def classification_report(
     model: ClassifierModel, testset: Corpus, timing_calls: int = 1000
 ) -> ClassReport:
     """Confusion-matrix metrics at the model threshold plus forward timing."""
-    return _timed_report(lambda text: forward(model, text).label, testset, timing_calls)
+    return timed_report(lambda text: forward(model, text).label, testset, timing_calls)
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:

@@ -6,7 +6,7 @@ wrong-typed input gets a 400 with field diagnostics before any state
 changes, a body over `MAX_BODY_BYTES` a 413 before it is read, unknown
 ids a 404. POST /donors writes through `Gateway.put_donor`, as a scenario
 `donor` line does. Donors, cases, ledger entries and traces are
-answered in the JSON form `dispatch.encode` gives them. Handlers share one
+answered in the JSON form `records.encode` gives them. Handlers share one
 lock so case/ledger mutations stay serialized. With a snapshot path set,
 every POST persists what it changed, under the lock, before it replies.
 A POST whose Layer-2 call or persist failed gets a 503 with `Retry-After`:
@@ -22,11 +22,10 @@ from dataclasses import dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .dispatch import (
-    DONOR_FIELDS, DispatchError, DonorRecord, FieldError, RequestCase, check_staging, encode, read_fields,
-)
+from .dispatch import DONOR_FIELDS, check_staging
 from .gateway import Gateway, decode_event
 from .layer2 import BackendConfig
+from .records import DonorRecord, FieldError, RequestCase, encode, read_fields
 
 log = logging.getLogger(__name__)
 
@@ -154,7 +153,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(404, {"error": f"unknown path {self.path}"})
         except FieldError as exc:
             self._send(400, {"error": exc.error, "fields": exc.fields})
-        except (DispatchError, ValueError) as exc:
+        except ValueError as exc:  # a DispatchError too
             self._send(400, {"error": str(exc)})
         except Exception as exc:  # a failed persist (the gateway put back its file's state), or a fault
             log.exception("POST %s failed", self.path)

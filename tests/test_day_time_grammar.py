@@ -244,7 +244,7 @@ def test_a_day_or_an_hour_count_past_what_can_be_read_opens_a_case_without_a_dea
 
 def test_refused_times_read_nothing_where_the_references_read_a_prefix():
     # The one place the derived rules differ: values no validator accepts,
-    # so no case holds them (see `schema.validate` and `dispatch._request`).
+    # so no case holds them (see `schema.validate` and `records._request`).
     epoch = date(2025, 1, 1)
     assert _reference("", "before 24:00", 0, epoch) == (None, 3)
     assert _derived("", "before 24:00", 0, epoch) == (None, 1)

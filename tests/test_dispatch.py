@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cbrs import dispatch as dp
+from cbrs import journal, records
 from cbrs.dispatch import Clock, DispatchEngine, DispatchError, SnapshotError, haversine_km
 from cbrs.gateway import ScenarioError, load_scenario
 from cbrs.schema import Contact, ParsedRequest, ParseOutcome
@@ -813,7 +814,7 @@ def test_restore_reads_integer_coordinates_as_floats(tmp_path):
 )
 def test_decode_names_the_record_type_and_the_fields(obj, error, names):
     with pytest.raises(dp.FieldError) as err:
-        dp.decode(dp._Meta, obj)
+        records.decode(dp._Meta, obj)
     assert (err.value.error, err.value.fields) == (error, names)
     assert str(err.value).startswith("_Meta ")
 
@@ -823,9 +824,9 @@ def test_decode_inverts_encode_for_every_record_type():
     eng.register_donor("u1", "O+", 23.8, 90.4, date(2024, 12, 1))
     eng.register_donor("u2", "O+", 23.9, 90.5)
     case = eng.open_case("m1", _request(day="today"))
-    trace = dp.PipelineTrace("m1", t_arrival=0, layer1_prob=0.5, layer2_outcome="request", request_id="r00001")
-    for record in (*eng.donors.values(), case, *eng.ledger.values(), trace, eng._meta(), dp._End(3)):
-        assert dp.decode(type(record), json.loads(json.dumps(dp.encode(record)))) == record
+    trace = records.PipelineTrace("m1", t_arrival=0, layer1_prob=0.5, layer2_outcome="request", request_id="r00001")
+    for record in (*eng.donors.values(), case, *eng.ledger.values(), trace, eng._meta(), journal._End(3)):
+        assert records.decode(type(record), json.loads(json.dumps(records.encode(record)))) == record
 
 
 @pytest.mark.parametrize("value", ["20250101", "2025-W01-3", "2025-01-1", " 2025-01-01"])
@@ -835,19 +836,19 @@ def test_a_date_reads_only_in_the_form_encode_writes(tmp_path, value):
     # refuse every form but YYYY-MM-DD, on either version.
     good = {"donor_id": "d00001", "platform_id": "u1", "blood_group": "O+", "latitude": 23.8,
             "longitude": 90.4, "last_donation_date": "2025-01-01", "registered_at": 0}
-    assert dp.decode(dp.DonorRecord, good).last_donation_date == date(2025, 1, 1)
+    assert records.decode(dp.DonorRecord, good).last_donation_date == date(2025, 1, 1)
     with pytest.raises(dp.FieldError, match="last_donation_date"):
-        dp.decode(dp.DonorRecord, {**good, "last_donation_date": value})
+        records.decode(dp.DonorRecord, {**good, "last_donation_date": value})
     body = {"platform_id": "u1", "last_donation_date": value}
     with pytest.raises(dp.FieldError, match="last_donation_date"):
-        dp.read_fields(dp.DonorRecord, body, ("platform_id", *dp.DONOR_FIELDS), required=("platform_id",))
+        records.read_fields(dp.DonorRecord, body, ("platform_id", *dp.DONOR_FIELDS), required=("platform_id",))
     line = {"tick": 0, "kind": "donor", "sender": "u1", "blood_group": "O+", "latitude": 23.8,
             "longitude": 90.4, "last_donation_date": value}
     scenario = tmp_path / "donor.jsonl"
     scenario.write_text(json.dumps(line, ensure_ascii=False) + "\n", "utf-8")
     with pytest.raises(ScenarioError, match=":1: .*last_donation_date"):
         load_scenario(scenario)
-    assert dp.decode(dp.DonorRecord, {**good, "last_donation_date": ""}).last_donation_date is None
+    assert records.decode(dp.DonorRecord, {**good, "last_donation_date": ""}).last_donation_date is None
 
 
 def _edit_line(line: str, **changes) -> str:
@@ -904,8 +905,8 @@ def test_restore_pauses_the_gc_and_leaves_it_as_it_found_it(tmp_path, monkeypatc
     if not good:
         path.write_text(path.read_text("utf-8")[:-20], "utf-8")  # the end line cut short
     seen = []
-    decode = dp.decode
-    monkeypatch.setattr(dp, "decode", lambda cls, obj: seen.append(gc.isenabled()) or decode(cls, obj))
+    decode = journal.decode
+    monkeypatch.setattr(journal, "decode", lambda cls, obj: seen.append(gc.isenabled()) or decode(cls, obj))
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()

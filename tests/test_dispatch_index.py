@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from cbrs import dispatch as dp
+from cbrs import journal
 from cbrs.dispatch import Clock, DispatchEngine, haversine_km
 from cbrs.schema import BLOOD_GROUPS, ParsedRequest, ParseOutcome
 
@@ -577,7 +578,7 @@ def _outcome(read, raw):
 def test_snapshot_lines_read_as_json_loads_reads_them():
     for text in LINE_VARIANTS:
         raw = text.encode("utf-8")
-        assert _outcome(dp._loads, raw) == _outcome(lambda r: json.loads(r.decode("utf-8")), raw)
+        assert _outcome(journal._loads, raw) == _outcome(lambda r: json.loads(r.decode("utf-8")), raw)
 
 
 def test_restore_accepts_padded_lines_and_any_key_order(tmp_path):

@@ -1,9 +1,11 @@
+import errno
 import json
 from dataclasses import replace
 
 import pytest
 
 from cbrs import gateway as gw
+from cbrs import journal
 from cbrs.dispatch import Clock, DispatchEngine, FULFILLED, RESOLVED_EXTERNALLY
 from cbrs.gateway import Gateway, InboundEvent, bundled_scenarios, load_scenario, simulate
 from cbrs.layer2 import Backend, ParseRecord, RulesBackend, parse_rules
@@ -613,3 +615,47 @@ def test_scenario_rejects_unordered(tmp_path):
     )
     with pytest.raises(gw.ScenarioError):
         load_scenario(bad)
+
+
+def _full_disk(monkeypatch):
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(journal, "_append", full)
+    monkeypatch.setattr(journal, "_replace", full)
+
+
+@pytest.mark.parametrize("step", ["message", "donor"])
+def test_a_failed_save_keeps_the_events_queued_before_its_step(scenario_model, tmp_path, monkeypatch, step):
+    # An acknowledged request's alerts, not yet drained, outlive a later
+    # step whose save fails; that step's own events go with its changes.
+    g, _ = _gateway(scenario_model, snapshot_path=tmp_path / "s.snap")
+    for i in range(4):
+        g.put_donor(f"p{i}", {"blood_group": "O+", "latitude": 23.8 + i / 100, "longitude": 90.4})
+    g.handle_event(InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT, tick=1))
+    acknowledged = list(g.engine.outbound)
+    assert [e["kind"] for e in acknowledged] == ["donor_alert"] * 3
+    with monkeypatch.context() as m:
+        _full_disk(m)
+        with pytest.raises(OSError):
+            if step == "message":
+                g.handle_event(InboundEvent(kind="message", message_id="m2", text=REQUEST_TEXT, tick=2))
+            else:
+                g.put_donor("p9", {"blood_group": "B+", "latitude": 23.7, "longitude": 90.3})
+    assert g.engine.outbound == acknowledged
+    assert list(g.engine.cases) == ["r00001"] and "p9" not in g.engine.donors
+
+
+def test_a_failed_save_empties_the_group_order_as_a_restart_does(scenario_model, tmp_path, monkeypatch):
+    snapshot = tmp_path / "s.snap"
+    g, _ = _gateway(scenario_model, snapshot_path=snapshot)
+    g.put_donor("p0", {"blood_group": "O+", "latitude": 23.8, "longitude": 90.4})
+    with monkeypatch.context() as m:
+        _full_disk(m)
+        with pytest.raises(OSError):
+            g.handle_event(InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT, tick=50))
+    early = InboundEvent(kind="message", message_id="m2", text=CHITCHAT, tick=20)
+    assert _restarted(g, scenario_model, snapshot).handle_event(early)["action"] == "ingested"
+    assert g.handle_event(early)["action"] == "ingested"
+    with pytest.raises(ValueError, match="out of order"):
+        g.handle_event(InboundEvent(kind="message", message_id="m3", text=CHITCHAT, tick=10))

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from cbrs import dispatch as dp
+from cbrs import journal
 from cbrs import layer1
 from cbrs.dispatch import Clock, DispatchEngine
 from cbrs.gateway import Gateway, InboundEvent
@@ -207,7 +208,7 @@ class GatewayMachine(RuleBasedStateMachine):
                 message_id = engine.cases[key[0]].message_id
                 ev = InboundEvent(kind="donor_response", tick=self.tick, sender=sender, message_id=message_id, text="yes")
             step = lambda g: g.handle_event(ev)  # noqa: E731
-        with mock.patch.object(dp, "_append", half), mock.patch.object(dp, "_replace", nothing):
+        with mock.patch.object(journal, "_append", half), mock.patch.object(journal, "_replace", nothing):
             try:
                 step(self.live)
             except OSError:

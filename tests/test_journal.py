@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbrs import dispatch
+from cbrs import journal
 from cbrs.dispatch import Clock, DispatchEngine
 from cbrs.gateway import Gateway, bundled_scenarios, load_scenario
 from cbrs.layer2 import RulesBackend
@@ -64,7 +64,7 @@ def replay(path: Path, model, snapshot: Path, restart: bool) -> str:
 @pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
 def test_crash_after_every_event(path, scenario_model, tmp_path, monkeypatch, restart, appending):
     if appending:
-        monkeypatch.setattr(dispatch, "_TAIL_LIMIT", 10**9)
+        monkeypatch.setattr(journal, "_TAIL_LIMIT", 10**9)
     snapshot = tmp_path / "state.snap"
     text = replay(path, scenario_model, snapshot, restart)
     assert text == (GOLDEN / f"{path.stem}.txt").read_text(encoding="utf-8")
@@ -76,7 +76,7 @@ def test_snapshot_bytes_match_golden(scenario_model, tmp_path, monkeypatch):
     """The bytes `persist` writes, pinned: the batches appended while
     `three_requests` replays (donor, case and ledger lines among them), and
     a full snapshot of the engine restored from them."""
-    monkeypatch.setattr(dispatch, "_TAIL_LIMIT", 10**9)
+    monkeypatch.setattr(journal, "_TAIL_LIMIT", 10**9)
     [path] = [p for p in bundled_scenarios() if p.stem == "three_requests"]
     snapshot = tmp_path / "state.snap"
     replay(path, scenario_model, snapshot, restart=False)

@@ -6,10 +6,11 @@ import urllib.request
 
 import pytest
 
-from cbrs import dispatch as dp
-from cbrs.dispatch import Clock, DispatchEngine, SnapshotError, encode
+from cbrs import journal
+from cbrs.dispatch import Clock, DispatchEngine, SnapshotError
 from cbrs.gateway import Gateway, ScenarioError, load_scenario, simulate
 from cbrs.layer2 import Backend, BackendConfig, RulesBackend, parse_rules
+from cbrs.records import encode
 from cbrs.schema import ParsedRequest, ParseOutcome, to_dict
 from cbrs.service import MAX_BODY_BYTES, ServiceConfig, _case_payload, serve
 from test_gateway import CountingBackend
@@ -310,8 +311,8 @@ def _full_disk(monkeypatch):
     def full(*args):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(dp, "_append", full)
-    monkeypatch.setattr(dp, "_replace", full)
+    monkeypatch.setattr(journal, "_append", full)
+    monkeypatch.setattr(journal, "_replace", full)
 
 
 def test_a_full_disk_answers_503_and_changes_nothing(scenario_model, tmp_path, monkeypatch):
