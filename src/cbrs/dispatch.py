@@ -502,6 +502,7 @@ class DispatchEngine:
         # current by every registration and update (`_store`)
         self._groups: dict[str, _GroupIndex] = _group_columns(())
         self.outbound: list[dict] = []
+        self.outbound_saved = 0  # the first events of `outbound` whose changes the file holds
         self._donor_seq = 0
         self._case_seq = 0
 
@@ -773,7 +774,7 @@ class DispatchEngine:
         self.outbound.append({"kind": kind, "request_id": request_id, "tick": self.clock.now, **detail})
 
     def drain_outbound(self) -> list[dict]:
-        events, self.outbound = self.outbound, []
+        events, self.outbound, self.outbound_saved = self.outbound, [], 0
         return events
 
     # -- persistence --------------------------------------------------------
@@ -784,8 +785,11 @@ class DispatchEngine:
     def persist(self, path: str | Path) -> None:
         """Save the engine's state to `path` before a change is acknowledged:
         the donors, cases and ledger entries changed since the last write
-        are appended, or the whole state is rewritten (`Journal.persist`)."""
+        are appended, or the whole state is rewritten (`Journal.persist`).
+        Then `outbound_saved` counts the queued events: the file holds their
+        changes."""
         self.journal.persist(Path(path), self._meta())
+        self.outbound_saved = len(self.outbound)
 
     def restore(self, path: str | Path) -> None:
         """Load a snapshot and its complete appended batches, or nothing

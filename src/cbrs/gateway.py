@@ -92,7 +92,9 @@ class Gateway:
 
     The engine's clock is the one time source: `clock` only builds the
     default engine, and a clock that is not the given engine's is refused.
-    `engine.case_by_message` is the one index that routes a message or edit.
+    An event's `tick` and `group_id` are read by no rule, so a redelivery is
+    accepted whatever came after it. `engine.case_by_message` is the one
+    index that routes a message or edit.
     """
 
     def __init__(
@@ -115,7 +117,6 @@ class Gateway:
         self.snapshot_path = Path(snapshot_path) if snapshot_path else None
         self.traces: dict[str, PipelineTrace] = {}  # of the messages that opened a case
         self.layer2_calls = 0
-        self._last_tick_per_group: dict[str, int] = {}
 
     @property
     def clock(self) -> Clock:
@@ -181,22 +182,17 @@ class Gateway:
 
     def ingest_message(self, ev: InboundEvent) -> PipelineTrace:
         """Run one message through both layers and, on a parse, open its case.
-        A redelivery (an id with a case) changes nothing, its trace naming the case;
-        nor does a Layer-2 error, whose tick the group order does not record."""
+        A redelivery (an id with a case) changes nothing, its trace naming the
+        case; nor does a Layer-2 error."""
         if ev.kind != "message":
             raise ValueError(f"ingest_message needs a message event, got {ev.kind!r}")
         request_id = self.engine.case_by_message.get(ev.message_id)
         trace = PipelineTrace(message_id=ev.message_id, t_arrival=self.clock.now, request_id=request_id)
         if request_id is not None:
             return trace
-        last = self._last_tick_per_group.get(ev.group_id)
-        if last is not None and ev.tick < last:
-            raise ValueError(f"events out of order in group {ev.group_id}: {ev.tick} after {last}")
         decision = self._decide(ev)
         trace.layer1_prob = decision.layer1_prob
         trace.layer2_outcome = decision.status
-        if decision.status != "error":
-            self._last_tick_per_group[ev.group_id] = ev.tick
         if decision.status != "request":
             return trace
         case = self.engine.open_case(ev.message_id, decision.outcome.request)
@@ -252,7 +248,6 @@ class Gateway:
 
         What the event changed is persisted before the record is returned.
         """
-        queued = len(self.engine.outbound)
         if ev.kind == "command" or (ev.kind == "message" and ev.text.startswith("/")):
             action = {"action": "command_reply", "reply": self.handle_command(ev.text, ev.sender)}
         elif ev.kind == "message":
@@ -261,15 +256,14 @@ class Gateway:
             action = {"action": "edit", "status": self.handle_edit_event(ev)}
         else:
             action = {"action": "donor_response", "status": self.handle_donor_response(ev)}
-        self.persist(queued)
+        self.persist()
         return action
 
     def put_donor(self, platform_id: str, fields: dict) -> DonorRecord:
         """Write a donor by `DispatchEngine.put_donor`'s rule and persist
         the write before returning the record."""
-        queued = len(self.engine.outbound)
         record = self.engine.put_donor(platform_id, fields)
-        self.persist(queued)
+        self.persist()
         return record
 
     def replay(self, line: dict, decoded: InboundEvent | tuple[str, dict] | None) -> list[dict]:
@@ -302,15 +296,14 @@ class Gateway:
             action = self.handle_event(decoded)
         return [*due, {"tick": tick, "event": line, "action": action}, *outbound()]
 
-    def persist(self, queued: int = 0) -> None:
+    def persist(self) -> None:
         """Save the engine's unsaved changes to `snapshot_path`, if one is set.
         A failed save takes the restart path, then raises: the engine is put
         back as restored from the file, which holds exactly the acknowledged
         state (none while there is no file); traces of cases it lacks go, and
         so does a first-response time of a case it holds unfulfilled. The
-        first `queued` outbound events, queued before the failed step began,
-        stay queued; the step's own go. The group order is emptied, as a
-        restart empties it."""
+        outbound events queued by the last successful save stay queued
+        (`engine.outbound_saved`); those whose changes the file lacks go."""
         try:
             if self.snapshot_path is not None:
                 self.engine.persist(self.snapshot_path)
@@ -318,9 +311,9 @@ class Gateway:
             engine = DispatchEngine(self.clock, self.engine.stage_size, self.engine.stage_timeout, self.engine.eligibility_days)
             if self.snapshot_path.exists():
                 engine.restore(self.snapshot_path)  # if this raises too, the engine stays as it is
-            engine.outbound = self.engine.outbound[:queued]
+            engine.outbound = self.engine.outbound[: self.engine.outbound_saved]
+            engine.outbound_saved = len(engine.outbound)
             self.engine = engine
-            self._last_tick_per_group = {}
             self.traces = {m: t for m, t in self.traces.items() if m in engine.case_by_message}
             for trace in self.traces.values():
                 if engine.cases[trace.request_id].status != FULFILLED:

@@ -201,12 +201,19 @@ def strip_code_fences(reply: str) -> str:
 
 
 def _interpret_reply(reply: str) -> tuple[ParseOutcome | None, bool, str]:
-    """Validate, then repair once. Returns (outcome, repair_applied, error).
-    An outcome holding a string that is not text (a lone surrogate, which
-    no UTF-8 snapshot can hold) is unrepairable."""
-    stripped = strip_code_fences(reply)
-    result = schema.validate(stripped)
-    outcome = result if isinstance(result, ParseOutcome) else schema.repair(stripped)
+    """Load the reply's JSON once, validate it, then repair once. Returns
+    (outcome, repair_applied, error). A reply whose JSON is not an object (a
+    string holding one too) is unrepairable, and so is an outcome holding a
+    string that is not text (a lone surrogate, which no UTF-8 snapshot can
+    hold)."""
+    try:
+        obj = json.loads(strip_code_fences(reply))
+    except json.JSONDecodeError as exc:
+        return None, False, f"$: invalid JSON: {exc.msg}"
+    if not isinstance(obj, dict):
+        obj = None  # validate refuses it as no object; a string it would load again
+    result = schema.validate(obj)
+    outcome = result if isinstance(result, ParseOutcome) else schema.repair(obj)
     if outcome is None:
         return None, False, "; ".join(str(e) for e in result)
     try:

@@ -160,7 +160,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(503, {"error": f"{type(exc).__name__}: {exc}"})
 
     def _post_message(self, body: dict) -> None:
-        ev = decode_event(body, ("message_id", "text"), kind="message", platform="api", group_id="api")
+        ev = decode_event(body, ("message_id", "text"), kind="message")
         with self.lock:
             action = self.gateway.handle_event(ev)
         if action.get("status") == "parse-error" or action.get("trace", {}).get("layer2_outcome") == "error":

@@ -5,7 +5,7 @@ import pytest
 
 from cbrs import cli, schema
 from cbrs.corpus import save_corpus
-from cbrs.gateway import bundled_scenarios
+from cbrs.gateway import InboundEvent, bundled_scenarios
 from cbrs.layer1 import Hyper
 from cbrs.synth import goldset, separable_corpus
 
@@ -252,3 +252,26 @@ def test_serve_uses_the_model_threshold_unless_the_config_sets_one(corpus_file, 
         conf.write_text(f"model_path = {model}\n{text}")
         assert cli.main(["serve", "--config", str(conf)]) == 0
         assert served.pop().threshold == threshold
+
+
+def test_serve_restores_an_existing_snapshot(model_file, tmp_path, monkeypatch):
+    # The first serve writes a donor and a case through its gateway; the
+    # second, on the same config, starts from the file that left.
+    served = []
+
+    def fake_serve(gateway, port):
+        served.append(gateway)
+        return SimpleNamespace(port=port, thread=SimpleNamespace(join=lambda: None), shutdown=lambda: None)
+
+    monkeypatch.setattr(cli, "serve", fake_serve)
+    conf = tmp_path / "cbrs.conf"
+    conf.write_text(f"model_path = {model_file}\nsnapshot_path = {tmp_path / 'served.snap'}\n")
+    assert cli.main(["serve", "--config", str(conf)]) == 0
+    first = served.pop()
+    first.put_donor("alice", {"blood_group": "O+", "latitude": 23.81, "longitude": 90.41})
+    text = "Urgent! 2 bags O+ blood needed at Square Hospital, Dhaka. Call 01712345678 today."
+    assert first.handle_event(InboundEvent(kind="message", message_id="m1", text=text))["trace"]["request_id"] == "r00001"
+    assert cli.main(["serve", "--config", str(conf)]) == 0
+    second = served.pop()
+    assert second.engine.donors == first.engine.donors and second.engine.cases == first.engine.cases
+    assert second.engine.case_by_message == {"m1": "r00001"}

@@ -196,10 +196,10 @@ def test_gateway_refuses_a_clock_other_than_its_engines(scenario_model):
     assert g.clock is engine.clock
 
 
-def test_a_layer2_error_records_no_group_tick(scenario_model):
-    # A message whose Layer-2 call failed changed nothing, so a message
-    # before it in the same group is still in order, and its redelivery
-    # (the retry) opens the case.
+def test_a_layer2_error_changes_nothing_and_its_redelivery_opens_the_case(scenario_model):
+    # A message whose Layer-2 call failed changed nothing: a message before
+    # it in the same group is ingested, and its redelivery (the retry)
+    # opens the case.
     g, _ = _gateway(scenario_model)
     working = g.backend
     g.backend = BrokenBackend(raises=True)
@@ -208,15 +208,19 @@ def test_a_layer2_error_records_no_group_tick(scenario_model):
     g.backend = working
     assert g.ingest_message(InboundEvent(kind="message", message_id="m1", text=CHITCHAT, tick=10)).layer2_outcome == "skipped"
     assert g.ingest_message(late).request_id == "r00001"
-    with pytest.raises(ValueError, match="out of order"):
-        g.ingest_message(InboundEvent(kind="message", message_id="m3", text=CHITCHAT, tick=20))
 
 
-def test_group_order_enforced(scenario_model):
+def test_a_redelivery_after_a_later_message_of_its_group_opens_its_case(scenario_model):
+    # The redelivery carries its message's own tick, older than the message
+    # that got through in between: no tick order refuses it.
     g, _ = _gateway(scenario_model)
-    g.ingest_message(InboundEvent(kind="message", message_id="m1", text=CHITCHAT, tick=10))
-    with pytest.raises(ValueError):
-        g.ingest_message(InboundEvent(kind="message", message_id="m2", text=CHITCHAT, tick=5))
+    working, g.backend = g.backend, BrokenBackend(raises=True)
+    request = InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT, tick=50)
+    assert g.handle_event(request)["trace"]["layer2_outcome"] == "error"
+    g.backend = working
+    later = InboundEvent(kind="message", message_id="m2", text=CHITCHAT, tick=60)
+    assert g.handle_event(later)["trace"]["layer2_outcome"] == "skipped"
+    assert g.handle_event(request)["trace"]["request_id"] == "r00001"
 
 
 def test_slash_message_routes_to_command(scenario_model):
@@ -646,7 +650,7 @@ def test_a_failed_save_keeps_the_events_queued_before_its_step(scenario_model, t
     assert list(g.engine.cases) == ["r00001"] and "p9" not in g.engine.donors
 
 
-def test_a_failed_save_empties_the_group_order_as_a_restart_does(scenario_model, tmp_path, monkeypatch):
+def test_a_failed_save_answers_an_older_message_as_a_restart_does(scenario_model, tmp_path, monkeypatch):
     snapshot = tmp_path / "s.snap"
     g, _ = _gateway(scenario_model, snapshot_path=snapshot)
     g.put_donor("p0", {"blood_group": "O+", "latitude": 23.8, "longitude": 90.4})
@@ -657,5 +661,49 @@ def test_a_failed_save_empties_the_group_order_as_a_restart_does(scenario_model,
     early = InboundEvent(kind="message", message_id="m2", text=CHITCHAT, tick=20)
     assert _restarted(g, scenario_model, snapshot).handle_event(early)["action"] == "ingested"
     assert g.handle_event(early)["action"] == "ingested"
-    with pytest.raises(ValueError, match="out of order"):
-        g.handle_event(InboundEvent(kind="message", message_id="m3", text=CHITCHAT, tick=10))
+
+
+def test_a_message_older_than_its_group_gets_the_same_answer_after_a_restart(scenario_model, tmp_path):
+    snapshot = tmp_path / "s.snap"
+    g, _ = _gateway(scenario_model, snapshot_path=snapshot)
+    g.handle_event(InboundEvent(kind="message", message_id="m1", text=CHITCHAT, tick=50))
+    early = InboundEvent(kind="message", message_id="m2", text=CHITCHAT, tick=10)
+    assert g.handle_event(early) == _restarted(g, scenario_model, snapshot).handle_event(early)
+
+
+def test_a_second_failed_save_keeps_the_acknowledged_events_too(scenario_model, tmp_path, monkeypatch):
+    g, _ = _gateway(scenario_model, snapshot_path=tmp_path / "s.snap")
+    g.put_donor("p0", {"blood_group": "O+", "latitude": 23.8, "longitude": 90.4})
+    g.handle_event(InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT, tick=1))
+    acknowledged = list(g.engine.outbound)
+    with monkeypatch.context() as m:
+        _full_disk(m)
+        for message_id in ("m2", "m3"):
+            with pytest.raises(OSError):
+                g.handle_event(InboundEvent(kind="message", message_id=message_id, text=REQUEST_TEXT, tick=2))
+    assert [e["kind"] for e in acknowledged] == ["donor_alert"] and g.engine.outbound == acknowledged
+
+
+def test_a_failed_save_keeps_only_the_events_the_file_holds(scenario_model, tmp_path, monkeypatch):
+    # Stage 1's alert is delivered. Stage 2 fires outside a step, so its
+    # alert is queued while its ledger entry is unsaved. A failed save drops
+    # both; the restored engine fires stage 2 again, and each donor is
+    # alerted once.
+    snapshot = tmp_path / "s.snap"
+    g = Gateway(scenario_model, RulesBackend(), engine=DispatchEngine(clock=Clock(), stage_size=1),
+                snapshot_path=snapshot)
+    for i in range(3):
+        g.put_donor(f"p{i}", {"blood_group": "O+", "latitude": 23.8 + i / 100, "longitude": 90.4})
+    g.handle_event(InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT, tick=1))
+    delivered = g.engine.drain_outbound()
+    g.engine.advance_to(700)
+    with monkeypatch.context() as m:
+        _full_disk(m)
+        with pytest.raises(OSError):
+            g.handle_event(InboundEvent(kind="message", message_id="m2", text=CHITCHAT, tick=700))
+    g.engine.advance_to(800)
+    events = delivered + g.engine.drain_outbound()
+    alerts = [(e["request_id"], e["donor_id"]) for e in events if e["kind"] == "donor_alert"]
+    assert alerts == [("r00001", "d00002"), ("r00001", "d00003")]
+    g.handle_event(InboundEvent(kind="message", message_id="m3", text=CHITCHAT, tick=800))
+    assert _restarted(g, scenario_model, snapshot).engine.ledger == g.engine.ledger

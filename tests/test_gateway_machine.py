@@ -6,7 +6,9 @@ negatives), redeliveries of sent messages, edits (a managed marker, a field
 change, chatter edited into a request, an id never sent), donor writes
 through `Gateway.put_donor`, donor replies from alerted donors and others,
 clock steps through `Gateway.replay`, and crashes, after which a new engine
-and a new gateway are restored from the file alone. Ticks never decrease.
+and a new gateway are restored from the file alone. Each new message comes
+a tick after the last event; a redelivery carries its message's first tick,
+as a sender's retry does, so it is older than the messages sent in between.
 Two rules fail a step: a broken Layer-2 backend, which both gateways see,
 and a full disk, which only the live gateway's persist meets; the twin gets
 an event only if the live gateway acknowledged it.
@@ -78,7 +80,7 @@ class GatewayMachine(RuleBasedStateMachine):
         self.live.persist()
         self.twin = _gateway(DispatchEngine(clock=Clock(), **KNOBS))
         self.tick = 0
-        self.sent: dict[str, str] = {}  # message id -> the text first sent
+        self.sent: dict[str, tuple[str, int]] = {}  # message id -> the text and tick first sent
         self.outbound: dict[str, list[dict]] = {"live": [], "twin": []}
         self.first_answer: dict[tuple[str, str], str] = {}
         self.managed: set[str] = set()
@@ -98,21 +100,27 @@ class GatewayMachine(RuleBasedStateMachine):
         self.outbound["twin"] += self.twin.engine.drain_outbound()
 
     def _event(self, kind, **fields):
-        ev = InboundEvent(kind=kind, tick=self.tick, **fields)
+        ev = InboundEvent(**{"kind": kind, "tick": self.tick, **fields})
         return self._both(lambda g: g.handle_event(ev))
+
+    def _new_message(self, text):
+        """The id of a new message, sent a tick after the last event."""
+        self.tick += 1
+        message_id = f"m{len(self.sent)}"
+        self.sent[message_id] = (text, self.tick)
+        return message_id
 
     @rule(text=st.sampled_from((*REQUESTS, *CHATTER, HARD_NEGATIVE)))
     def message(self, text):
-        message_id = f"m{len(self.sent)}"
-        self.sent[message_id] = text
-        self._event("message", message_id=message_id, text=text)
+        self._event("message", message_id=self._new_message(text), text=text)
 
     @precondition(lambda self: self.sent)
     @rule(data=st.data())
     def redeliver(self, data):
         message_id = data.draw(st.sampled_from(sorted(self.sent)))
         request_id = self.live.engine.case_by_message.get(message_id)
-        answer = self._event("message", message_id=message_id, text=self.sent[message_id])
+        text, tick = self.sent[message_id]
+        answer = self._event("message", message_id=message_id, text=text, tick=tick)
         if request_id is not None:
             assert answer["trace"]["request_id"] == request_id
 
@@ -158,10 +166,11 @@ class GatewayMachine(RuleBasedStateMachine):
     def failing_backend(self, data, text, raises):
         """A new message or an edit whose Layer-2 call fails, on both
         gateways: an error that changes nothing. A later redelivery of the
-        message is its retry."""
-        message_id = data.draw(st.sampled_from([f"m{len(self.sent)}", *sorted(self.sent)]))
-        kind = "message" if message_id not in self.sent else "edit"
-        self.sent.setdefault(message_id, text)
+        message, with its first tick, is its retry."""
+        message_id = data.draw(st.sampled_from(["new", *sorted(self.sent)]))
+        kind = "message" if message_id == "new" else "edit"
+        if kind == "message":
+            message_id = self._new_message(text)
         for gateway in (self.live, self.twin):
             gateway.backend = BrokenBackend(raises)
         try:
@@ -199,8 +208,7 @@ class GatewayMachine(RuleBasedStateMachine):
             step = lambda g: g.put_donor(platform, fields)  # noqa: E731
         else:
             if kind == "message":
-                message_id = f"m{len(self.sent)}"
-                self.sent[message_id] = text
+                message_id = self._new_message(text)
                 ev = InboundEvent(kind="message", tick=self.tick, message_id=message_id, text=text)
             else:
                 key = data.draw(st.sampled_from(alerted))

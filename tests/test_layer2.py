@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 
 from cbrs import layer2, schema
+from cbrs.gateway import Gateway, InboundEvent
 from cbrs.layer2 import (
     BackendConfig,
     BackendError,
     PromptError,
+    RemoteBackend,
+    RulesBackend,
     build_prompt,
     estimate_tokens,
+    make_backend,
     parse_remote,
     parse_rules,
 )
@@ -136,6 +140,19 @@ def test_rules_date_with_two_digit_year():
     assert rec.outcome.request.probable_day == "14/06/2021"
 
 
+@pytest.mark.parametrize(
+    "text, day, time",
+    [("Need O+ blood at 3 pm in Dhaka", "", "15:00"),
+     ("Need O+ blood at 12 am in Dhaka", "", "00:00"),
+     ("Need O+ blood after 18:00 in Dhaka", "", "after 18:00"),
+     ("Need O+ blood 2 days later in Dhaka", "2 days later", "")],
+    ids=["pm", "midnight", "after", "days-later"],
+)
+def test_rules_day_and_time_forms(text, day, time):
+    r = parse_rules(text).outcome.request
+    assert (r.probable_day, r.probable_time) == (day, time)
+
+
 def test_rules_total_and_deterministic():
     rng = np.random.default_rng(44)
     for _ in range(300):
@@ -166,8 +183,11 @@ def test_rules_outcomes_always_validate():
 class StubLLM:
     """Tiny scripted chat-completion server."""
 
-    def __init__(self, replies, status=200, omit_usage=False):
+    def __init__(self, replies, status=200, omit_usage=False, payload=None):
+        """`payload` makes the reply body from a reply's text; by default
+        a chat completion's."""
         self.replies = list(replies)
+        make_payload = payload or (lambda content: {"choices": [{"message": {"content": content}}]})
         self.requests = []
         self.omit_usage = omit_usage
         stub = self
@@ -182,7 +202,7 @@ class StubLLM:
                     }
                 )
                 content = stub.replies.pop(0) if stub.replies else "{}"
-                payload = {"choices": [{"message": {"content": content}}]}
+                payload = make_payload(content)
                 if not stub.omit_usage:
                     payload["usage"] = {"prompt_tokens": 111, "completion_tokens": 22}
                 body = json.dumps(payload).encode()
@@ -302,6 +322,79 @@ def test_remote_reply_holding_a_lone_surrogate_is_unrepairable(repair):
     assert rec.failed and not rec.repair_applied
     assert rec.raw_reply == raw
     assert rec.error == "reply holds a string that is not text"
+
+
+def test_remote_reply_holding_a_json_string_is_no_object():
+    # The JSON value is a string that itself holds an object: an error, not
+    # the negative that loading the string again would give.
+    raw = json.dumps('{"is_blood_donation_request": false}')
+    stub = StubLLM([raw])
+    try:
+        rec = parse_remote(_cfg(stub), build_prompt("msg", mode="zero_shot"))
+    finally:
+        stub.close()
+    assert rec.failed and (rec.raw_reply, rec.error) == (raw, "$: expected a JSON object")
+
+
+def test_a_reply_needing_a_repair_is_loaded_once(monkeypatch):
+    reply = json.loads(GOLD_REPLY)
+    reply["probable_time"] = "before 24:00"
+    raw = json.dumps(reply)
+    loads = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: loads.append(text) or real(text, **kw))
+    outcome, repaired, error = layer2._interpret_reply(raw)
+    assert (repaired, error, outcome.request.probable_time) == (True, "", "")
+    assert loads == [raw]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [lambda c: {"content": c}, lambda c: {"choices": [], "text": c},
+     lambda c: {"choices": [{"message": {}}], "content": 5, "text": c}],
+    ids=["content", "text", "text-after-a-non-string-content"],
+)
+def test_remote_reads_the_reply_text_from_a_content_or_text_field(payload):
+    stub = StubLLM([GOLD_REPLY], payload=payload)
+    try:
+        rec = parse_remote(_cfg(stub), build_prompt("msg", mode="zero_shot"))
+    finally:
+        stub.close()
+    assert rec.raw_reply == GOLD_REPLY and rec.outcome.request.blood_group == "AB-"
+
+
+def test_a_reply_without_model_text_is_a_gateway_error(scenario_model):
+    stub = StubLLM([GOLD_REPLY], payload=lambda c: {"choices": [{"message": {}}], "content": None})
+    try:
+        with pytest.raises(BackendError, match="no model text"):
+            parse_remote(_cfg(stub), build_prompt("msg", mode="zero_shot"))
+        g = Gateway(scenario_model, RemoteBackend(_cfg(stub)))
+        text = "Urgent! 2 bags O+ blood needed at Square Hospital, Dhaka. Call 01712345678 today."
+        trace = g.ingest_message(InboundEvent(kind="message", message_id="m1", text=text))
+    finally:
+        stub.close()
+    assert (trace.layer2_outcome, trace.request_id, g.engine.cases) == ("error", None, {})
+    assert len(stub.requests) == 2
+
+
+def test_make_backend_builds_each_kind_and_refuses_any_other():
+    stub = StubLLM([GOLD_REPLY])
+    try:
+        backend = make_backend(_cfg(stub))
+        assert isinstance(backend, RemoteBackend) and backend.name == "stub-model"
+        rec = backend.parse("msg")
+    finally:
+        stub.close()
+    assert rec.outcome.request.blood_group == "AB-" and rec.backend == "stub-model"
+    assert "Examples:" in stub.requests[0]["body"]["messages"][1]["content"]  # few-shot by default
+    assert isinstance(make_backend(BackendConfig()), RulesBackend)
+    assert RemoteBackend(BackendConfig(kind="remote")).name == "remote"
+    with pytest.raises(ValueError, match="unknown backend kind 'local'"):
+        make_backend(BackendConfig(kind="local"))
+    with pytest.raises(ValueError, match="RemoteBackend needs a remote backend config"):
+        RemoteBackend(BackendConfig())
+    with pytest.raises(ValueError, match="parse_remote requires a remote backend config"):
+        parse_remote(BackendConfig(), build_prompt("msg", mode="zero_shot"))
 
 
 def test_remote_token_estimator_when_usage_missing():

@@ -278,6 +278,18 @@ def test_edit_with_failing_backend_answers_503(service):
     assert _call(running.port, "GET", "/requests/r00001")[1]["request"]["bags_needed"] == "3"
 
 
+def test_a_redelivery_after_a_later_message_opens_its_case(service):
+    # The message answered 503 comes again with its own tick, older than
+    # that of the message answered 200 in between.
+    running, gateway = service
+    gateway.backend = FlakyBackend(failures=1)
+    request = {"message_id": "m1", "text": REQUEST_TEXT, "tick": 50}
+    assert _post(running.port, "/messages", request)[:2] == (503, "1")
+    assert _post(running.port, "/messages", {"message_id": "m2", "text": "good morning everyone", "tick": 60})[0] == 200
+    status, _, body = _post(running.port, "/messages", request)
+    assert (status, body["trace"]["request_id"]) == (200, "r00001")
+
+
 @pytest.mark.parametrize("failures", [1, 3])
 def test_a_message_whose_backend_fails_n_times_opens_its_case_on_the_next_delivery(
         scenario_model, tmp_path, failures):
@@ -587,7 +599,7 @@ def test_wrong_typed_input_400_changes_nothing(service, path, body, length, fiel
 
     def state():
         traces = {k: (id(t), encode(t)) for k, t in gateway.traces.items()}
-        return traces, dict(gateway._last_tick_per_group), dict(engine.donors), dict(engine.cases), dict(engine.ledger)
+        return traces, dict(engine.donors), dict(engine.cases), dict(engine.ledger)
 
     before = state()
     data = body if isinstance(body, bytes) else json.dumps(body).encode()
