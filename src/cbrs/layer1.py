@@ -5,22 +5,36 @@ through a 2-logit linear head and softmax. Training minimizes a weighted
 binary cross-entropy whose positive term is scaled by ``alpha`` so that a
 missed request costs more than a false alarm; alpha defaults to 12.
 
+Inference builds no message vector. The head is linear up to the softmax,
+so the logits are ``b + (Σ_words c_w + W · Σ_grams E[g]) / units``, where
+``c_w = W · mean(E[subword ids of w])`` depends only on the word
+(`word_logits`). A model loaded from a file keeps a memo of up to
+`MEMO_WORDS` words' pairs, so a message costs its hashing, one lookup per
+word, one gather of its word-n-gram rows and a two-class softmax. Models
+built in RAM (`init_model`, `train`) keep none: their tables change as
+they train, so `forward` computes their words' pairs each call, by the
+same function.
+
 The model serializes to a single binary blob: magic ``CBRS1``, a version
 byte, a fixed hyperparameter block, then the E, W, b tensors as row-major
-little-endian float32. A loaded model is for inference only: its table is
-the file's float32 bytes mapped read-only, so only the pages of the rows
-messages touch are resident, and `forward` casts just the gathered rows to
-float64 (exactly). `init_model` and `train` build float64 tables in RAM,
-which training and `gradient_check` write to.
+little-endian float32. A loaded model is for inference only, and none of
+its arrays can be written: its table is the file's float32 bytes mapped
+read-only, so only the pages of the rows messages touch are resident, and
+`forward` casts just the gathered rows to float64 (exactly); W and b are
+read-only float64 copies. `init_model` and `train` build float64 tables
+in RAM, which training and `gradient_check` write to.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import struct
+import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -68,6 +82,8 @@ class ClassifierModel:
     weights: np.ndarray  # 2 x dim
     bias: np.ndarray  # 2
     hyper: Hyper
+    # Only a model from `load_model` keeps one; see `forward`.
+    memo: WordMemo | None = field(default=None, repr=False, compare=False)
 
     def features(self, text: str) -> MessageFeatures:
         words = tokenize(mask_digit_runs(normalize_text(text)))
@@ -101,15 +117,104 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
+# Words whose logit pairs a loaded model remembers, as `_word_parts`
+# remembers 65536 words' ids.
+MEMO_WORDS = 65536
+
+
+class WordMemo:
+    """A loaded model's bounded memo, word -> its `word_logits` pair.
+
+    A pair depends on the word, the tables and the subword settings alone,
+    so the memo keeps the (embeddings, weights, hyper) it was filled from
+    and starts empty when the model holds others. Past `MEMO_WORDS` words
+    it starts over. Reads take no lock; a race only recomputes a pair.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._state: tuple[tuple, dict[str, tuple[float, float]]] = ((None, None, None), {})
+
+    def pairs(self, model: ClassifierModel) -> dict[str, tuple[float, float]]:
+        (table, weights, hyper), pairs = self._state
+        if table is not model.embeddings or weights is not model.weights or hyper is not model.hyper:
+            pairs = {}
+            self._state = ((model.embeddings, model.weights, model.hyper), pairs)
+        return pairs
+
+    def add(self, pairs: dict[str, tuple[float, float]], new: dict[str, tuple[float, float]]) -> None:
+        with self._lock:
+            if len(pairs) + len(new) > MEMO_WORDS:
+                pairs.clear()
+            if len(new) <= MEMO_WORDS:
+                pairs.update(new)
+
+    def __len__(self) -> int:
+        return len(self._state[1])
+
+
+def word_logits(table: np.ndarray, weights: np.ndarray, subwords: Sequence[tuple[int, ...]]) -> list[tuple[float, float]]:
+    """``c_w = W · mean(E[ids])`` for each word's subword ids `ids`, from
+    one gather, as the mean of the rows' own logits ``W · E[id]``.
+
+    Each pair is bit-identical however the words are batched: every
+    ``W · E[id]`` is its own sum over the dimension, and every word's mean
+    its own reduction over its rows (a matrix product's rounding can
+    depend on its shape). A float32 table gives its float64 copy's pairs.
+    """
+    counts = np.fromiter(map(len, subwords), dtype=np.intp, count=len(subwords))
+    ids = np.fromiter(chain.from_iterable(subwords), dtype=np.intp, count=int(counts.sum()))
+    rows = table[ids].astype(np.float64, copy=False)
+    logits = np.einsum("kd,jd->jk", rows, weights)  # 2 x rows
+    c0, c1 = np.add.reduceat(logits, np.cumsum(counts) - counts, axis=1) / counts
+    return list(zip(c0.tolist(), c1.tolist()))
+
+
+def _word_pairs(model: ClassifierModel, feats: MessageFeatures) -> list[tuple[float, float]]:
+    """Each word's `word_logits` pair, from the model's memo where it holds
+    the word; the others come from one gather and, with a memo, join it."""
+    memo = model.memo
+    pairs = memo.pairs(model) if memo is not None else {}
+    got = [pairs.get(word) for word in feats.words]
+    if None not in got:
+        return got
+    missing = {w: ids for w, ids, pair in zip(feats.words, feats.subwords, got) if pair is None}
+    new = dict(zip(missing, word_logits(model.embeddings, model.weights, list(missing.values()))))
+    if memo is not None:
+        memo.add(pairs, new)
+    return [new[w] if pair is None else pair for w, pair in zip(feats.words, got)]
+
+
 def forward(model: ClassifierModel, text: str) -> Prediction:
-    vec = model.features(text).pool(model.embeddings)
-    logits = model.weights @ vec + model.bias
-    probs = softmax(logits)
-    p_pos = float(probs[1])
+    """Layer 1's decision on `text`.
+
+    The head is linear up to the softmax, so the logits are
+    ``b + (Σ_words c_w + W · Σ_grams E[g]) / units``, with `word_logits`'
+    ``c_w`` read from the model's memo when it has one.
+    """
+    feats = model.features(text)
+    units = feats.units
+    z0, z1 = model.bias.tolist()
+    if units:
+        s0 = s1 = 0.0
+        for c0, c1 in _word_pairs(model, feats):
+            s0 += c0
+            s1 += c1
+        if feats.grams.size:
+            # Fancy indexing, not `np.take`: see `MessageFeatures.pool`.
+            grams = np.add.reduce(model.embeddings[feats.grams].astype(np.float64, copy=False), axis=0)
+            g0, g1 = (model.weights @ grams).tolist()
+            s0 += g0
+            s1 += g1
+        z0 += s0 / units
+        z1 += s1 / units
+    top = max(z0, z1)
+    e0, e1 = math.exp(z0 - top), math.exp(z1 - top)
+    p_pos = e1 / (e0 + e1)
     # Ties at the threshold resolve positive: a missed request is the
     # expensive mistake, so the boundary goes to class 1.
     label = 1 if p_pos >= model.hyper.threshold else 0
-    return Prediction(p_positive=p_pos, label=label, logits=(float(logits[0]), float(logits[1])))
+    return Prediction(p_positive=p_pos, label=label, logits=(z0, z1))
 
 
 def loss(p_positive: float, y: int, alpha: float) -> float:
@@ -326,13 +431,14 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ClassifierModel:
-    """The model saved at `path`, for inference only.
+    """The model saved at `path`, for inference only, with an empty memo.
 
-    W and b are read into float64 arrays. The embedding table is not read:
-    it is a read-only float32 view of the file mapped into memory, so only
-    the pages of the rows `forward` gathers become resident, and a write
-    to it raises ValueError. ValueError too if the file is not a model
-    file or its size is not the one its header implies.
+    W and b are read into float64 arrays. The embedding table is not
+    read: it is a float32 view of the file mapped into memory, so only the
+    pages of the rows `forward` gathers become resident. None of the three
+    can be written (ValueError), so the memo cannot go stale. ValueError
+    too if the file is not a model file or its size is not the one its
+    header implies.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_SIZE)
@@ -369,4 +475,5 @@ def load_model(path: str | Path) -> ClassifierModel:
     embeddings = take((buckets, dim))
     weights = take((2, dim)).astype(np.float64)
     bias = take((2,)).astype(np.float64)
-    return ClassifierModel(embeddings=embeddings, weights=weights, bias=bias, hyper=hyper)
+    weights.flags.writeable = bias.flags.writeable = False
+    return ClassifierModel(embeddings=embeddings, weights=weights, bias=bias, hyper=hyper, memo=WordMemo())

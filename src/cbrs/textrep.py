@@ -11,6 +11,12 @@ Words are decomposed into boundary-marked character n-grams whose embeddings
 are averaged into word vectors; the message vector is the mean over word
 vectors and word-n-gram embeddings. All units are mapped into a fixed bucket
 space by a process-stable hash, so no explicit vocabulary is materialized.
+
+`message_features` only hashes: it returns the words, each word's subword
+bucket ids and the word n-grams' bucket ids. Layer-1 inference turns those
+into logits one word at a time (`layer1.forward`); the pooled form, unique
+rows and their weights, is derived on first use, for training and
+`embed_message`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,16 +91,32 @@ def word_ngrams(words: list[str], n: int) -> list[str]:
     return grams
 
 
+_FNV_PRIME = 0x01000193
+
+
 def fnv1a_32(data: str) -> int:
     """32-bit FNV-1a over the UTF-8 bytes; stable across runs and platforms."""
     return _fnv1a_feed(0x811C9DC5, data.encode("utf-8"))
 
 
 def _fnv1a_feed(h: int, data: bytes) -> int:
-    """The FNV-1a state `h` after it reads on through `data`."""
+    """The FNV-1a state `h` after it reads on through `data`.
+
+    The 32-bit mask is applied once at the end: the low 32 bits of a
+    product and of an XOR with a byte depend only on the low 32 bits of
+    their operands, so masking after every byte gives the same state."""
     for byte in data:
-        h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
-    return h
+        h = (h ^ byte) * _FNV_PRIME
+    return h & 0xFFFFFFFF
+
+
+# XOR with a byte changes only the low byte of the state, so reading bytes
+# `s` on from state `h` gives (h - low) * P**len(s) + feed(low, s) mod 2**32,
+# `low` being h's low byte. That turns reading the separator into one
+# multiply and a lookup in the 256 states it leads to from a low byte.
+_SEP_BYTES = NGRAM_SEP.encode("utf-8")
+_SEP_POWER = (_FNV_PRIME ** len(_SEP_BYTES)) & 0xFFFFFFFF
+_AFTER_SEP = tuple(_fnv1a_feed(low, _SEP_BYTES) for low in range(256))
 
 
 def hash_features(units: list[str] | tuple[str, ...], buckets: int) -> list[int]:
@@ -106,10 +128,10 @@ def hash_features(units: list[str] | tuple[str, ...], buckets: int) -> list[int]
 
 @lru_cache(maxsize=65536)
 def _word_parts(word: str, minn: int, maxn: int, buckets: int) -> tuple[tuple[int, ...], int, bytes]:
-    """A word's subword bucket ids, its FNV-1a state as a unigram, and the
-    bytes it adds to a word n-gram that it ends."""
+    """A word's subword bucket ids, its FNV-1a state as a unigram, and its
+    UTF-8 bytes, which a word n-gram that it ends reads after the separator."""
     ids = tuple(hash_features(subword_units(word, minn, maxn), buckets))
-    return ids, fnv1a_32(word), (NGRAM_SEP + word).encode("utf-8")
+    return ids, fnv1a_32(word), word.encode("utf-8")
 
 
 def _ngram_states(parts: list[tuple[tuple[int, ...], int, bytes]], n: int) -> list[int]:
@@ -120,27 +142,70 @@ def _ngram_states(parts: list[tuple[tuple[int, ...], int, bytes]], n: int) -> li
     states = [state for _, state, _ in parts]
     out: list[int] = []
     for k in range(2, n + 1):
-        states = [_fnv1a_feed(h, tail) for h, (_, _, tail) in zip(states, parts[k - 1 :])]
-        out += states
+        grown = []
+        for h, (_, _, word) in zip(states, parts[k - 1 :]):
+            h = (h & 0xFFFFFF00) * _SEP_POWER + _AFTER_SEP[h & 0xFF]
+            for byte in word:
+                h = (h ^ byte) * _FNV_PRIME
+            grown.append(h & 0xFFFFFFFF)
+        out += grown
+        states = grown
     return out
 
 
 @dataclass(frozen=True)
 class MessageFeatures:
-    """Hashed features of one message: embedding rows and their weights.
+    """Hashed features of one message: its words, each word's subword
+    bucket ids, and the bucket ids of its word n-grams.
 
-    The message vector is ``sum(coeffs[i] * E[rows[i]])``; rows are unique
-    and the coefficients already encode the two-level averaging (subwords
-    within a word, then words and word-n-grams across the message).
+    The message vector is the mean over units, a unit being a word vector
+    (the mean of its subword rows) or a word-n-gram row. As rows and
+    weights it is ``sum(coeffs[i] * E[rows[i]])``: `rows` are unique and
+    `coeffs` encode the two-level averaging. Both are derived on first use.
     """
 
-    rows: np.ndarray  # int64, unique bucket ids
-    coeffs: np.ndarray  # float64, same length as rows
-    word_count: int
+    words: list[str]
+    subwords: list[tuple[int, ...]]  # per word, its subword bucket ids
+    grams: np.ndarray  # int64 bucket ids of the word n-grams, orders 2..n
+
+    @property
+    def word_count(self) -> int:
+        return len(self.words)
+
+    @property
+    def units(self) -> int:
+        """How many vectors the message vector is the mean of."""
+        return len(self.words) + len(self.grams)
 
     @property
     def empty(self) -> bool:
-        return self.rows.size == 0
+        return self.units == 0
+
+    @cached_property
+    def _row_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.empty:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        weights: dict[int, float] = {}
+        outer = 1.0 / self.units
+        for ids in self.subwords:
+            inner = outer / len(ids)
+            for bucket in ids:
+                weights[bucket] = weights.get(bucket, 0.0) + inner
+        for bucket in self.grams.tolist():
+            weights[bucket] = weights.get(bucket, 0.0) + outer
+        rows = np.fromiter(weights.keys(), dtype=np.int64, count=len(weights))
+        coeffs = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
+        return rows, coeffs
+
+    @property
+    def rows(self) -> np.ndarray:
+        """int64, unique bucket ids."""
+        return self._row_coeffs[0]
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """float64, the weight of each of `rows`."""
+        return self._row_coeffs[1]
 
     def pool(self, table: np.ndarray) -> np.ndarray:
         """The float64 message vector over embedding table `table`; zero
@@ -157,26 +222,11 @@ class MessageFeatures:
 def message_features(
     words: list[str], minn: int, maxn: int, word_n: int, buckets: int
 ) -> MessageFeatures:
-    """Aggregate subword and word-n-gram bucket ids into row coefficients."""
+    """The subword bucket ids of each word and the word n-grams' bucket ids."""
     parts = [_word_parts(word, minn, maxn, buckets) for word in words]
-    grams = _ngram_states(parts, word_n)
-    total = len(parts) + len(grams)
-    if total == 0:
-        return MessageFeatures(
-            rows=np.empty(0, dtype=np.int64), coeffs=np.empty(0, dtype=np.float64), word_count=0
-        )
-    weights: dict[int, float] = {}
-    outer = 1.0 / total
-    for ids, _, _ in parts:
-        inner = outer / len(ids)
-        for bucket in ids:
-            weights[bucket] = weights.get(bucket, 0.0) + inner
-    for state in grams:
-        bucket = state % buckets
-        weights[bucket] = weights.get(bucket, 0.0) + outer
-    rows = np.fromiter(weights.keys(), dtype=np.int64, count=len(weights))
-    coeffs = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
-    return MessageFeatures(rows=rows, coeffs=coeffs, word_count=len(words))
+    states = _ngram_states(parts, word_n)
+    grams = np.fromiter(states, dtype=np.int64, count=len(states)) % buckets
+    return MessageFeatures(words=words, subwords=[ids for ids, _, _ in parts], grams=grams)
 
 
 def embed_message(

@@ -1,14 +1,20 @@
+import json
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cbrs import layer1 as l1
 from cbrs.corpus import Corpus, LabeledSample
-from cbrs.synth import separable_corpus
+from cbrs.gateway import bundled_scenarios
+from cbrs.synth import imbalanced_bilingual_corpus, separable_corpus
 
 TINY = l1.Hyper(dim=6, buckets=1 << 10, epochs=3, lr=0.3, seed=5)
 
@@ -311,3 +317,179 @@ def test_a_deployed_shape_model_loads_and_runs_in_little_memory(tmp_path):
     )
     grew_kb = int(out.stdout.strip())  # ru_maxrss is in KB on Linux
     assert grew_kb < 100 * 1024
+
+
+# -- inference from per-word logits -------------------------------------------------
+
+
+def pooled_forward(model, text):
+    """`forward` as it was before per-word logits: the pooled message vector
+    through the head, then numpy's softmax."""
+    vec = model.features(text).pool(model.embeddings)
+    logits = model.weights @ vec + model.bias
+    p_pos = float(l1.softmax(logits)[1])
+    label = 1 if p_pos >= model.hyper.threshold else 0
+    return l1.Prediction(p_positive=p_pos, label=label, logits=(float(logits[0]), float(logits[1])))
+
+
+def _scenario_texts():
+    texts = []
+    for path in bundled_scenarios():
+        for line in path.read_text("utf-8").splitlines():
+            if line.strip() and not line.lstrip().startswith("#"):
+                text = json.loads(line).get("text")
+                if isinstance(text, str):
+                    texts.append(text)
+    return texts
+
+
+BILINGUAL = [s.text for s in imbalanced_bilingual_corpus(300, seed=17)]
+ALL_TEXTS = list(TEXTS) + _scenario_texts() + BILINGUAL
+
+
+@pytest.fixture(scope="module")
+def bilingual(tmp_path_factory):
+    """A model file trained on bilingual requests and chatter."""
+    path = tmp_path_factory.mktemp("bilingual") / "model.bin"
+    hyper = l1.Hyper(dim=12, buckets=1 << 13, epochs=4, lr=0.5, seed=9)
+    l1.save_model(l1.train(imbalanced_bilingual_corpus(300, seed=17), hyper), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def shared(bilingual):
+    """One loaded model whose memo the `hypothesis` examples fill."""
+    return l1.load_model(bilingual)
+
+
+def _in_ram(model):
+    return l1.ClassifierModel(model.embeddings.astype(np.float64), model.weights, model.bias, model.hyper)
+
+
+def _agrees_with_the_pooled_oracle(model, text):
+    got, want = l1.forward(model, text), pooled_forward(model, text)
+    assert got.label == want.label
+    assert got.p_positive == pytest.approx(want.p_positive, rel=0, abs=1e-12)
+    assert got.logits == pytest.approx(want.logits, rel=0, abs=1e-12)
+
+
+def test_forward_agrees_with_the_pooled_vector_on_bundled_and_bilingual_texts(bilingual):
+    loaded = l1.load_model(bilingual)
+    for model in (loaded, _in_ram(loaded)):
+        for text in ALL_TEXTS:
+            _agrees_with_the_pooled_oracle(model, text)
+    assert {l1.forward(loaded, text).label for text in ALL_TEXTS} == {0, 1}
+
+
+@given(
+    text=st.text(
+        st.one_of(
+            st.characters(min_codepoint=0x980, max_codepoint=0x9FF),
+            st.sampled_from(list(" .,!?:;+-()\n0123456789")),
+            st.characters(codec="utf-8"),
+        ),
+        max_size=80,
+    )
+)
+@example(text="")
+@example(text="?!... ,,; --")
+@example(text="call 01712345678 or +8801812345678901234 now")
+@example(text="রক্ত লাগবে ঢাকা মেডিকেল, O- ২ ব্যাগ")
+def test_forward_agrees_with_the_pooled_vector_on_any_text(shared, text):
+    _agrees_with_the_pooled_oracle(shared, text)
+    _agrees_with_the_pooled_oracle(_in_ram(shared), text)
+
+
+def test_cold_warm_and_in_ram_forwards_are_equal(bilingual):
+    warm = l1.load_model(bilingual)
+    for text in ALL_TEXTS:
+        l1.forward(warm, text)
+    partly = l1.load_model(bilingual)  # later messages find some words, miss others
+    for text in ALL_TEXTS[::3]:
+        l1.forward(partly, text)
+    in_ram = _in_ram(warm)
+    assert in_ram.memo is None
+    for text in ALL_TEXTS:
+        cold = l1.forward(l1.load_model(bilingual), text)
+        assert cold == l1.forward(warm, text) == l1.forward(partly, text) == l1.forward(in_ram, text)
+
+
+def test_a_words_pair_does_not_depend_on_the_words_gathered_with_it(bilingual):
+    model = l1.load_model(bilingual)
+    subwords = [ids for text in ALL_TEXTS[:80] for ids in model.features(text).subwords]
+    batch = l1.word_logits(model.embeddings, model.weights, subwords)
+    assert batch == [l1.word_logits(model.embeddings, model.weights, [ids])[0] for ids in subwords]
+    assert batch == l1.word_logits(model.embeddings.astype(np.float64), model.weights, subwords)
+    ids = subwords[0]
+    mean = model.embeddings[list(ids)].astype(np.float64).mean(axis=0)
+    assert batch[0] == pytest.approx(tuple(model.weights @ mean), rel=1e-12)
+
+
+def test_a_loaded_model_remembers_each_word_once(bilingual):
+    model = l1.load_model(bilingual)
+    words = set()
+    for text in ALL_TEXTS[:40]:
+        l1.forward(model, text)
+        words.update(model.features(text).words)
+        assert len(model.memo) == len(words)
+    assert l1.init_model(TINY).memo is None and _trained(3).memo is None
+
+
+def test_the_memo_stays_within_its_bound_and_changes_no_prediction(bilingual, monkeypatch):
+    monkeypatch.setattr(l1, "MEMO_WORDS", 40)
+    model = l1.load_model(bilingual)
+    in_ram = _in_ram(model)
+    words = set()
+    for text in ALL_TEXTS:
+        assert l1.forward(model, text) == l1.forward(in_ram, text)
+        assert len(model.memo) <= 40
+        words.update(model.features(text).words)
+    assert len(words) > 10 * 40
+
+
+def test_a_loaded_model_given_other_settings_or_tables_forgets_its_memo(bilingual):
+    model = l1.load_model(bilingual)
+    for text in ALL_TEXTS[:60]:
+        l1.forward(model, text)
+    model.hyper = replace(model.hyper, minn=2, maxn=4)
+    assert [l1.forward(model, t) for t in ALL_TEXTS[:60]] == [l1.forward(_in_ram(model), t) for t in ALL_TEXTS[:60]]
+    model.weights = np.random.default_rng(3).normal(size=model.weights.shape)
+    assert [l1.forward(model, t) for t in ALL_TEXTS[:60]] == [l1.forward(_in_ram(model), t) for t in ALL_TEXTS[:60]]
+
+
+def test_a_loaded_models_weights_and_bias_are_read_only(bilingual):
+    loaded = l1.load_model(bilingual)
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.weights[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.bias[1] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.weights += 1.0
+
+
+def test_concurrent_forwards_share_one_bounded_memo(bilingual, monkeypatch):
+    monkeypatch.setattr(l1, "MEMO_WORDS", 64)
+    model = l1.load_model(bilingual)
+    texts = ALL_TEXTS[:150]
+    want = [l1.forward(_in_ram(model), t) for t in texts]
+    wrong, sizes = [], []
+
+    def work(shift):
+        for i in range(len(texts)):
+            k = (i + shift) % len(texts)
+            if l1.forward(model, texts[k]) != want[k]:
+                wrong.append(k)
+            sizes.append(len(model.memo))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(17 * n,)) for n in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [] and len(sizes) == 6 * len(texts) and max(sizes) <= 64
