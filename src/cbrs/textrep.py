@@ -92,6 +92,7 @@ def word_ngrams(words: list[str], n: int) -> list[str]:
 
 
 _FNV_PRIME = 0x01000193
+_UNMASKED_BYTES = 64
 
 
 def fnv1a_32(data: str) -> int:
@@ -102,21 +103,18 @@ def fnv1a_32(data: str) -> int:
 def _fnv1a_feed(h: int, data: bytes) -> int:
     """The FNV-1a state `h` after it reads on through `data`.
 
-    The 32-bit mask is applied once at the end: the low 32 bits of a
-    product and of an XOR with a byte depend only on the low 32 bits of
-    their operands, so masking after every byte gives the same state."""
+    The low 32 bits of a product and of an XOR with a byte depend only on
+    the low 32 bits of their operands, so up to `_UNMASKED_BYTES` bytes are
+    read with one 32-bit mask at the end. The unmasked state grows about 24
+    bits a byte, so longer data is masked after every byte and its cost
+    stays linear in its length."""
+    if len(data) > _UNMASKED_BYTES:
+        for byte in data:
+            h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFF
+        return h
     for byte in data:
         h = (h ^ byte) * _FNV_PRIME
     return h & 0xFFFFFFFF
-
-
-# XOR with a byte changes only the low byte of the state, so reading bytes
-# `s` on from state `h` gives (h - low) * P**len(s) + feed(low, s) mod 2**32,
-# `low` being h's low byte. That turns reading the separator into one
-# multiply and a lookup in the 256 states it leads to from a low byte.
-_SEP_BYTES = NGRAM_SEP.encode("utf-8")
-_SEP_POWER = (_FNV_PRIME ** len(_SEP_BYTES)) & 0xFFFFFFFF
-_AFTER_SEP = tuple(_fnv1a_feed(low, _SEP_BYTES) for low in range(256))
 
 
 def hash_features(units: list[str] | tuple[str, ...], buckets: int) -> list[int]:
@@ -128,10 +126,10 @@ def hash_features(units: list[str] | tuple[str, ...], buckets: int) -> list[int]
 
 @lru_cache(maxsize=65536)
 def _word_parts(word: str, minn: int, maxn: int, buckets: int) -> tuple[tuple[int, ...], int, bytes]:
-    """A word's subword bucket ids, its FNV-1a state as a unigram, and its
-    UTF-8 bytes, which a word n-gram that it ends reads after the separator."""
+    """A word's subword bucket ids, its FNV-1a state as a unigram, and the
+    bytes it adds to a word n-gram that it ends."""
     ids = tuple(hash_features(subword_units(word, minn, maxn), buckets))
-    return ids, fnv1a_32(word), word.encode("utf-8")
+    return ids, fnv1a_32(word), (NGRAM_SEP + word).encode("utf-8")
 
 
 def _ngram_states(parts: list[tuple[tuple[int, ...], int, bytes]], n: int) -> list[int]:
@@ -142,14 +140,8 @@ def _ngram_states(parts: list[tuple[tuple[int, ...], int, bytes]], n: int) -> li
     states = [state for _, state, _ in parts]
     out: list[int] = []
     for k in range(2, n + 1):
-        grown = []
-        for h, (_, _, word) in zip(states, parts[k - 1 :]):
-            h = (h & 0xFFFFFF00) * _SEP_POWER + _AFTER_SEP[h & 0xFF]
-            for byte in word:
-                h = (h ^ byte) * _FNV_PRIME
-            grown.append(h & 0xFFFFFFFF)
-        out += grown
-        states = grown
+        states = [_fnv1a_feed(h, tail) for h, (_, _, tail) in zip(states, parts[k - 1 :])]
+        out += states
     return out
 
 

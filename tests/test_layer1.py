@@ -457,6 +457,19 @@ def test_a_loaded_model_given_other_settings_or_tables_forgets_its_memo(bilingua
     assert [l1.forward(model, t) for t in ALL_TEXTS[:60]] == [l1.forward(_in_ram(model), t) for t in ALL_TEXTS[:60]]
 
 
+def test_a_message_of_one_long_word_costs_time_linear_in_its_length(bilingual):
+    # About 1.4 s on a 2-CPU host; a hash state left unmasked grows with
+    # every byte, and one 200 KB word then costs over a minute.
+    import time
+
+    word = "".join(np.random.default_rng(5).choice(list("abcdefghijklmnopqrstuvwxyz"), size=200_000))
+    model = l1.load_model(bilingual)
+    start = time.perf_counter()
+    got = l1.forward(model, f"{word} blood")
+    assert time.perf_counter() - start < 20.0
+    assert got == l1.forward(_in_ram(model), f"{word} blood")
+
+
 def test_a_loaded_models_weights_and_bias_are_read_only(bilingual):
     loaded = l1.load_model(bilingual)
     with pytest.raises(ValueError, match="read-only"):

@@ -108,6 +108,30 @@ def test_fnv1a_published_vectors():
     assert tr.fnv1a_32("foobar") == 0xBF9CF968
 
 
+def masked_fnv1a_feed(h, data):
+    """FNV-1a as published: the state masked to 32 bits after every byte."""
+    for byte in data:
+        h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
+    return h
+
+
+@given(h=st.integers(0, 0xFFFFFFFF), data=st.binary(max_size=200))
+def test_fnv1a_feed_equals_masking_after_every_byte(h, data):
+    assert tr._fnv1a_feed(h, data) == masked_fnv1a_feed(h, data)
+
+
+def test_hashing_a_long_word_costs_time_linear_in_its_length():
+    # A state left unmasked grows about 24 bits a byte, which makes one
+    # 100 KB word cost seconds; masked, it costs milliseconds.
+    import time
+
+    data = bytes(range(256)) * 400
+    start = time.perf_counter()
+    h = tr.fnv1a_32(data.decode("latin-1"))
+    assert time.perf_counter() - start < 1.0
+    assert h == masked_fnv1a_feed(0x811C9DC5, data.decode("latin-1").encode("utf-8"))
+
+
 def test_hash_features_deterministic_and_in_range():
     rng = np.random.default_rng(8)
     units = ["u%d" % rng.integers(0, 10**9) for _ in range(10_000)]
