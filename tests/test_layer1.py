@@ -458,8 +458,8 @@ def test_a_loaded_model_given_other_settings_or_tables_forgets_its_memo(bilingua
 
 
 def test_a_message_of_one_long_word_costs_time_linear_in_its_length(bilingual):
-    # About 1.4 s on a 2-CPU host; a hash state left unmasked grows with
-    # every byte, and one 200 KB word then costs over a minute.
+    # Under a second on a 2-CPU host. A hash state left unmasked grows
+    # with every byte, and one 200 KB word then took about 50 s.
     import time
 
     word = "".join(np.random.default_rng(5).choice(list("abcdefghijklmnopqrstuvwxyz"), size=200_000))
