@@ -592,7 +592,7 @@ class DispatchEngine:
 
     # -- case lifecycle ----------------------------------------------------
 
-    def open_case(self, message_id: str, request: ParsedRequest) -> RequestCase:
+    def open_case(self, message_id: str, request: ParsedRequest, *, layer1_prob: float | None = None) -> RequestCase:
         """Create a case for a parsed request and fire its first stage."""
         self._case_seq += 1
         case = RequestCase(
@@ -601,6 +601,7 @@ class DispatchEngine:
             request=_stored(request),
             created_at=self.clock.now,
             anchor=geocode_markers(request.location_markers),
+            layer1_prob=layer1_prob,
         )
         if case.anchor is None and request.location_markers:
             case.needs_attention = True
@@ -673,7 +674,7 @@ class DispatchEngine:
         if case.status != OPEN:
             return case.status
         if affirmative:
-            case.status = FULFILLED
+            case.status, case.fulfilled_at = FULFILLED, self.clock.now
             self._plan(case)
             self._emit("seeker_update", request_id, donor_id=donor_id, detail="donor affirmative; request fulfilled")
         else:
@@ -794,6 +795,7 @@ class DispatchEngine:
     def restore(self, path: str | Path) -> None:
         """Load a snapshot and its complete appended batches, or nothing
         (`Journal.restore`): on a SnapshotError the engine keeps its state.
+        The clock moves to the file's time if that is later, never back.
         A ledger line is malformed also if no batch up to the end of its
         own holds its case, or if the restored registry holds no donor with
         its `donor_id`. The cyclic garbage collector is paused while the
@@ -835,7 +837,7 @@ class DispatchEngine:
         for entry in self.ledger.values():
             self._entries.setdefault(entry.request_id, {})[entry.donor_id] = entry
         self.case_by_message = {c.message_id: c.request_id for c in self.cases.values()}
-        self._donor_seq, self._case_seq, self.clock.now = meta.donor_seq, meta.case_seq, meta.clock
+        self._donor_seq, self._case_seq, self.clock.now = meta.donor_seq, meta.case_seq, max(self.clock.now, meta.clock)
 
 
 @dataclass(frozen=True)
@@ -849,11 +851,12 @@ class _Meta:
     clock: int
 
 
-# The engine's journalled tables: section, record type, key, and the check
-# of a restored record's values beyond their JSON types, as the engine writes them.
+# The engine's journalled tables: section, record type, key, the check of a restored
+# record's values beyond their JSON types, as the engine writes them, and what version 2 added.
 _TABLES = (
     ("donor", DonorRecord, attrgetter("platform_id"), lambda d: check_donor(d.blood_group, d.latitude, d.longitude)),
-    ("case", RequestCase, attrgetter("request_id"), lambda c: _check_one_of("status", c.status, (OPEN, *_TERMINAL))),
+    ("case", RequestCase, attrgetter("request_id"), lambda c: _check_one_of("status", c.status, (OPEN, *_TERMINAL)),
+     ("layer1_prob", "fulfilled_at")),
     ("ledger", LedgerEntry, attrgetter("request_id", "donor_id"),
      lambda e: _check_one_of("response", e.response, _RESPONSES)),
 )

@@ -3,11 +3,12 @@
 Real chat platforms are out of scope; the adapter contract is an
 :class:`InboundEvent` in and reply/notification events out, so platform
 bindings can be added without touching the core. Every message that opens a
-case keeps a four-stage trace (arrival, parsed-and-stored, first notification,
-first affirmative response); stage timestamps come from the injected clock and
-are monotone by construction. Messages and edits share one two-layer decision;
-a Layer-2 failure is an error, never a negative, and changes nothing: the
-sender's redelivery is the retry.
+case has a four-stage trace (arrival, parsed-and-stored, first notification,
+first affirmative response), which `case_trace` derives from the saved case
+and its ledger entries, so it survives a restart; stage timestamps come from
+the injected clock and are monotone by construction. Messages and edits
+share one two-layer decision; a Layer-2 failure is an error, never a
+negative, and changes nothing: the sender's redelivery is the retry.
 
 `Gateway.replay` is the one step from a scenario line to its transcript
 entries: it moves the clock to the line's tick, applies the line and emits
@@ -23,6 +24,7 @@ import hashlib
 import json
 import logging
 import statistics
+import string
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -31,7 +33,7 @@ from . import layer1
 from .dispatch import DONOR_FIELDS, Clock, DispatchEngine
 from .layer1 import ClassifierModel
 from .layer2 import Backend
-from .records import FULFILLED, DonorRecord, PipelineTrace, encode, read_fields
+from .records import DonorRecord, PipelineTrace, RequestCase, encode, read_fields
 from .schema import ParseOutcome
 
 log = logging.getLogger(__name__)
@@ -78,7 +80,7 @@ class Decision:
     """What the two layers made of one text."""
 
     status: str  # a PipelineTrace.layer2_outcome value
-    layer1_prob: float
+    layer1_prob: float  # rounded to 9 digits, as records hold it
     outcome: ParseOutcome | None  # None on a Layer-2 error
 
 
@@ -115,7 +117,6 @@ class Gateway:
         self.backend = backend
         self.threshold = threshold if threshold is not None else model.hyper.threshold
         self.snapshot_path = Path(snapshot_path) if snapshot_path else None
-        self.traces: dict[str, PipelineTrace] = {}  # of the messages that opened a case
         self.layer2_calls = 0
 
     @property
@@ -166,42 +167,35 @@ class Gateway:
         nothing for it, so the sender's redelivery is the retry.
         """
         p_positive = layer1.forward(self.model, ev.text).p_positive
+        prob = round(p_positive, 9)
         if p_positive < self.threshold:
-            return Decision("skipped", p_positive, ParseOutcome.negative())
+            return Decision("skipped", prob, ParseOutcome.negative())
         try:
             record = self.backend.parse(ev.text)
         except Exception as exc:
             log.error("layer-2 backend failed for %s: %s", ev.message_id, exc)
-            return Decision("error", p_positive, None)
+            return Decision("error", prob, None)
         self.layer2_calls += 1
         if record.failed:
             log.error("layer-2 parse failed for %s: %s", ev.message_id, record.error)
-            return Decision("error", p_positive, None)
+            return Decision("error", prob, None)
         status = "negative" if record.outcome.is_negative else "request"
-        return Decision(status, p_positive, record.outcome)
+        return Decision(status, prob, record.outcome)
 
     def ingest_message(self, ev: InboundEvent) -> PipelineTrace:
-        """Run one message through both layers and, on a parse, open its case.
-        A redelivery (an id with a case) changes nothing, its trace naming the
-        case; nor does a Layer-2 error."""
+        """Run one message through both layers and, on a parse, open its case
+        and answer its trace. A redelivery (an id with a case) changes
+        nothing, its trace naming the case; nor does a Layer-2 error."""
         if ev.kind != "message":
             raise ValueError(f"ingest_message needs a message event, got {ev.kind!r}")
         request_id = self.engine.case_by_message.get(ev.message_id)
-        trace = PipelineTrace(message_id=ev.message_id, t_arrival=self.clock.now, request_id=request_id)
         if request_id is not None:
-            return trace
+            return PipelineTrace(ev.message_id, self.clock.now, request_id=request_id)
         decision = self._decide(ev)
-        trace.layer1_prob = decision.layer1_prob
-        trace.layer2_outcome = decision.status
         if decision.status != "request":
-            return trace
-        case = self.engine.open_case(ev.message_id, decision.outcome.request)
-        self.traces[ev.message_id] = trace
-        trace.request_id = case.request_id
-        trace.t_parsed_stored = self.clock.now
-        if case.stages_fired > 0:
-            trace.t_first_notification = self.clock.now
-        return trace
+            return PipelineTrace(ev.message_id, self.clock.now, layer1_prob=decision.layer1_prob, layer2_outcome=decision.status)
+        case = self.engine.open_case(ev.message_id, decision.outcome.request, layer1_prob=decision.layer1_prob)
+        return case_trace(self.engine, case)
 
     def handle_edit_event(self, ev: InboundEvent) -> str:
         """Edits re-run both layers, through the same decision as messages.
@@ -223,7 +217,8 @@ class Gateway:
         return "new-case" if trace.request_id else "ignored-non-request"
 
     def handle_donor_response(self, ev: InboundEvent) -> str:
-        """Route a yes/no reply from a donor to its request's ledger."""
+        """Route a donor's reply to its request's ledger: a yes if its whole text
+        or first word, casefolded, less trailing punctuation, is a yes word."""
         if ev.kind != "donor_response":
             raise ValueError(f"expected donor_response, got {ev.kind!r}")
         donor = self.engine.donor_by_platform(ev.sender)
@@ -234,14 +229,9 @@ class Gateway:
             return "ignored-unknown-request"
         if (request_id, donor.donor_id) not in self.engine.ledger:
             return "ignored-not-alerted"
-        affirmative = ev.text.strip().casefold() in _YES_WORDS or ev.text.strip().casefold().startswith("yes")
-        status = self.engine.handle_response(request_id, donor.donor_id, affirmative)
-        if status == FULFILLED:
-            case = self.engine.cases[request_id]
-            trace = self.traces.get(case.message_id)
-            if trace is not None and trace.t_first_response is None:
-                trace.t_first_response = self.clock.now
-        return status
+        folded = ev.text.casefold().strip()
+        affirmative = any(w.rstrip(string.punctuation + "।") in _YES_WORDS for w in (folded, *folded.split()[:1]))
+        return self.engine.handle_response(request_id, donor.donor_id, affirmative)
 
     def handle_event(self, ev: InboundEvent) -> dict:
         """Uniform entry point; returns a JSON-friendly action record.
@@ -272,18 +262,11 @@ class Gateway:
         outbound events that fell due come first. Then the line is applied:
         an event by `handle_event`, a donor write by `put_donor`, and an
         `advance` line only persists. The outbound events the line caused
-        come last. A drained `donor_alert` stamps its tick on its case's
-        trace as the first notification, if the trace has none yet."""
+        come last."""
         tick = line["tick"]
 
         def outbound() -> list[dict]:
-            events = self.engine.drain_outbound()
-            for e in events:  # the first alerts of a case whose opening found no donor
-                if e["kind"] == "donor_alert":
-                    trace = self.traces.get(self.engine.cases[e["request_id"]].message_id)
-                    if trace is not None and trace.t_first_notification is None:
-                        trace.t_first_notification = e["tick"]
-            return [{"tick": tick, "event": {"kind": "outbound"}, "action": e} for e in events]
+            return [{"tick": tick, "event": {"kind": "outbound"}, "action": e} for e in self.engine.drain_outbound()]
 
         self.engine.advance_to(tick)
         due = outbound()
@@ -300,8 +283,7 @@ class Gateway:
         """Save the engine's unsaved changes to `snapshot_path`, if one is set.
         A failed save takes the restart path, then raises: the engine is put
         back as restored from the file, which holds exactly the acknowledged
-        state (none while there is no file); traces of cases it lacks go, and
-        so does a first-response time of a case it holds unfulfilled. The
+        state (none while there is no file), but the clock keeps its time. The
         outbound events queued by the last successful save stay queued
         (`engine.outbound_saved`); those whose changes the file lacks go."""
         try:
@@ -314,15 +296,19 @@ class Gateway:
             engine.outbound = self.engine.outbound[: self.engine.outbound_saved]
             engine.outbound_saved = len(engine.outbound)
             self.engine = engine
-            self.traces = {m: t for m, t in self.traces.items() if m in engine.case_by_message}
-            for trace in self.traces.values():
-                if engine.cases[trace.request_id].status != FULFILLED:
-                    trace.t_first_response = None
             raise
 
 
 # --------------------------------------------------------------------------
 # Scenario simulation
+
+
+def case_trace(engine: DispatchEngine, case: RequestCase) -> PipelineTrace:
+    """The trace of the message that opened `case`, from the records a
+    snapshot saves: the case's creation, its earliest alert and its fulfilment."""
+    notified = min((e.notified_at for e in engine.case_entries(case.request_id)), default=None)
+    return PipelineTrace(case.message_id, case.created_at, case.created_at, notified, case.fulfilled_at,
+                         case.layer1_prob, "request", case.request_id)
 
 
 @dataclass
@@ -347,22 +333,19 @@ def _duration_stats(values: list[int]) -> dict:
 
 
 def summarize_traces(traces: dict[str, PipelineTrace]) -> dict:
-    """Mean/stddev of parse, retrieval, and response durations."""
+    """Mean/stddev of parse, retrieval, and response durations of case traces."""
     parse, retrieval, response = [], [], []
-    fulfilled = 0
     for trace in traces.values():
-        if trace.t_parsed_stored is not None and trace.t_arrival is not None:
-            parse.append(trace.t_parsed_stored - trace.t_arrival)
-        if trace.t_first_notification is not None and trace.t_parsed_stored is not None:
+        parse.append(trace.t_parsed_stored - trace.t_arrival)
+        if trace.t_first_notification is not None:
             retrieval.append(trace.t_first_notification - trace.t_parsed_stored)
-        if trace.t_first_response is not None and trace.t_first_notification is not None:
+        if trace.t_first_response is not None:
             response.append(trace.t_first_response - trace.t_first_notification)
-            fulfilled += 1
     return {
         "parse_seconds": _duration_stats(parse),
         "retrieval_seconds": _duration_stats(retrieval),
         "response_seconds": _duration_stats(response),
-        "fulfilled_with_full_trace": fulfilled,
+        "fulfilled_with_full_trace": len(response),
     }
 
 
@@ -454,11 +437,12 @@ def simulate(
     gateway = Gateway(model=model, backend=backend, engine=DispatchEngine(**knobs), threshold=threshold)
     transcript = [entry for line, decoded in lines for entry in gateway.replay(line, decoded)]
     engine = gateway.engine
-    summary = summarize_traces(gateway.traces)
+    traces = {case.message_id: case_trace(engine, case) for case in engine.cases.values()}
+    summary = summarize_traces(traces)
     summary["cases"] = {
         rid: engine.cases[rid].status for rid in sorted(engine.cases)
     }
     summary["layer2_calls"] = gateway.layer2_calls
     return SimulationResult(
-        transcript=transcript, traces=gateway.traces, summary=summary, engine=engine
+        transcript=transcript, traces=traces, summary=summary, engine=engine
     )

@@ -6,8 +6,9 @@ write. The file is JSON lines, each a section name (a table's, `meta` or
 `end`) and a record's `records.encode` form, which the HTTP service
 answers too. A batch is a `meta` line (format version, the owner's
 counters), one line per record, table by table in registration order, and
-an `end` line counting the batch's lines. A full snapshot is one batch of
-every record, written to a temporary file and renamed over the old one.
+an `end` line counting the batch's lines. A version-1 batch restores with
+the fields version 2 added (`register`) at their defaults. A full snapshot
+is one batch of every record, written to a temporary file and renamed over the old one.
 `persist` appends one batch of just the touched records to the file it
 last wrote or restored, in one write. Restore reads the batches in order,
 each record replacing the one with its key. A batch with no `end` line is
@@ -23,13 +24,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Hashable, Iterable
 
 from .records import decode, encode
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 # `persist` rewrites the snapshot in full instead of appending a batch that
 # would make the appended tail longer than this many times the full
@@ -67,16 +68,19 @@ class Journal:
         self._types: dict[str, type] = {"meta": meta, "end": _End}  # section -> the type its lines hold
         self._keys: dict[str, Callable[[object], Hashable]] = {}
         self._checks: dict[str, Callable[[object], None]] = {}
+        self._added: dict[str, dict] = {}  # section -> the fields version 2 added -> their defaults
         self._section: dict[type, str] = {}
         self._dirty: dict[str, set] = {}  # section -> keys touched since the last persist or restore
         self._file: _File | None = None
 
     def register(self, section: str, cls: type, key: Callable[[object], Hashable],
-                 check: Callable[[object], None]) -> None:
+                 check: Callable[[object], None], added: Iterable[str] = ()) -> None:
         """Journal the records of type `cls` as the table `section`, under
         `key(record)`. On restore `check(record)` raises ValueError for a
-        record whose values its owner never writes."""
+        record whose values its owner never writes. `added` names the fields
+        of `cls` that version 2 added: a version-1 line lacks them."""
         self._types[section], self._keys[section], self._checks[section] = cls, key, check
+        self._added[section] = {f.name: f.default for f in fields(cls) if f.name in added}
         self.tables[section], self._section[cls], self._dirty[section] = {}, section, set()
 
     def touch(self, record: object) -> None:
@@ -144,6 +148,7 @@ class Journal:
         tables: dict[str, dict] = {section: {} for section in self.tables}
         meta = batch_meta = None
         batch: dict[str, list] | None = None  # the records of the batch being read, by section
+        lacking: dict[str, dict] = {}  # section -> the fields the batch's version lacks -> their defaults
         watched: dict[str, list] = {}  # the batch's (line number, record) pairs, of the sections on_batch names
         problem = ""  # the first malformed line; fatal if a batch completes after it
         offset = base = complete = 0  # bytes read; of the first batch; up to the last `end`
@@ -164,11 +169,12 @@ class Journal:
                         raise ValueError("meta line inside a batch")
                     if section != "meta" and batch is None:
                         raise ValueError(f"{section!r} line outside a batch")
-                    record = decode(types[section], obj)
+                    record = decode(types[section], {**lacking[section], **obj} if section in lacking else obj)
                     if section == "meta":
-                        if record.version != SNAPSHOT_VERSION:
+                        if not 1 <= record.version <= SNAPSHOT_VERSION:
                             raise ValueError(f"unsupported snapshot version {record.version}")
                         batch_meta, batch = record, {section: [] for section in tables}
+                        lacking = self._added if record.version < SNAPSHOT_VERSION else {}
                         watched = {section: [] for section in on_batch}
                     elif section != "end":
                         checks[section](record)

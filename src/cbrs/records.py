@@ -49,6 +49,8 @@ class RequestCase:
     stages_fired: int = 0
     next_stage_due: int | None = None
     needs_attention: bool = False
+    layer1_prob: float | None = None  # of the text that opened the case
+    fulfilled_at: int | None = None  # the tick of the reply that fulfilled it
 
 
 @dataclass
@@ -120,7 +122,6 @@ _FORMS = {
         "request": (lambda r: schema.to_dict(ParseOutcome.positive(r)), _request),
         "anchor": (lambda a: list(a) if a else None, _anchor),
     },
-    PipelineTrace: {"layer1_prob": (lambda p: None if p is None else round(p, 9), lambda p: p)},
 }
 _NULL = type(None)
 # A field's annotation -> the JSON types its value may hold (none, for one
@@ -175,7 +176,7 @@ _CODECS = _Codecs()
 def encode(record: object) -> dict:
     """The JSON form of a record: every field, in declared order; dates as
     ISO strings or null, the request as `schema.to_dict`, the anchor as a
-    list, Layer 1's probability rounded to 9 digits."""
+    list."""
     obj = dict(vars(record))
     for name, (to_json, _) in _FORMS.get(type(record), {}).items():
         obj[name] = to_json(obj[name])

@@ -6,7 +6,9 @@ wrong-typed input gets a 400 with field diagnostics before any state
 changes, a body over `MAX_BODY_BYTES` a 413 before it is read, unknown
 ids a 404. POST /donors writes through `Gateway.put_donor`, as a scenario
 `donor` line does. Donors, cases, ledger entries and traces are
-answered in the JSON form `records.encode` gives them. Handlers share one
+answered in the JSON form `records.encode` gives them; a case's trace is
+derived from the case and its ledger entries (`gateway.case_trace`), so
+it is answered the same after a restart. Handlers share one
 lock so case/ledger mutations stay serialized. With a snapshot path set,
 every POST persists what it changed, under the lock, before it replies.
 A POST whose Layer-2 call or persist failed gets a 503 with `Retry-After`:
@@ -23,7 +25,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .dispatch import DONOR_FIELDS, check_staging
-from .gateway import Gateway, decode_event
+from .gateway import Gateway, case_trace, decode_event
 from .layer2 import BackendConfig
 from .records import DonorRecord, FieldError, RequestCase, encode, read_fields
 
@@ -78,10 +80,9 @@ class ServiceConfig:
 
 def _case_payload(gateway: Gateway, case: RequestCase) -> dict:
     """The case's JSON form, its trace, and its ledger entries' forms by donor id."""
-    trace = gateway.traces.get(case.message_id)
     return {
         **encode(case),
-        "trace": encode(trace) if trace else None,
+        "trace": encode(case_trace(gateway.engine, case)),
         "ledger": [encode(e) for e in gateway.engine.case_entries(case.request_id)],
     }
 

@@ -1,11 +1,12 @@
 import json
+import urllib.request
 from types import SimpleNamespace
 
 import pytest
 
-from cbrs import cli, schema
+from cbrs import cli, schema, service
 from cbrs.corpus import save_corpus
-from cbrs.gateway import InboundEvent, bundled_scenarios
+from cbrs.gateway import bundled_scenarios
 from cbrs.layer1 import Hyper
 from cbrs.synth import goldset, separable_corpus
 
@@ -254,24 +255,48 @@ def test_serve_uses_the_model_threshold_unless_the_config_sets_one(corpus_file, 
         assert served.pop().threshold == threshold
 
 
+def _http(port, method, path, payload=None):
+    data = json.dumps(payload).encode() if payload is not None else None
+    req = urllib.request.Request(f"http://127.0.0.1:{port}{path}", data=data, method=method)
+    with urllib.request.urlopen(req, timeout=5) as resp:
+        return json.loads(resp.read())
+
+
 def test_serve_restores_an_existing_snapshot(model_file, tmp_path, monkeypatch):
-    # The first serve writes a donor and a case through its gateway; the
-    # second, on the same config, starts from the file that left.
+    # The first serve writes a donor and two cases, one alerted and one
+    # fulfilled, through its gateway; the second, on the same config, starts
+    # from the file that left and answers each GET /requests/{id} as the
+    # first did, its trace included.
     served = []
 
     def fake_serve(gateway, port):
-        served.append(gateway)
-        return SimpleNamespace(port=port, thread=SimpleNamespace(join=lambda: None), shutdown=lambda: None)
+        running = service.serve(gateway, port=port)
+        served.append((gateway, running))
+        return SimpleNamespace(port=running.port, thread=SimpleNamespace(join=lambda: None), shutdown=running.shutdown)
 
     monkeypatch.setattr(cli, "serve", fake_serve)
     conf = tmp_path / "cbrs.conf"
-    conf.write_text(f"model_path = {model_file}\nsnapshot_path = {tmp_path / 'served.snap'}\n")
+    conf.write_text(f"model_path = {model_file}\nsnapshot_path = {tmp_path / 'served.snap'}\nport = 0\n")
     assert cli.main(["serve", "--config", str(conf)]) == 0
-    first = served.pop()
-    first.put_donor("alice", {"blood_group": "O+", "latitude": 23.81, "longitude": 90.41})
-    text = "Urgent! 2 bags O+ blood needed at Square Hospital, Dhaka. Call 01712345678 today."
-    assert first.handle_event(InboundEvent(kind="message", message_id="m1", text=text))["trace"]["request_id"] == "r00001"
+    first, running = served.pop()
+    try:
+        _http(running.port, "POST", "/donors", {"platform_id": "alice", "blood_group": "O+", "latitude": 23.81,
+                                                 "longitude": 90.41})
+        text = "Urgent! 2 bags O+ blood needed at Square Hospital, Dhaka. Call 01712345678 today."
+        for message_id in ("m1", "m2"):
+            answer = _http(running.port, "POST", "/messages", {"message_id": message_id, "text": text})
+            assert answer["trace"]["request_id"] == f"r0000{message_id[1]}"
+        yes = {"sender": "alice", "message_id": "m2", "text": "yes"}
+        assert _http(running.port, "POST", "/responses", yes) == {"status": "fulfilled"}
+        before = [_http(running.port, "GET", f"/requests/{rid}") for rid in ("r00001", "r00002")]
+    finally:
+        running.shutdown()
+    assert [(c["trace"]["t_first_notification"], c["trace"]["t_first_response"]) for c in before] == [(0, None), (0, 0)]
     assert cli.main(["serve", "--config", str(conf)]) == 0
-    second = served.pop()
+    second, running = served.pop()
+    try:
+        assert [_http(running.port, "GET", f"/requests/{rid}") for rid in ("r00001", "r00002")] == before
+    finally:
+        running.shutdown()
     assert second.engine.donors == first.engine.donors and second.engine.cases == first.engine.cases
-    assert second.engine.case_by_message == {"m1": "r00001"}
+    assert second.engine.case_by_message == {"m1": "r00001", "m2": "r00002"}

@@ -872,7 +872,9 @@ STRUCTURAL_EDITS = {
     "meta-inside-batch": (lambda ls: ls[:2] + [ls[0]] + ls[2:], 3, "inside a batch"),
     "meta-without-clock": (lambda ls: [_edit_line(ls[0], clock=None)] + ls[1:], 1, "[Mm]eta"),
     "meta-extra-key": (lambda ls: [_edit_line(ls[0], extra=1)] + ls[1:], 1, "extra"),
-    "version-2": (lambda ls: [_edit_line(ls[0], version=2)] + ls[1:], 1, "version"),
+    "version-3": (lambda ls: [_edit_line(ls[0], version=3)] + ls[1:], 1, "version"),
+    "case-without-fulfilled-at": (lambda ls: ls[:2] + [_edit_line(ls[2], fulfilled_at=None)] + ls[3:], 3,
+                                  "missing fields.*fulfilled_at"),
     "end-extra-key": (lambda ls: ls[:4] + [_edit_line(ls[4], extra=1)] + [ls[0], '{"section": "end", "records": 1}'],
                       5, "extra"),
 }

@@ -7,7 +7,7 @@ import pytest
 from cbrs import gateway as gw
 from cbrs import journal
 from cbrs.dispatch import Clock, DispatchEngine, FULFILLED, RESOLVED_EXTERNALLY
-from cbrs.gateway import Gateway, InboundEvent, bundled_scenarios, load_scenario, simulate
+from cbrs.gateway import Gateway, InboundEvent, bundled_scenarios, case_trace, load_scenario, simulate
 from cbrs.layer2 import Backend, ParseRecord, RulesBackend, parse_rules
 from conftest import check_protocol_invariants
 
@@ -181,7 +181,7 @@ def test_backend_failure_is_logged_and_opens_nothing(scenario_model, caplog, rai
     g = Gateway(model=scenario_model, backend=BrokenBackend(raises), clock=clock)
     trace = g.ingest_message(InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT))
     assert trace.layer2_outcome == "error"
-    assert (trace.request_id, g.engine.cases, g.traces) == (None, {}, {})
+    assert (trace.request_id, g.engine.cases) == (None, {})
     assert "for m1:" in caplog.text
     assert g.layer2_calls == (0 if raises else 1)
 
@@ -306,7 +306,7 @@ def test_a_redelivered_message_opens_nothing(scenario_model, tmp_path):
     assert second == {"action": "ingested", "trace": {
         "message_id": "m1", "t_arrival": 30, "t_parsed_stored": None, "t_first_notification": None,
         "t_first_response": None, "layer1_prob": None, "layer2_outcome": "skipped", "request_id": "r00001"}}
-    assert g.traces["m1"].t_arrival == 0  # the case's trace is the first delivery's
+    assert case_trace(g.engine, g.engine.cases["r00001"]).t_arrival == 0  # the case's trace is the first delivery's
     assert _deliver_twice(scenario_model, tmp_path / "restart.snap", restart=True)[1] == second
 
 
@@ -318,7 +318,8 @@ def test_traces_are_kept_for_cases_only(scenario_model):
         g.handle_event(InboundEvent(kind="message", message_id=f"m{i}", text=text, tick=i))
     g.handle_event(InboundEvent(kind="edit", message_id="m3", text=REQUEST_TEXT, tick=9))
     g.handle_event(InboundEvent(kind="edit", message_id="m0", text=CHITCHAT + "!", tick=9))
-    assert set(g.traces) == set(g.engine.case_by_message) == {"m1", "m3"}
+    assert [case_trace(g.engine, c).message_id for c in g.engine.cases.values()] == ["m1", "m3"]
+    assert set(g.engine.case_by_message) == {"m1", "m3"}
 
 
 def test_edit_seen_message_still_not_request(scenario_model):
@@ -396,7 +397,7 @@ def test_donor_response_fulfills_and_stamps_trace(scenario_model):
         InboundEvent(kind="donor_response", sender="alice", message_id="m1", text="yes", tick=30)
     )
     assert status == FULFILLED
-    trace = g.traces["m1"]
+    trace = case_trace(g.engine, g.engine.cases["r00001"])
     assert trace.t_first_response == 30
     stamps = trace.timestamps()
     assert stamps == sorted(stamps) and len(stamps) == 4
@@ -707,3 +708,35 @@ def test_a_failed_save_keeps_only_the_events_the_file_holds(scenario_model, tmp_
     assert alerts == [("r00001", "d00002"), ("r00001", "d00003")]
     g.handle_event(InboundEvent(kind="message", message_id="m3", text=CHITCHAT, tick=800))
     assert _restarted(g, scenario_model, snapshot).engine.ledger == g.engine.ledger
+
+
+def test_a_failed_save_keeps_the_clock(scenario_model, tmp_path, monkeypatch):
+    # The restart path restores the file, whose clock is its last save's;
+    # the live clock keeps its time, and so the next case is stamped after it.
+    g = Gateway(scenario_model, RulesBackend(), engine=DispatchEngine(clock=Clock(), stage_size=1),
+                snapshot_path=tmp_path / "s.snap")
+    for i in range(3):
+        g.put_donor(f"p{i}", {"blood_group": "O+", "latitude": 23.8 + i / 100, "longitude": 90.4})
+    g.handle_event(InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT, tick=1))
+    g.engine.advance_to(700)
+    with monkeypatch.context() as m:
+        _full_disk(m)
+        with pytest.raises(OSError):
+            g.handle_event(InboundEvent(kind="message", message_id="m2", text=CHITCHAT, tick=700))
+    assert g.clock.now == 700
+    g.handle_event(InboundEvent(kind="message", message_id="m3", text=REQUEST_TEXT, tick=700))
+    assert g.engine.cases["r00002"].created_at >= 700
+
+
+@pytest.mark.parametrize(
+    "text, affirmative",
+    [("yes", True), ("Yes, I can come", True), ("ok", True), ("হ্যাঁ", True),
+     ("yesterday I gave blood, so I cannot", False), ("no", False), ("not today", False)],
+)
+def test_a_reply_is_affirmative_only_by_a_whole_yes_word(scenario_model, text, affirmative):
+    g, _ = _gateway(scenario_model)
+    g.engine.register_donor("alice", "O+", 23.81, 90.41)
+    g.ingest_message(InboundEvent(kind="message", message_id="m1", text=REQUEST_TEXT))
+    status = g.handle_donor_response(InboundEvent(kind="donor_response", sender="alice", message_id="m1", text=text))
+    assert status == (FULFILLED if affirmative else "open")
+    assert g.engine.ledger[("r00001", "d00001")].response == ("affirmative" if affirmative else "negative")

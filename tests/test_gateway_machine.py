@@ -19,8 +19,8 @@ the failed ones included:
 - a fresh restore of the file equals the live engine in every field;
 - `LedgerMachine`'s ledger laws hold (tests/test_dispatch_index.py), and a
   message id has at most one case;
-- the twin keeps a trace for each case and for nothing else, and the live
-  gateway the twin's trace of each case it saw open.
+- each case's trace (`case_trace`) is the twin's, crashes included, and
+  the live clock and every case trace's times never decrease.
 """
 
 import errno
@@ -38,7 +38,7 @@ from cbrs import dispatch as dp
 from cbrs import journal
 from cbrs import layer1
 from cbrs.dispatch import Clock, DispatchEngine
-from cbrs.gateway import Gateway, InboundEvent
+from cbrs.gateway import Gateway, InboundEvent, case_trace
 from cbrs.layer2 import RulesBackend
 from cbrs.synth import separable_corpus
 from test_gateway import BrokenBackend
@@ -84,6 +84,8 @@ class GatewayMachine(RuleBasedStateMachine):
         self.outbound: dict[str, list[dict]] = {"live": [], "twin": []}
         self.first_answer: dict[tuple[str, str], str] = {}
         self.managed: set[str] = set()
+        self.now = 0  # the live clock at the last check
+        self.traces: dict[str, object] = {}  # request id -> its live trace at the last check
 
     def teardown(self):
         shutil.rmtree(self.dir, ignore_errors=True)
@@ -266,14 +268,32 @@ class GatewayMachine(RuleBasedStateMachine):
 
     @invariant()
     def traces_are_kept_for_cases_only(self):
-        assert set(self.twin.traces) == set(self.twin.engine.case_by_message)
+        engine = self.twin.engine
+        assert {case_trace(engine, c).message_id for c in engine.cases.values()} == set(engine.case_by_message)
 
     @invariant()
     def live_traces_are_the_twins(self):
-        """The live gateway keeps the twin's trace of each case it saw open
-        (a crash drops the traces of the cases opened before it)."""
-        for message_id, trace in self.live.traces.items():
-            assert trace == self.twin.traces[message_id]
+        """Each case's trace on the live gateway is the twin's, also for the
+        cases opened before a crash."""
+        live, twin = self.live.engine, self.twin.engine
+        assert {r: case_trace(live, c) for r, c in live.cases.items()} == {
+            r: case_trace(twin, c) for r, c in twin.cases.items()}
+
+    @invariant()
+    def time_never_goes_back(self):
+        """The live clock never decreases, a failed save's restart path
+        included, and no time on a case's trace decreases or goes."""
+        engine = self.live.engine
+        assert engine.clock.now >= self.now
+        self.now = engine.clock.now
+        for request_id, case in engine.cases.items():
+            trace, seen = case_trace(engine, case), self.traces.get(request_id)
+            assert trace.timestamps() == sorted(trace.timestamps())
+            if seen is not None:
+                for name in ("t_arrival", "t_parsed_stored", "t_first_notification", "t_first_response"):
+                    before, after = getattr(seen, name), getattr(trace, name)
+                    assert before is None or (after is not None and after >= before)
+            self.traces[request_id] = trace
 
 
 GatewayMachine.TestCase.settings = settings(

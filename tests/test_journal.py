@@ -80,11 +80,34 @@ def test_snapshot_bytes_match_golden(scenario_model, tmp_path, monkeypatch):
     [path] = [p for p in bundled_scenarios() if p.stem == "three_requests"]
     snapshot = tmp_path / "state.snap"
     replay(path, scenario_model, snapshot, restart=False)
-    assert snapshot.read_bytes() == (GOLDEN / "three_requests.snap").read_bytes()
+    assert snapshot.read_bytes() == (GOLDEN / "three_requests.v2.snap").read_bytes()
     engine = DispatchEngine(clock=Clock())
     engine.restore(snapshot)
     engine.persist(tmp_path / "full.snap")
-    assert (tmp_path / "full.snap").read_bytes() == (GOLDEN / "three_requests.full.snap").read_bytes()
+    assert (tmp_path / "full.snap").read_bytes() == (GOLDEN / "three_requests.full.v2.snap").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["three_requests", "three_requests.full"])
+def test_a_version_1_snapshot_restores_with_the_fields_version_2_added_empty(name):
+    """The version-1 goldens, written before cases held Layer 1's probability
+    and their fulfilment time, restore to the state of their version-2
+    twins but for those two fields; the donor and ledger lines of both
+    versions are the same bytes."""
+    old, new = DispatchEngine(clock=Clock()), DispatchEngine(clock=Clock())
+    old.restore(GOLDEN / f"{name}.snap")
+    new.restore(GOLDEN / f"{name}.v2.snap")
+    assert [(c.layer1_prob, c.fulfilled_at) for c in old.cases.values()] == [(None, None)] * 3
+    for case in new.cases.values():
+        assert case.layer1_prob is not None and case.fulfilled_at is not None
+        case.layer1_prob = case.fulfilled_at = None
+    assert engine_state(old) == engine_state(new)
+
+    def lines(version, section):
+        text = (GOLDEN / f"{name}{version}.snap").read_text("utf-8")
+        return [line for line in text.splitlines() if json.loads(line)["section"] == section]
+
+    for section in ("donor", "ledger"):
+        assert lines("", section) == lines(".v2", section)
 
 
 # Any text in every string field: surrogates aside (`st.text()` draws

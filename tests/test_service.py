@@ -8,7 +8,7 @@ import pytest
 
 from cbrs import journal
 from cbrs.dispatch import Clock, DispatchEngine, SnapshotError
-from cbrs.gateway import Gateway, ScenarioError, load_scenario, simulate
+from cbrs.gateway import Gateway, ScenarioError, case_trace, load_scenario, simulate
 from cbrs.layer2 import Backend, BackendConfig, RulesBackend, parse_rules
 from cbrs.records import encode
 from cbrs.schema import ParsedRequest, ParseOutcome, to_dict
@@ -94,6 +94,8 @@ def test_replies_carry_each_record_in_its_json_form(service):
         "stages_fired": 1,
         "next_stage_due": 600,
         "needs_attention": False,
+        "layer1_prob": action["trace"]["layer1_prob"],
+        "fulfilled_at": None,
         "trace": action["trace"],
         "ledger": [{"request_id": "r00001", "donor_id": "d00001", "stage": 1, "notified_at": 0,
                     "response": "none", "resolution_notified": False}],
@@ -307,7 +309,7 @@ def test_a_message_whose_backend_fails_n_times_opens_its_case_on_the_next_delive
             assert (status, retry_after) == (503, "1")
             assert _call(running.port, "GET", "/requests/r00001")[0] == 404
             assert _restored(snapshot) == before and engine_state(gateway.engine) == before
-            assert gateway.engine.outbound == [] and gateway.traces == {}
+            assert gateway.engine.outbound == [] and gateway.engine.cases == {}
         status, _, body = _post(running.port, "/messages", message)
         assert (status, body["trace"]["request_id"]) == (200, "r00001")
         status, _, again = _post(running.port, "/messages", message)
@@ -357,7 +359,7 @@ def test_a_full_disk_answers_503_and_changes_nothing(scenario_model, tmp_path, m
         with monkeypatch.context() as m:
             _full_disk(m)
             assert _post(running.port, "/responses", yes)[:2] == (503, "1")
-            assert _call(running.port, "GET", "/requests/r00001") == case  # the trace keeps no response time
+            assert _call(running.port, "GET", "/requests/r00001") == case  # no fulfilment time, in case or trace
         assert _call(running.port, "POST", "/responses", yes) == (200, {"status": "fulfilled"})
         served = engine_state(gateway.engine)
     finally:
@@ -467,6 +469,38 @@ def test_a_redelivered_post_opens_nothing(scenario_model, tmp_path):
     assert restarted == second
     assert [e for e in gateway.engine.outbound if e["kind"] == "donor_alert"] == []
     assert list(gateway.engine.cases) == ["r00001"] and len(gateway.engine.ledger) == 3 and backend.calls == 1
+
+
+def test_a_case_trace_survives_a_restart(scenario_model, tmp_path):
+    # Three cases: one alerted at opening, one whose first stage found
+    # nobody and whose second alerted a donor registered later, and one
+    # fulfilled. A gateway restored from the file answers each GET
+    # /requests/{id} as the live one did, its trace included.
+    snapshot = tmp_path / "state.snap"
+    live = Gateway(scenario_model, RulesBackend(), engine=DispatchEngine(clock=Clock(), stage_size=3),
+                   snapshot_path=snapshot)
+    ab_negative = REQUEST_TEXT.replace("O+", "AB-")
+    lines = [
+        {"tick": 0, "kind": "donor", "sender": "alice", **O_PLUS},
+        {"tick": 10, "kind": "message", "message_id": "m1", "text": REQUEST_TEXT},
+        {"tick": 20, "kind": "message", "message_id": "m2", "text": ab_negative},
+        {"tick": 100, "kind": "donor", "sender": "ana", **O_PLUS, "blood_group": "AB-"},
+        {"tick": 700, "kind": "advance"},
+        {"tick": 710, "kind": "message", "message_id": "m3", "text": REQUEST_TEXT.replace("2 bags", "3 bags")},
+        {"tick": 750, "kind": "donor_response", "sender": "alice", "message_id": "m3", "text": "yes"},
+    ]
+    path = tmp_path / "three_kinds.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    for line, decoded in load_scenario(path)[1]:
+        live.replay(line, decoded)
+    before = {rid: _case_payload(live, case) for rid, case in live.engine.cases.items()}
+    traces = {rid: payload["trace"] for rid, payload in before.items()}
+    assert [(t["t_arrival"], t["t_first_notification"], t["t_first_response"]) for t in traces.values()] == [
+        (10, 10, None), (20, 620, None), (710, 710, 750)]
+    engine = DispatchEngine(clock=Clock(), stage_size=3)
+    engine.restore(snapshot)
+    restored = Gateway(scenario_model, RulesBackend(), engine=engine, snapshot_path=snapshot)
+    assert {rid: _case_payload(restored, case) for rid, case in engine.cases.items()} == before
 
 
 def test_case_payload_matches_full_ledger_scan(scenario_model):
@@ -598,8 +632,8 @@ def test_wrong_typed_input_400_changes_nothing(service, path, body, length, fiel
     _call(running.port, "POST", "/messages", {"message_id": "m1", "text": "good morning everyone", "tick": 5})
 
     def state():
-        traces = {k: (id(t), encode(t)) for k, t in gateway.traces.items()}
-        return traces, dict(engine.donors), dict(engine.cases), dict(engine.ledger)
+        traces = [encode(case_trace(engine, case)) for case in engine.cases.values()]
+        return traces, *({k: encode(r) for k, r in table.items()} for table in (engine.donors, engine.cases, engine.ledger))
 
     before = state()
     data = body if isinstance(body, bytes) else json.dumps(body).encode()
@@ -643,7 +677,7 @@ def test_oversized_body_413_before_it_is_read(service):
             assert (resp.status, json.loads(resp.read())["fields"]) == (413, ["Content-Length"])
         finally:
             conn.close()
-    assert gateway.traces == {}
+    assert gateway.engine.cases == {}
     assert _call(running.port, "GET", "/health") == (200, {"status": "ok"})
 
 
