@@ -89,6 +89,14 @@ def intake_token(platform_id: str) -> str:
     return hashlib.blake2b(platform_id.encode("utf-8"), digest_size=8).hexdigest()
 
 
+def case_trace(engine: DispatchEngine, case: RequestCase) -> PipelineTrace:
+    """The trace of the message that opened `case`, from the records a
+    snapshot saves: the case's creation, its earliest alert and its fulfilment."""
+    notified = min((e.notified_at for e in engine.case_entries(case.request_id)), default=None)
+    return PipelineTrace(case.message_id, case.created_at, case.created_at, notified, case.fulfilled_at,
+                         case.layer1_prob, "request", case.request_id)
+
+
 class Gateway:
     """Wires the classifier, the parser backend, and the dispatch engine.
 
@@ -301,14 +309,6 @@ class Gateway:
 
 # --------------------------------------------------------------------------
 # Scenario simulation
-
-
-def case_trace(engine: DispatchEngine, case: RequestCase) -> PipelineTrace:
-    """The trace of the message that opened `case`, from the records a
-    snapshot saves: the case's creation, its earliest alert and its fulfilment."""
-    notified = min((e.notified_at for e in engine.case_entries(case.request_id)), default=None)
-    return PipelineTrace(case.message_id, case.created_at, case.created_at, notified, case.fulfilled_at,
-                         case.layer1_prob, "request", case.request_id)
 
 
 @dataclass
