@@ -51,6 +51,7 @@ HELP_TEXT = """Available commands:
 /goodbye            End interaction with the bot"""
 
 _YES_WORDS = frozenset({"yes", "y", "sure", "ok", "okay", "raji", "parbo", "ji", "হ্যাঁ", "হা"})
+_LEADING_YES_WORDS = frozenset({"yes", "y", "হ্যাঁ"})  # the others also lead refusals: "parbo na", "ji na"
 
 
 @dataclass(frozen=True)
@@ -225,8 +226,8 @@ class Gateway:
         return "new-case" if trace.request_id else "ignored-non-request"
 
     def handle_donor_response(self, ev: InboundEvent) -> str:
-        """Route a donor's reply to its request's ledger: a yes if its whole text
-        or first word, casefolded, less trailing punctuation, is a yes word."""
+        """Route a donor's reply to its request's ledger: a yes if it is one yes word,
+        or several words led by yes, y or হ্যাঁ (casefolded, less trailing punctuation)."""
         if ev.kind != "donor_response":
             raise ValueError(f"expected donor_response, got {ev.kind!r}")
         donor = self.engine.donor_by_platform(ev.sender)
@@ -237,8 +238,9 @@ class Gateway:
             return "ignored-unknown-request"
         if (request_id, donor.donor_id) not in self.engine.ledger:
             return "ignored-not-alerted"
-        folded = ev.text.casefold().strip()
-        affirmative = any(w.rstrip(string.punctuation + "।") in _YES_WORDS for w in (folded, *folded.split()[:1]))
+        words = ev.text.casefold().split()
+        first = words[0].rstrip(string.punctuation + "।") if words else ""
+        affirmative = first in (_YES_WORDS if len(words) == 1 else _LEADING_YES_WORDS)
         return self.engine.handle_response(request_id, donor.donor_id, affirmative)
 
     def handle_event(self, ev: InboundEvent) -> dict:

@@ -731,7 +731,9 @@ def test_a_failed_save_keeps_the_clock(scenario_model, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "text, affirmative",
     [("yes", True), ("Yes, I can come", True), ("ok", True), ("হ্যাঁ", True),
-     ("yesterday I gave blood, so I cannot", False), ("no", False), ("not today", False)],
+     ("ok.", True), ("parbo", True),
+     ("yesterday I gave blood, so I cannot", False), ("no", False), ("not today", False),
+     ("parbo na", False), ("ji na", False), ("ok but I can't come", False), ("", False)],
 )
 def test_a_reply_is_affirmative_only_by_a_whole_yes_word(scenario_model, text, affirmative):
     g, _ = _gateway(scenario_model)
